@@ -45,9 +45,6 @@ class RunConfig:
     tol: float = 1e-4
     max_iters: int = 50
     picard_inner_iters: int = 2
-    hjb_boundary: str = "extrapolate"
-    hjb_advection: str = "hybrid"
-    fp_flux_scheme: str = "exponential"
     # verification block
     verify: bool = True
     n_particles: int = 100_000
@@ -161,52 +158,27 @@ def read_checkpoint(path: Path, grid):
 
 
 def _write_field_csv(path: Path, grid, values) -> None:
+    """Long format t,x1[,x2],value with 17 significant digits, one row per
+    node, nodes in C order within each time level."""
     import numpy as np
+    coords = grid.coords().reshape(grid.n_nodes, grid.dim)
+    header = "t," + ",".join(f"x{d + 1}" for d in range(grid.dim)) + ",value\n"
+    row = ",".join(["%.17g"] * (grid.dim + 2)) + "\n"
+    block = row * grid.n_nodes
+    rows = np.empty((grid.n_nodes, grid.dim + 2))
+    rows[:, 1:-1] = coords
     with open(path, "w") as fh:
-        if grid.dim == 1:
-            fh.write("t,x1,value\n")
-            x = grid.axis(0)
-            for k in range(grid.nt + 1):
-                t = grid.time(k)
-                for i in range(grid.nx):
-                    fh.write(f"{t:.17g},{x[i]:.17g},{values[k, i]:.17g}\n")
-        else:
-            fh.write("t,x1,x2,value\n")
-            x1, x2 = grid.axis(0), grid.axis(1)
-            for k in range(grid.nt + 1):
-                t = grid.time(k)
-                for i in range(grid.nx):
-                    for j in range(grid.nx):
-                        fh.write(f"{t:.17g},{x1[i]:.17g},{x2[j]:.17g},"
-                                 f"{values[k, i, j]:.17g}\n")
+        fh.write(header)
+        for k in range(grid.nt + 1):
+            rows[:, 0] = grid.time(k)
+            rows[:, -1] = values[k].ravel()
+            fh.write(block % tuple(rows.ravel().tolist()))
 
 
 def read_field_csv(path: Path, grid):
     import numpy as np
-    vals = np.empty((grid.nt + 1,) + grid.shape)
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        ncoord = len(header) - 2
-        k = i = j = 0
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            v = float(parts[-1])
-            if ncoord == 1:
-                vals[k, i] = v
-                i += 1
-                if i == grid.nx:
-                    i = 0
-                    k += 1
-            else:
-                vals[k, i, j] = v
-                j += 1
-                if j == grid.nx:
-                    j = 0
-                    i += 1
-                    if i == grid.nx:
-                        i = 0
-                        k += 1
-    return vals
+    vals = np.loadtxt(path, delimiter=",", skiprows=1, usecols=-1)
+    return vals.reshape((grid.nt + 1,) + grid.shape)
 
 
 def _build(config: RunConfig):
@@ -250,7 +222,6 @@ def run(config: RunConfig) -> int:
 
 def _run_locked(config: RunConfig, entry, grid, out: Path) -> int:
     import numpy as np
-    from .fp import FpSolverConfig
     from .hjb import HjbSolverConfig
     from .hamiltonian import check_assumptions
     from .mfg import FixedPointConfig, feedback_policy, solve_mfg
@@ -259,10 +230,7 @@ def _run_locked(config: RunConfig, entry, grid, out: Path) -> int:
 
     config.to_file(out / "run_config.txt")
     t_start = time.time()
-    fp_cfg = FpSolverConfig(flux_scheme=config.fp_flux_scheme)
-    hjb_cfg = HjbSolverConfig(boundary=config.hjb_boundary,
-                              advection=config.hjb_advection,
-                              picard_inner_iters=config.picard_inner_iters)
+    hjb_cfg = HjbSolverConfig(picard_inner_iters=config.picard_inner_iters)
     fx_cfg = FixedPointConfig(theta=config.theta, tol=config.tol,
                               max_iters=config.max_iters)
 
@@ -276,7 +244,7 @@ def _run_locked(config: RunConfig, entry, grid, out: Path) -> int:
 
     try:
         u, m, report = solve_mfg(
-            entry.problem, grid, fx_cfg, hjb_cfg, fp_cfg,
+            entry.problem, grid, fx_cfg, hjb_cfg,
             initial_state=state0,
             on_iteration=lambda st: write_checkpoint(ckpt, grid, st))
     except Exception as e:  # solver-level failure: report and exit 3
@@ -291,7 +259,6 @@ def _run_locked(config: RunConfig, entry, grid, out: Path) -> int:
                  "horizon": grid.horizon},
         "config": {f: getattr(config, f) for f in
                    ("theta", "tol", "max_iters", "picard_inner_iters",
-                    "hjb_boundary", "hjb_advection", "fp_flux_scheme",
                     "n_particles", "n_perturbations", "seed")},
         "threads_override": os.environ.get("MFGKIT_THREADS"),
         "fixed_point": report.to_dict(),
@@ -342,6 +309,7 @@ def _run_locked(config: RunConfig, entry, grid, out: Path) -> int:
             "max_abs_position": ens.max_abs_position,
             "d1_profile_head": [float(v) for v in profile[:: max(1, grid.nt // 10)]],
         }
+        del ens  # free the stored paths before verify_optimality stores its own
         checks["sde_fp_duality"] = float(profile.max()) <= config.duality_tol
         if entry.controlled:
             opt = verify_optimality(entry.problem, grid, u, m,
@@ -415,9 +383,6 @@ def _make_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{key.replace('_', '-')}", type=float, dest=key)
         p.add_argument("--dump-ensemble", dest="dump_ensemble",
                        action="store_const", const=True, default=None)
-        p.add_argument("--hjb-boundary", dest="hjb_boundary")
-        p.add_argument("--hjb-advection", dest="hjb_advection")
-        p.add_argument("--fp-flux-scheme", dest="fp_flux_scheme")
 
     add_common(sub.add_parser("solve", help="solve only (skip verification)"))
     add_common(sub.add_parser("verify", help="solve plus verification battery"))
@@ -459,20 +424,23 @@ def main(argv=None) -> int:
             print(f"{entry.name:20s} dim={g.dim} box=[{g.x_min[0]:g},{g.x_max[0]:g}] "
                   f"nx={g.nx} nt={g.nt} T={g.horizon:g}  {entry.description}")
         return EXIT_OK
-    if args.command == "resume":
-        rc_path = Path(args.out) / "run_config.txt"
-        if not rc_path.exists():
-            print(f"configuration error: {rc_path} not found", file=sys.stderr)
-            return EXIT_CONFIG
-        cfg = RunConfig(**parse_config_file(str(rc_path)))
-        for f in fields(RunConfig):  # explicit flags override the stored config
-            v = getattr(args, f.name, None)
-            if v is not None and f.name != "problem":
-                setattr(cfg, f.name, v)
-        cfg.out_dir = args.out
-        cfg.resume = True
-        return run(cfg)
-    cfg = _config_from_args(args)
+    try:
+        if args.command == "resume":
+            rc_path = Path(args.out) / "run_config.txt"
+            if not rc_path.exists():
+                raise ValueError(f"{rc_path} not found")
+            cfg = RunConfig(**parse_config_file(str(rc_path)))
+            for f in fields(RunConfig):  # explicit flags override the stored config
+                v = getattr(args, f.name, None)
+                if v is not None and f.name != "problem":
+                    setattr(cfg, f.name, v)
+            cfg.out_dir = args.out
+            cfg.resume = True
+        else:
+            cfg = _config_from_args(args)
+    except ValueError as e:  # unreadable config file: nothing has been written
+        print(f"configuration error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     if args.command == "solve":
         cfg.verify = False
     return run(cfg)

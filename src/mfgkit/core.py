@@ -27,6 +27,7 @@ __all__ = [
     "build_grid",
     "interpolate_field",
     "gradient_field",
+    "diffusion_coefficients",
     "discretize_initial_density",
 ]
 
@@ -252,15 +253,6 @@ class ValueField:
         self.values.flags.writeable = False
         self.du.flags.writeable = False
 
-    @staticmethod
-    def from_values(values: np.ndarray, grid: Grid) -> "ValueField":
-        if grid.dim == 1:
-            du = np.gradient(values, grid.h[0], axis=1)
-        else:
-            du = np.stack([np.gradient(values, grid.h[0], axis=1),
-                           np.gradient(values, grid.h[1], axis=2)], axis=-1)
-        return ValueField(np.ascontiguousarray(values), du, grid)
-
 
 @dataclass(frozen=True)
 class MeasureFlow:
@@ -312,6 +304,21 @@ def discretize_initial_density(problem: ProblemSpec, grid: Grid):
     if mass <= 0:
         raise ValueError("initial density has zero mass on the grid")
     return m0 / mass, abs(1.0 - mass)
+
+
+def diffusion_coefficients(problem: ProblemSpec, t: float, x: np.ndarray, view):
+    """Diffusion tensor a = sigma sigma^T / 2 at the points x.
+
+    Returns (diag, a12): diag holds one array per axis (a in 1D; a11 and a22
+    in 2D), each of the points' shape; a12 is the off-diagonal entry in 2D and
+    None in 1D.
+    """
+    sig = np.asarray(problem.diffusion_sigma(t, x, view), dtype=float)
+    if problem.dim == 1:
+        return (np.broadcast_to(0.5 * sig ** 2, x.shape),), None
+    sig = np.broadcast_to(sig, x.shape[:-1] + (2, 2))
+    a = 0.5 * np.einsum("...ik,...jk->...ij", sig, sig)
+    return (a[..., 0, 0], a[..., 1, 1]), a[..., 0, 1]
 
 
 def gradient_field(values: np.ndarray, grid: Grid) -> np.ndarray:

@@ -12,8 +12,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import Grid, MeasureFlow, ProblemSpec, ValueField, interpolate_field
-from .particle import simulate
+from .core import Grid, MeasureFlow, ProblemSpec, ValueField
+from .particle import policy_at, simulate
 
 __all__ = [
     "CostEstimate",
@@ -36,15 +36,6 @@ class CostEstimate:
                 "n_paths": self.n_paths, "seed": self.seed}
 
 
-def _policy_at(policy, grid: Grid, dim: int, k: int, x: np.ndarray) -> np.ndarray:
-    if callable(policy):
-        return policy(k, x)
-    if dim == 1:
-        return interpolate_field(policy[k], grid, x)
-    return np.stack([interpolate_field(policy[k][..., d], grid, x)
-                     for d in range(2)], axis=-1)
-
-
 def evaluate_cost(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow,
                   policy: Union[np.ndarray, Callable], n: int,
                   seed: int) -> CostEstimate:
@@ -58,7 +49,7 @@ def evaluate_cost(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow,
         t = grid.time(k)
         x = ens.positions[k]
         view = m_flow.view(k)
-        alpha = _policy_at(policy, grid, problem.dim, k, x)
+        alpha = policy_at(policy, grid, k, x)
         f = problem.running_f0(t, x, view) + problem.running_f1(t, x, alpha)
         total += np.broadcast_to(f, total.shape) * dt
     view_T = m_flow.view(grid.nt)

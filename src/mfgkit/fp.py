@@ -15,7 +15,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .core import Grid, MeasureFlow, MeasureView, ProblemSpec, discretize_initial_density
+from .core import (Grid, MeasureFlow, MeasureView, ProblemSpec, diffusion_coefficients,
+                   discretize_initial_density)
 
 __all__ = ["FpSolverConfig", "FpError", "solve_fp"]
 
@@ -28,7 +29,6 @@ class FpError(RuntimeError):
 class FpSolverConfig:
     flux_scheme: str = "exponential"  # "exponential" | "upwind"
     renormalize_each_step: bool = True
-    boundary: str = "zero-flux"
     inner_sweeps: int = 1             # coefficient re-evaluation for self-coupled runs
     negativity_tol: float = 1e-12
     mass_drift_tol: float = 1e-6
@@ -36,8 +36,6 @@ class FpSolverConfig:
     def __post_init__(self):
         if self.flux_scheme not in ("exponential", "upwind"):
             raise ValueError(f"unknown flux scheme {self.flux_scheme!r}")
-        if self.boundary != "zero-flux":
-            raise ValueError("only zero-flux boundaries are supported")
         if self.inner_sweeps < 1:
             raise ValueError("inner_sweeps must be >= 1")
 
@@ -71,35 +69,24 @@ def _advective_face_flux(m: np.ndarray, v: np.ndarray, a_face: np.ndarray,
 
 def _implicit_fp_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
                        rhs: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal systems along the leading axis, for every grid line
+    at once: the lines are stacked into one block-diagonal system whose
+    off-block entries are zero, and solved by a single LAPACK call."""
     n = rhs.shape[0]
-    flat_rhs = rhs.reshape(n, -1)
-    flat_lo = lower.reshape(n, -1)
-    flat_dg = diag.reshape(n, -1)
-    flat_up = upper.reshape(n, -1)
-    out = np.empty_like(flat_rhs)
-    ab = np.zeros((3, n))
-    for j in range(flat_rhs.shape[1]):
-        ab[0, 1:] = flat_up[:-1, j]
-        ab[1, :] = flat_dg[:, j]
-        ab[2, :-1] = flat_lo[1:, j]
-        out[:, j] = solve_banded((1, 1), ab, flat_rhs[:, j], check_finite=False)
-    return out.reshape(rhs.shape)
-
-
-def _diffusion_fields(problem: ProblemSpec, t: float, coords, view):
-    sig = np.asarray(problem.diffusion_sigma(t, coords, view), dtype=float)
-    if problem.dim == 1:
-        return (np.broadcast_to(0.5 * sig ** 2, coords.shape),), None
-    shape = coords.shape[:-1]
-    if sig.ndim == 2:
-        sig = np.broadcast_to(sig, shape + (2, 2))
-    a = 0.5 * np.einsum("...ik,...jk->...ij", sig, sig)
-    return (a[..., 0, 0], a[..., 1, 1]), a[..., 0, 1]
+    lo, dg, up, b = (v.reshape(n, -1).T for v in (lower, diag, upper, rhs))
+    ab = np.zeros((3,) + b.shape)
+    ab[0, :, 1:] = up[:, :-1]
+    ab[1] = dg
+    ab[2, :, :-1] = lo[:, 1:]
+    out = solve_banded((1, 1), ab.reshape(3, -1), b.ravel(), check_finite=False)
+    return out.reshape(b.shape).T.reshape(rhs.shape)
 
 
 def _axis_step(m: np.ndarray, b: np.ndarray, a: np.ndarray, h: float, dt: float,
-               scheme: str, cross_rhs: Optional[np.ndarray] = None) -> np.ndarray:
-    """One conservative sub-step along the leading axis (batched over the rest)."""
+               scheme: str, axis: int,
+               cross_rhs: Optional[np.ndarray] = None) -> np.ndarray:
+    """One conservative sub-step along one axis, for every grid line at once."""
+    m, b, a = (v.swapaxes(axis, 0) for v in (m, b, a))
     v_face = 0.5 * (b[1:] + b[:-1])
     a_face = 0.5 * (a[1:] + a[:-1])
     if scheme == "exponential":
@@ -110,7 +97,7 @@ def _axis_step(m: np.ndarray, b: np.ndarray, a: np.ndarray, h: float, dt: float,
     rhs[:-1] -= dt / h * f_adv
     rhs[1:] += dt / h * f_adv
     if cross_rhs is not None:
-        rhs += dt * cross_rhs
+        rhs += dt * cross_rhs.swapaxes(axis, 0)
     r = dt / h ** 2
     diag = np.ones_like(m)
     lower = np.zeros_like(m)
@@ -126,7 +113,7 @@ def _axis_step(m: np.ndarray, b: np.ndarray, a: np.ndarray, h: float, dt: float,
         diag[1:] += r * a[1:]
         upper[:-1] = -r * a[1:]
         lower[1:] = -r * a[:-1]
-    return _implicit_fp_solve(lower, diag, upper, rhs)
+    return _implicit_fp_solve(lower, diag, upper, rhs).swapaxes(axis, 0)
 
 
 def solve_fp(problem: ProblemSpec, grid: Grid,
@@ -171,24 +158,17 @@ def solve_fp(problem: ProblemSpec, grid: Grid,
             b = problem.drift_b0(t, coords, view)
             if alpha is not None:
                 b = b + problem.drift_b1(t, coords, alpha)
-            diag_a, a12 = _diffusion_fields(problem, t, coords, view)
-            if grid.dim == 1:
-                b1 = np.broadcast_to(np.asarray(b, dtype=float), grid.shape)
-                m_next = _axis_step(m_k, b1, diag_a[0], grid.h[0], dt,
-                                    config.flux_scheme)
-            else:
-                bvec = np.asarray(b, dtype=float)
-                bx = np.broadcast_to(bvec[..., 0], grid.shape)
-                by = np.broadcast_to(bvec[..., 1], grid.shape)
-                cross = _cross_divergence(m_k, a12, grid) if a12 is not None \
-                    and np.any(a12 != 0) else None
-                half = _axis_step(m_k, bx, diag_a[0], grid.h[0], dt,
-                                  config.flux_scheme, cross_rhs=cross)
-                half_t = np.moveaxis(half, 1, 0)
-                m_next = _axis_step(half_t, np.moveaxis(by, 1, 0),
-                                    np.moveaxis(diag_a[1], 1, 0), grid.h[1], dt,
-                                    config.flux_scheme)
-                m_next = np.moveaxis(m_next, 0, 1)
+            diag_a, a12 = diffusion_coefficients(problem, t, coords, view)
+            b = np.asarray(b, dtype=float)
+            # the explicit mixed term enters the first axis sub-step only
+            cross = _cross_divergence(m_k, a12, grid) if a12 is not None \
+                and np.any(a12 != 0) else None
+            m_next = m_k
+            for d in range(grid.dim):
+                bd = np.broadcast_to(b if grid.dim == 1 else b[..., d], grid.shape)
+                m_next = _axis_step(m_next, bd, diag_a[d], grid.h[d], dt,
+                                    config.flux_scheme, d, cross)
+                cross = None
 
         mass = m_next.sum() * grid.cell_volume
         drift = abs(mass - 1.0)

@@ -3,9 +3,12 @@ measure flow.
 
 Time stepping: diffusion implicit, drift and source explicit with the control
 lagged through phi(t, x, Du); inner Picard sweeps restore consistency of the
-lagged gradient within each step. The advection stencil blends central and
+lagged gradient within each step. The one advection stencil blends central and
 sign-upwinded differences by the mesh Peclet number, so it is second order where
-diffusion resolves the drift and monotone where it does not.
+diffusion resolves the drift and monotone where it does not. The one wall
+closure slaves each wall node to cubic extrapolation of the interior (u_xxx = 0
+there). In 2D the implicit diffusion is split by axis, and each axis sweep
+solves all grid lines as one stacked banded system.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .core import Grid, MeasureFlow, ProblemSpec, ValueField
+from .core import (Grid, MeasureFlow, ProblemSpec, ValueField, diffusion_coefficients,
+                   gradient_field)
 from .hamiltonian import PhiEvaluator, minimize_H
 
 __all__ = ["HjbSolverConfig", "HjbError", "CFLAdvisory", "solve_hjb"]
@@ -32,30 +36,23 @@ class CFLAdvisory(UserWarning):
 
 @dataclass(frozen=True)
 class HjbSolverConfig:
-    # wall closure: "extrapolate" (cubic-extrapolated wall value, u_xxx = 0),
-    # "extrapolate0" (u_xx = 0 ghosts), "onesided" (one-sided wall PDE row),
-    # "neumann" (reflected ghosts)
-    boundary: str = "extrapolate"
-    advection: str = "hybrid"  # "hybrid" (Peclet-blended) | "upwind" | "central"
     picard_inner_iters: int = 2
     linear_solver_tol: float = 1e-10
 
     def __post_init__(self):
         if self.picard_inner_iters < 1:
             raise ValueError("picard_inner_iters must be >= 1")
-        if self.boundary not in ("extrapolate", "extrapolate0", "onesided", "neumann"):
-            raise ValueError(f"unknown boundary mode {self.boundary!r}")
-        if self.advection not in ("hybrid", "upwind", "central"):
-            raise ValueError(f"unknown advection mode {self.advection!r}")
 
 
 def _advective_term(u: np.ndarray, b: np.ndarray, a: np.ndarray, h: float,
-                    mode: str, axis: int = 0) -> np.ndarray:
+                    axis: int) -> np.ndarray:
     """<b, D u> along one axis: Peclet-blended central/upwind differences.
 
     Upwinding follows the sign of b as it enters u_t + <Du, b> + ... = 0 marched
     backward: b > 0 couples to the forward neighbor (monotone explicit update).
-    Boundary nodes use the one-sided interior difference.
+    The weight on the upwind difference grows from 0 at mesh Peclet number
+    |b| h / a <= 2 to 1 as it tends to infinity. Boundary nodes use the
+    second-order one-sided difference.
     """
     u = np.moveaxis(u, axis, 0)
     b = np.moveaxis(b, axis, 0)
@@ -64,90 +61,52 @@ def _advective_term(u: np.ndarray, b: np.ndarray, a: np.ndarray, h: float,
     bwd = np.empty_like(u)
     fwd[:-1] = (u[1:] - u[:-1]) / h
     bwd[1:] = fwd[:-1]
-    # second-order one-sided at the walls for every scheme
     fwd[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
     bwd[-1] = fwd[-1]
     bwd[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
     fwd[0] = bwd[0]
     upw = np.where(b > 0, fwd, bwd)
-    if mode == "upwind":
-        out = b * upw
-    else:
-        cen = np.empty_like(u)
-        cen[1:-1] = (u[2:] - u[:-2]) / (2 * h)
-        cen[0] = fwd[0]
-        cen[-1] = bwd[-1]
-        if mode == "central":
-            out = b * cen
-        else:
-            pe = np.abs(b) * h / np.maximum(a, 1e-300)
-            w = np.clip(1.0 - 2.0 / np.maximum(pe, 1e-300), 0.0, 1.0)
-            out = b * ((1.0 - w) * cen + w * upw)
+    cen = np.empty_like(u)
+    cen[1:-1] = (u[2:] - u[:-2]) / (2 * h)
+    cen[0] = fwd[0]
+    cen[-1] = bwd[-1]
+    pe = np.abs(b) * h / np.maximum(a, 1e-300)
+    w = np.clip(1.0 - 2.0 / np.maximum(pe, 1e-300), 0.0, 1.0)
+    out = b * ((1.0 - w) * cen + w * upw)
     return np.moveaxis(out, 0, axis)
 
 
 def _implicit_diffusion_solve(a: np.ndarray, rhs: np.ndarray, h: float, dt: float,
-                              boundary: str, tol: float) -> np.ndarray:
-    """Solve (I - dt a Dxx) u = rhs along the leading axis, batched over the rest.
+                              tol: float, axis: int) -> np.ndarray:
+    """Solve (I - dt a Dxx) u = rhs along one axis, for every grid line at once.
 
-    Wall closures: "extrapolate" slaves the wall node to cubic extrapolation
-    (u_xxx = 0 there, exact for quadratic profiles), "extrapolate0" drops the
-    wall diffusion (u_xx = 0 ghosts), "onesided" keeps the wall PDE with the
-    second-order one-sided second difference, "neumann" reflects.
+    The wall node is slaved to cubic extrapolation of the new interior
+    solution (u_xxx = 0 there, exact for quadratic profiles), so the two wall
+    rows reach three nodes in. The lines are stacked into one block-diagonal
+    banded system and solved by a single LAPACK call; every off-block band
+    entry is zero, so no line couples to another.
+    Raises HjbError when any line's residual exceeds tol (1 + max |rhs|).
     """
-    n = rhs.shape[0]
-    r = a * dt / h ** 2
-    flat = rhs.reshape(n, -1)
-    rr = np.broadcast_to(r.reshape(n, -1), flat.shape)
-    ncols = flat.shape[1]
-    out = np.empty_like(flat)
-    # corner rows of the wide closures reach three nodes in; interior stays tridiagonal
-    bw = 3 if boundary in ("extrapolate", "onesided") else 1
-    band = np.zeros((2 * bw + 1, n))
-    mid = bw
-    for j in range(ncols):
-        rj = rr[:, j]
-        band[:] = 0.0
-        band[mid - 1, 1:] = -rj[:-1]          # superdiagonal
-        band[mid, :] = 1.0 + 2.0 * rj         # diagonal
-        band[mid + 1, :-1] = -rj[1:]          # subdiagonal
-        b_rhs = flat[:, j].copy()
-        if boundary == "extrapolate":
-            # wall value from cubic extrapolation of the new interior solution
-            band[mid, 0] = 1.0
-            band[mid - 1, 1] = -3.0
-            band[mid - 2, 2] = 3.0
-            band[mid - 3, 3] = -1.0
-            b_rhs[0] = 0.0
-            band[mid, -1] = 1.0
-            band[mid + 1, -2] = -3.0
-            band[mid + 2, -3] = 3.0
-            band[mid + 3, -4] = -1.0
-            b_rhs[-1] = 0.0
-        elif boundary == "onesided":
-            # wall PDE with (2, -5, 4, -1) one-sided second difference
-            band[mid, 0] = 1.0 - 2.0 * rj[0]
-            band[mid - 1, 1] = 5.0 * rj[0]
-            band[mid - 2, 2] = -4.0 * rj[0]
-            band[mid - 3, 3] = rj[0]
-            band[mid, -1] = 1.0 - 2.0 * rj[-1]
-            band[mid + 1, -2] = 5.0 * rj[-1]
-            band[mid + 2, -3] = -4.0 * rj[-1]
-            band[mid + 3, -4] = rj[-1]
-        elif boundary == "extrapolate0":
-            band[mid, 0] = 1.0
-            band[mid - 1, 1] = 0.0
-            band[mid, -1] = 1.0
-            band[mid + 1, -2] = 0.0
-        else:  # homogeneous Neumann: reflected ghosts
-            band[mid - 1, 1] = -2.0 * rj[0]
-            band[mid + 1, -2] = -2.0 * rj[-1]
-        out[:, j] = solve_banded((bw, bw), band, b_rhs, check_finite=False)
-        res = _banded_matvec(band, bw, out[:, j]) - b_rhs
-        worst = np.max(np.abs(res))
-        if worst > tol * (1.0 + np.max(np.abs(b_rhs))):
-            raise HjbError(f"linear solve residual {worst:.3e} exceeds tolerance")
-    return out.reshape(rhs.shape)
+    lines = rhs.swapaxes(axis, -1)
+    n = lines.shape[-1]
+    r = (a.swapaxes(axis, -1) * dt / h ** 2).reshape(-1, n)
+    b_rhs = lines.reshape(-1, n).copy()
+    b_rhs[:, 0] = b_rhs[:, -1] = 0.0
+    band = np.zeros((7,) + r.shape)
+    band[2, :, 1:] = -r[:, :-1]          # superdiagonal
+    band[3] = 1.0 + 2.0 * r              # diagonal
+    band[4, :, :-1] = -r[:, 1:]          # subdiagonal
+    for k, c in enumerate((1.0, -3.0, 3.0, -1.0)):  # u0 - 3u1 + 3u2 - u3 = 0
+        band[3 - k, :, k] = c
+        band[3 + k, :, -1 - k] = c
+    band = band.reshape(7, -1)
+    out = solve_banded((3, 3), band, b_rhs.ravel(), check_finite=False)
+    res = np.abs(_banded_matvec(band, 3, out) - b_rhs.ravel()).reshape(b_rhs.shape)
+    worst = res.max(axis=1)
+    bad = worst > tol * (1.0 + np.abs(b_rhs).max(axis=1))
+    if bad.any():
+        raise HjbError(f"linear solve residual {worst[bad].max():.3e} exceeds tolerance")
+    return out.reshape(lines.shape).swapaxes(axis, -1)
 
 
 def _banded_matvec(band: np.ndarray, bw: int, x: np.ndarray) -> np.ndarray:
@@ -156,18 +115,6 @@ def _banded_matvec(band: np.ndarray, bw: int, x: np.ndarray) -> np.ndarray:
         y[:-k] += band[bw - k, k:] * x[k:]
         y[k:] += band[bw + k, :-k] * x[:-k]
     return y
-
-
-def _diffusion_fields(problem: ProblemSpec, t: float, coords, view):
-    sig = np.asarray(problem.diffusion_sigma(t, coords, view), dtype=float)
-    if problem.dim == 1:
-        a = np.broadcast_to(0.5 * sig ** 2, (coords.shape[0],))
-        return (a,), None
-    shape = coords.shape[:-1]
-    if sig.ndim == 2:  # constant matrix
-        sig = np.broadcast_to(sig, shape + (2, 2))
-    a = 0.5 * np.einsum("...ik,...jk->...ij", sig, sig)
-    return (a[..., 0, 0], a[..., 1, 1]), a[..., 0, 1]
 
 
 def _mixed_term(u: np.ndarray, a12: np.ndarray, h: tuple) -> np.ndarray:
@@ -181,8 +128,10 @@ def solve_hjb(problem: ProblemSpec, grid: Grid, mu_flow: MeasureFlow,
     """March u backward from u(T) = g(., mu(T)) under the frozen flow mu.
 
     Per step: lag the control through phi(t, x, Du) starting from the gradient at
-    the previous time level, assemble drift/source explicitly and diffusion
-    implicitly, solve, recompute Du, and repeat picard_inner_iters times.
+    the previous time level, assemble the Peclet-blended drift and the source
+    explicitly, solve the diffusion implicitly one axis after the other with the
+    cubic-extrapolation wall closure, recompute Du, and repeat
+    picard_inner_iters times.
     """
     if mu_flow.densities.shape != (grid.nt + 1,) + grid.shape:
         raise ValueError("measure flow shape does not match the grid")
@@ -200,13 +149,13 @@ def solve_hjb(problem: ProblemSpec, grid: Grid, mu_flow: MeasureFlow,
     if not np.all(np.isfinite(gT)):
         raise HjbError("terminal data g(., mu(T)) is not finite")
     values[grid.nt] = gT
-    grads[grid.nt] = _grad(gT, grid)
+    grads[grid.nt] = gradient_field(gT, grid)
 
     cfl_worst = 0.0
     for k in range(grid.nt - 1, -1, -1):
         t = grid.time(k)
         view = mu_flow.view(k)
-        diag_a, a12 = _diffusion_fields(problem, t, coords, view)
+        diag_a, a12 = diffusion_coefficients(problem, t, coords, view)
         u_old = values[k + 1]
         p_lag = grads[k + 1]
         b0 = problem.drift_b0(t, coords, view)
@@ -216,39 +165,23 @@ def solve_hjb(problem: ProblemSpec, grid: Grid, mu_flow: MeasureFlow,
             alpha = minimize_H(problem, evaluator, t, coords, p_lag)
             b = np.asarray(b0 + problem.drift_b1(t, coords, alpha), dtype=float)
             f = np.asarray(f0 + problem.running_f1(t, coords, alpha), dtype=float)
-            f = np.broadcast_to(f, grid.shape)
-            if grid.dim == 1:
-                b1d = np.broadcast_to(b, grid.shape)
-                cfl_worst = max(cfl_worst, float(np.max(np.abs(b1d))) * dt / h[0])
-                adv = _advective_term(u_old, b1d, diag_a[0], h[0], config.advection)
-                rhs = u_old + dt * (adv + f)
-                u_new = _implicit_diffusion_solve(diag_a[0], rhs, h[0], dt,
-                                                  config.boundary,
-                                                  config.linear_solver_tol)
-            else:
-                bx = np.broadcast_to(b[..., 0], grid.shape)
-                by = np.broadcast_to(b[..., 1], grid.shape)
-                cfl_worst = max(cfl_worst,
-                                float(np.max(np.abs(bx))) * dt / h[0],
-                                float(np.max(np.abs(by))) * dt / h[1])
-                adv = (_advective_term(u_old, bx, diag_a[0], h[0], config.advection, axis=0)
-                       + _advective_term(u_old, by, diag_a[1], h[1], config.advection, axis=1))
-                src = adv + f
-                if a12 is not None and np.any(a12 != 0):
-                    src = src + _mixed_term(u_old, a12, h)
-                rhs = u_old + dt * src
-                half = _implicit_diffusion_solve(diag_a[0], rhs, h[0], dt,
-                                                 config.boundary,
-                                                 config.linear_solver_tol)
-                half = np.moveaxis(half, 1, 0)
-                u_new = _implicit_diffusion_solve(np.moveaxis(diag_a[1], 1, 0), half,
-                                                  h[1], dt, config.boundary,
-                                                  config.linear_solver_tol)
-                u_new = np.moveaxis(u_new, 0, 1)
+            src = None
+            for d in range(grid.dim):
+                bd = np.broadcast_to(b if grid.dim == 1 else b[..., d], grid.shape)
+                cfl_worst = max(cfl_worst, float(np.max(np.abs(bd))) * dt / h[d])
+                adv = _advective_term(u_old, bd, diag_a[d], h[d], axis=d)
+                src = adv if src is None else src + adv
+            src = src + np.broadcast_to(f, grid.shape)
+            if a12 is not None and np.any(a12 != 0):
+                src = src + _mixed_term(u_old, a12, h)
+            u_new = u_old + dt * src
+            for d in range(grid.dim):
+                u_new = _implicit_diffusion_solve(diag_a[d], u_new, h[d], dt,
+                                                  config.linear_solver_tol, axis=d)
             if np.any(np.isnan(u_new)):
                 bad = np.argwhere(np.isnan(u_new))[0]
                 raise HjbError(f"NaN in HJB solution at time index {k}, node {tuple(bad)}")
-            p_lag = _grad(u_new, grid)
+            p_lag = gradient_field(u_new, grid)
         values[k] = u_new
         grads[k] = p_lag
 
@@ -257,10 +190,3 @@ def solve_hjb(problem: ProblemSpec, grid: Grid, mu_flow: MeasureFlow,
                       "results may be inaccurate (diffusion remains implicit)",
                       CFLAdvisory, stacklevel=2)
     return ValueField(values, grads, grid)
-
-
-def _grad(u: np.ndarray, grid: Grid) -> np.ndarray:
-    if grid.dim == 1:
-        return np.gradient(u, grid.h[0])
-    return np.stack([np.gradient(u, grid.h[0], axis=0),
-                     np.gradient(u, grid.h[1], axis=1)], axis=-1)

@@ -14,7 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Grid, MeasureFlow, ProblemSpec, ValueField, discretize_initial_density
+from .core import (Grid, MeasureFlow, ProblemSpec, ValueField, diffusion_coefficients,
+                   discretize_initial_density)
 from .fp import FpSolverConfig, solve_fp
 from .hamiltonian import PhiEvaluator, minimize_H
 from .hjb import HjbSolverConfig, solve_hjb
@@ -181,11 +182,11 @@ def pde_residual(problem: ProblemSpec, grid: Grid, u: ValueField, m: MeasureFlow
         alpha = minimize_H(problem, evaluator, t, coords, u.du[k])
         b = problem.drift_b0(t, coords, view) + problem.drift_b1(t, coords, alpha)
         f = problem.running_f0(t, coords, view) + problem.running_f1(t, coords, alpha)
-        sig = np.asarray(problem.diffusion_sigma(t, coords, view), dtype=float)
+        diag_a, a12 = diffusion_coefficients(problem, t, coords, view)
         u_t = (uv[k + 1] - uv[k - 1]) / (2 * dt)
         m_t = (mv[k + 1] - mv[k - 1]) / (2 * dt)
         if grid.dim == 1:
-            a = np.broadcast_to(0.5 * sig ** 2, grid.shape)
+            a = diag_a[0]
             h = grid.h[0]
             u_xx = _second_diff(uv[k], h)
             adv = np.broadcast_to(b, grid.shape) * u.du[k]
@@ -194,19 +195,17 @@ def pde_residual(problem: ProblemSpec, grid: Grid, u: ValueField, m: MeasureFlow
             div_bm = np.gradient(np.broadcast_to(b, grid.shape) * mv[k], h)
             r_fp = m_t - am_xx + div_bm
         else:
-            if sig.ndim == 2:
-                sig = np.broadcast_to(sig, grid.shape + (2, 2))
-            a = 0.5 * np.einsum("...ik,...jk->...ij", sig, sig)
+            a11, a22 = diag_a
             h1, h2 = grid.h
             u_xx = _second_diff(uv[k], h1, axis=0)
             u_yy = _second_diff(uv[k], h2, axis=1)
             u_xy = np.gradient(np.gradient(uv[k], h1, axis=0), h2, axis=1)
             adv = (b[..., 0] * u.du[k][..., 0] + b[..., 1] * u.du[k][..., 1])
-            diff = a[..., 0, 0] * u_xx + a[..., 1, 1] * u_yy + 2 * a[..., 0, 1] * u_xy
+            diff = a11 * u_xx + a22 * u_yy + 2 * a12 * u_xy
             r_hjb = u_t + adv + diff + f
-            q11 = _second_diff(a[..., 0, 0] * mv[k], h1, axis=0)
-            q22 = _second_diff(a[..., 1, 1] * mv[k], h2, axis=1)
-            q12 = np.gradient(np.gradient(a[..., 0, 1] * mv[k], h1, axis=0), h2, axis=1)
+            q11 = _second_diff(a11 * mv[k], h1, axis=0)
+            q22 = _second_diff(a22 * mv[k], h2, axis=1)
+            q12 = np.gradient(np.gradient(a12 * mv[k], h1, axis=0), h2, axis=1)
             div_bm = (np.gradient(b[..., 0] * mv[k], h1, axis=0)
                       + np.gradient(b[..., 1] * mv[k], h2, axis=1))
             r_fp = m_t - (q11 + q22 + 2 * q12) + div_bm

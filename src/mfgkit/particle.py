@@ -14,7 +14,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import Grid, MeasureFlow, MeasureView, ProblemSpec, interpolate_field
+from .core import Grid, MeasureFlow, ProblemSpec, interpolate_field
 from .measure import d1_grid, histogram_density
 
 __all__ = ["ParticleEnsemble", "simulate", "compare_law", "sample_initial"]
@@ -84,18 +84,27 @@ def sample_initial(density: np.ndarray, grid: Grid, n: int,
     return out
 
 
+def policy_at(policy: Union[np.ndarray, Callable], grid: Grid, k: int,
+              x: np.ndarray) -> np.ndarray:
+    """Controls at points x and time level k: a callable (k, x) -> controls is
+    called; per-node feedback controls are interpolated multilinearly, one
+    component at a time in 2D."""
+    if callable(policy):
+        return policy(k, x)
+    if grid.dim == 1:
+        return interpolate_field(policy[k], grid, x)
+    return np.stack([interpolate_field(policy[k][..., d], grid, x)
+                     for d in range(2)], axis=-1)
+
+
 def simulate(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow,
              policy_or_none: Union[None, np.ndarray, Callable],
-             n: int, seed: int, interacting: bool = False) -> ParticleEnsemble:
+             n: int, seed: int) -> ParticleEnsemble:
     """Euler-Maruyama march of n paths from m0 under the frozen flow.
 
     policy_or_none: None for the uncontrolled dynamics, else per-node feedback
     controls indexed by time level (interpolated at particle positions) or a
     callable (k, positions) -> controls.
-
-    interacting=True is an experimental mode that feeds the coefficients the
-    live empirical law (histogram of the current ensemble) instead of the
-    frozen flow; it is not used by any verification check.
     """
     if n < 1:
         raise ValueError("need at least one particle")
@@ -112,22 +121,10 @@ def simulate(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow,
 
     for k in range(grid.nt):
         t = grid.time(k)
-        if interacting:
-            emp, _ = histogram_density(x, grid)
-            view = MeasureView(emp, grid)
-        else:
-            view = m_flow.view(k)
-        if policy_or_none is None:
-            b = problem.drift_b0(t, x, view)
-        else:
-            if callable(policy_or_none):
-                alpha = policy_or_none(k, x)
-            elif dim == 1:
-                alpha = interpolate_field(policy_or_none[k], grid, x)
-            else:
-                alpha = np.stack([interpolate_field(policy_or_none[k][..., d], grid, x)
-                                  for d in range(2)], axis=-1)
-            b = problem.drift_b0(t, x, view) + problem.drift_b1(t, x, alpha)
+        view = m_flow.view(k)
+        b = problem.drift_b0(t, x, view)
+        if policy_or_none is not None:
+            b = b + problem.drift_b1(t, x, policy_at(policy_or_none, grid, k, x))
         sig = np.asarray(problem.diffusion_sigma(t, x, view), dtype=float)
         z = _stream(seed, k).standard_normal(x.shape)
         if dim == 1:

@@ -3,10 +3,13 @@ computed once per session and memoized by (name, refinement, theta)."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from mfgkit.catalog import get_entry
+from mfgkit.core import build_grid, diffusion_coefficients
 from mfgkit.fp import FpSolverConfig
 from mfgkit.hjb import HjbSolverConfig
 from mfgkit.mfg import FixedPointConfig, solve_mfg
@@ -40,3 +43,19 @@ def solved():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def varying_diffusion():
+    """(grid, (a11, a22)) for sigma = diag(sqrt2 (1 + 0.2 tanh(x1 + x2/2)),
+    sqrt2 (1 + 0.2 tanh x1)) on a 21^2 grid: each diagonal coefficient varies
+    both along and across the lines of its axis sweep."""
+    def sigma(t, x, m):
+        sig = np.zeros(x.shape[:-1] + (2, 2))
+        sig[..., 0, 0] = np.sqrt(2.0) * (1.0 + 0.2 * np.tanh(x[..., 0] + 0.5 * x[..., 1]))
+        sig[..., 1, 1] = np.sqrt(2.0) * (1.0 + 0.2 * np.tanh(x[..., 0]))
+        return sig
+    grid = build_grid(2, -3.0, 3.0, 21, 1.0, 10)
+    diag_a, _ = diffusion_coefficients(SimpleNamespace(dim=2, diffusion_sigma=sigma),
+                                       0.0, grid.coords(), None)
+    return grid, diag_a

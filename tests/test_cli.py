@@ -37,6 +37,31 @@ def test_negative_nx_is_config_error_without_artifacts(tmp_path):
     assert not out.exists()
 
 
+def test_unparsable_config_value_is_config_error_without_artifacts(tmp_path):
+    f = tmp_path / "cfg.txt"
+    f.write_text("problem = lq-riccati\nnx = abc\n")
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(f), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_unparsable_run_config_on_resume_is_config_error(tmp_path):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "run_config.txt").write_text("problem = lq-riccati\nnx = abc\n")
+    assert main(["resume", "--out", str(out)]) == EXIT_CONFIG
+    assert sorted(p.name for p in out.iterdir()) == ["run_config.txt"]
+
+
+def test_removed_flag_is_rejected_without_artifacts(tmp_path):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--problem", "lq-riccati", "--out", str(out),
+              "--hjb-boundary", "extrapolate"])
+    assert exc.value.code == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_config_file_rejects_unknown_keys(tmp_path):
     f = tmp_path / "cfg.txt"
     f.write_text("problem = lq-riccati\nbogus = 1\n")

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -146,3 +148,11 @@ def test_catalog_entries_build():
         e = get_entry(name)
         assert e.problem.dim == 1
         assert e.grid.nx >= 3
+
+
+@pytest.mark.parametrize("module", ["core", "measure", "hamiltonian", "hjb", "fp",
+                                    "mfg", "oracle", "particle", "cost"])
+def test_all_names_resolve(module):
+    mod = importlib.import_module(f"mfgkit.{module}")
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from mfgkit.core import MeasureFlow, ProblemSpec, build_grid, discretize_initial_density
 from mfgkit.catalog import capped_quadratic, gaussian_density, get_entry
-from mfgkit.hjb import CFLAdvisory, HjbError, HjbSolverConfig, solve_hjb
+from mfgkit.hjb import (CFLAdvisory, HjbError, HjbSolverConfig, _implicit_diffusion_solve,
+                        solve_hjb)
 from mfgkit.oracle import hopf_cole_value, lq_riccati_value
 
 
@@ -192,3 +194,36 @@ def test_deterministic_resolve():
     u1 = solve_hjb(e.problem, g, mu)
     u2 = solve_hjb(e.problem, g, mu)
     assert np.array_equal(u1.values, u2.values)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_2d_stacked_sweep_matches_per_line_solve(axis, varying_diffusion):
+    g, diag_a = varying_diffusion
+    x = g.coords()
+    a, h, dt = diag_a[axis], g.h[axis], g.dt
+    rhs = np.sin(x[..., 0]) * np.cos(0.7 * x[..., 1]) + 0.1 * x[..., 0] ** 2
+    out = _implicit_diffusion_solve(a, rhs, h, dt, 1e-10, axis=axis)
+    ref = np.empty_like(rhs)
+    for j in range(g.nx):
+        line = (slice(None), j) if axis == 0 else (j, slice(None))
+        r = a[line] * dt / h ** 2
+        band = np.zeros((7, g.nx))
+        band[2, 1:] = -r[:-1]
+        band[3] = 1.0 + 2.0 * r
+        band[4, :-1] = -r[1:]
+        # wall rows: u0 - 3u1 + 3u2 - u3 = 0 at each end
+        band[3, 0], band[2, 1], band[1, 2], band[0, 3] = 1.0, -3.0, 3.0, -1.0
+        band[3, -1], band[4, -2], band[5, -3], band[6, -4] = 1.0, -3.0, 3.0, -1.0
+        b = rhs[line].copy()
+        b[[0, -1]] = 0.0
+        ref[line] = solve_banded((3, 3), band, b)
+    np.testing.assert_allclose(out, ref, rtol=1e-13, atol=1e-14)
+
+
+def test_linear_solve_residual_guard_raises():
+    # a tolerance below round-off cannot be met by any line's residual
+    G = capped_quadratic(25.0)
+    p = _problem(terminal_g=lambda x, m: G(x))
+    g = build_grid(1, -6.0, 6.0, 61, 1.0, 10)
+    with pytest.raises(HjbError, match="residual"):
+        solve_hjb(p, g, _mu(p, g), HjbSolverConfig(linear_solver_tol=1e-30))

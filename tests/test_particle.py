@@ -119,19 +119,6 @@ def test_single_particle_degenerate_law():
     assert prof[0] == pytest.approx(ref, abs=g.h[0])
 
 
-def test_interacting_mode_close_to_frozen_for_weak_coupling():
-    # experimental empirical-feedback mode: for a mean-coupled drift the live
-    # empirical mean tracks the frozen flow's mean at large n
-    e = get_entry("uncontrolled-fp")
-    from mfgkit.fp import solve_fp
-    g = build_grid(1, -8.0, 8.0, 161, 1.0, 100)
-    flow = solve_fp(e.problem, g, None, None)
-    frozen = simulate(e.problem, g, flow, None, 20_000, seed=8)
-    live = simulate(e.problem, g, flow, None, 20_000, seed=8, interacting=True)
-    gap = np.abs(frozen.positions[-1].mean() - live.positions[-1].mean())
-    assert gap <= 5e-2
-
-
 def test_max_abs_position_proxy():
     p = _problem(diffusion_sigma=lambda t, x, m: np.ones_like(x),
                  gamma1=0.5, gamma2=0.5)

@@ -70,8 +70,11 @@ class RunConfig:
             raise ValueError("tol must be positive")
         if self.max_iters < 1 or self.picard_inner_iters < 1:
             raise ValueError("iteration counts must be positive")
-        if self.n_particles < 1 or self.n_perturbations < 0:
+        if (self.n_particles < 1 or self.n_perturbations < 0
+                or self.assumption_samples < 1):
             raise ValueError("verification sizes must be positive")
+        if not 0 <= self.seed < 2 ** 64:  # the seed keys uint64 Philox streams
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
     def to_file(self, path: Path) -> None:
         lines = [f"{f.name} = {getattr(self, f.name)}" for f in fields(self)

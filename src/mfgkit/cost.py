@@ -1,5 +1,6 @@
 """Monte Carlo evaluation of the control cost and statistical optimality checks.
 
+Pathwise costs are added up inside the particle march (`particle.simulate`).
 Feedback and perturbed policies are costed under the same frozen equilibrium
 flow and the same noise realization (common random numbers), which is what makes
 small suboptimality gaps resolvable at moderate path counts.
@@ -13,7 +14,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .core import Grid, MeasureFlow, ProblemSpec, ValueField
-from .particle import policy_at, simulate
+from .particle import simulate
 
 __all__ = [
     "CostEstimate",
@@ -39,22 +40,10 @@ class CostEstimate:
 def evaluate_cost(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow,
                   policy: Union[np.ndarray, Callable], n: int,
                   seed: int) -> CostEstimate:
-    """Sample mean and standard error of the pathwise cost under the policy:
-    left-endpoint quadrature of the running cost plus the terminal cost,
-    matching the Euler-Maruyama stepping convention."""
-    ens = simulate(problem, grid, m_flow, policy, n, seed)
-    dt = grid.dt
-    total = np.zeros(n)
-    for k in range(grid.nt):
-        t = grid.time(k)
-        x = ens.positions[k]
-        view = m_flow.view(k)
-        alpha = policy_at(policy, grid, k, x)
-        f = problem.running_f0(t, x, view) + problem.running_f1(t, x, alpha)
-        total += np.broadcast_to(f, total.shape) * dt
-    view_T = m_flow.view(grid.nt)
-    total += np.broadcast_to(problem.terminal_g(ens.positions[grid.nt], view_T),
-                             total.shape)
+    """Sample mean and standard error of the pathwise cost under the policy,
+    which `simulate` adds up in its march: left-endpoint quadrature of the
+    running cost plus the terminal cost, the Euler-Maruyama convention."""
+    total = simulate(problem, grid, m_flow, policy, n, seed).cost
     se = float(np.std(total, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return CostEstimate(mean=float(np.mean(total)), std_error=se,
                         n_paths=n, seed=seed)

@@ -20,6 +20,9 @@ from .core import (Grid, MeasureFlow, MeasureView, ProblemSpec, diffusion_coeffi
 
 __all__ = ["FpSolverConfig", "FpError", "solve_fp"]
 
+NEGATIVITY_TOL = 1e-12  # a density below -NEGATIVITY_TOL fails the solve
+MASS_DRIFT_TOL = 1e-6   # as does a larger pre-renormalization mass drift
+
 
 class FpError(RuntimeError):
     pass
@@ -30,8 +33,6 @@ class FpSolverConfig:
     flux_scheme: str = "exponential"  # "exponential" | "upwind"
     renormalize_each_step: bool = True
     inner_sweeps: int = 1             # coefficient re-evaluation for self-coupled runs
-    negativity_tol: float = 1e-12
-    mass_drift_tol: float = 1e-6
 
     def __post_init__(self):
         if self.flux_scheme not in ("exponential", "upwind"):
@@ -178,10 +179,10 @@ def solve_fp(problem: ProblemSpec, grid: Grid,
         if not np.all(np.isfinite(m_next)):
             bad = np.argwhere(~np.isfinite(m_next))[0]
             raise FpError(f"non-finite density at time index {k + 1}, node {tuple(bad)}")
-        if lowest < -config.negativity_tol:
+        if lowest < -NEGATIVITY_TOL:
             raise FpError(f"density fell to {lowest:.3e} at time index {k + 1}; "
                           "the advective step is unstable (check the CFL bound)")
-        if drift > config.mass_drift_tol:
+        if drift > MASS_DRIFT_TOL:
             raise FpError(f"pre-renormalization mass drift {drift:.3e} at "
                           f"time index {k + 1}")
         if lowest < 0:

@@ -163,7 +163,7 @@ def check_assumptions(problem: ProblemSpec, grid: Grid, n_samples: int = 200,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0xA55]))
+    rng = np.random.Generator(np.random.Philox(key=np.uint64([seed, 0xA55])))
     n, L = problem.dim, problem.lipschitz
     report = AssumptionReport(n_samples=n_samples, seed=seed)
     views = _sample_views(grid, rng, min(8, n_samples))

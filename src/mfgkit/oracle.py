@@ -30,8 +30,7 @@ def _heat_kernel(s: float, z: np.ndarray) -> np.ndarray:
     return np.exp(-z * z / (4.0 * s)) / np.sqrt(4.0 * np.pi * s)
 
 
-def hopf_cole_value(G, grid: Grid, aux_refine: int = 4,
-                    self_check: bool = True) -> ValueField:
+def hopf_cole_value(G, grid: Grid, aux_refine: int = 4) -> ValueField:
     """Exact solution of u_t + u_xx - |u_x|^2/2 = 0, u(T,.) = G via u = -2 ln w.
 
     w(t,x) = int K(T-t, x-y) exp(-G(y)/2) dy with K the heat kernel of w_t = w_xx,
@@ -70,8 +69,7 @@ def hopf_cole_value(G, grid: Grid, aux_refine: int = 4,
             raise OracleSelfCheckError("quadrature underflow in Hopf-Cole weight")
         return g_min - 2.0 * np.log(w), -2.0 * wx / w
 
-    if self_check:
-        _hopf_cole_self_check(u_and_du, grid)
+    _hopf_cole_self_check(u_and_du, grid)
 
     # the solver nodes sit on the auxiliary lattice, so each time level is a
     # lattice convolution; FFT keeps the oracle cheap on fine grids
@@ -125,7 +123,7 @@ def _riccati_coeffs(c: float, T: float, t: np.ndarray):
     return a, d
 
 
-def lq_riccati_value(c: float, grid: Grid, self_check: bool = True) -> ValueField:
+def lq_riccati_value(c: float, grid: Grid) -> ValueField:
     """Closed-form LQ value u = a(t) x^2 + d(t) for terminal data c x^2 (1D).
 
     The closed form is cross-checked against an independent ODE integration of
@@ -139,19 +137,18 @@ def lq_riccati_value(c: float, grid: Grid, self_check: bool = True) -> ValueFiel
     t = grid.times
     a, d = _riccati_coeffs(c, T, t)
 
-    if self_check:
-        # integrate in s = T - t: a' = 2a^2, d' = -2a become da/ds = -2a^2, dd/ds = 2a
-        sol = solve_ivp(lambda s, y: [-2.0 * y[0] ** 2, 2.0 * y[0]], (0.0, T),
-                        [c, 0.0], t_eval=np.sort(T - t), rtol=1e-12, atol=1e-14,
-                        method="DOP853")
-        if not sol.success:
-            raise OracleSelfCheckError("Riccati ODE integration failed")
-        a_ode = sol.y[0][::-1]
-        d_ode = sol.y[1][::-1]
-        err = max(np.max(np.abs(a_ode - a)), np.max(np.abs(d_ode - d)))
-        if err > 1e-10:
-            raise OracleSelfCheckError(
-                f"Riccati closed form deviates from ODE integration by {err:.3e}")
+    # integrate in s = T - t: a' = 2a^2, d' = -2a become da/ds = -2a^2, dd/ds = 2a
+    sol = solve_ivp(lambda s, y: [-2.0 * y[0] ** 2, 2.0 * y[0]], (0.0, T),
+                    [c, 0.0], t_eval=np.sort(T - t), rtol=1e-12, atol=1e-14,
+                    method="DOP853")
+    if not sol.success:
+        raise OracleSelfCheckError("Riccati ODE integration failed")
+    a_ode = sol.y[0][::-1]
+    d_ode = sol.y[1][::-1]
+    err = max(np.max(np.abs(a_ode - a)), np.max(np.abs(d_ode - d)))
+    if err > 1e-10:
+        raise OracleSelfCheckError(
+            f"Riccati closed form deviates from ODE integration by {err:.3e}")
 
     x = grid.axis(0)
     values = a[:, None] * x[None, :] ** 2 + d[:, None]
@@ -159,8 +156,8 @@ def lq_riccati_value(c: float, grid: Grid, self_check: bool = True) -> ValueFiel
     return ValueField(values, du, grid)
 
 
-def heat_flow_density(mean0, var0: float, sigma_const: float, grid: Grid,
-                      self_check: bool = True) -> MeasureFlow:
+def heat_flow_density(mean0, var0: float, sigma_const: float,
+                      grid: Grid) -> MeasureFlow:
     """Analytic Gaussian flow N(mean0, var0 + sigma^2 t) per axis, renormalized.
 
     Ground truth for the Fokker-Planck equation with zero drift and constant
@@ -181,7 +178,7 @@ def heat_flow_density(mean0, var0: float, sigma_const: float, grid: Grid,
             d = (np.exp(-z1 * z1 / (2 * var))[:, None]
                  * np.exp(-z2 * z2 / (2 * var))[None, :]) / (2 * np.pi * var)
         mass = d.sum() * grid.cell_volume
-        if self_check and abs(mass - 1.0) > 1e-6:
+        if abs(mass - 1.0) > 1e-6:
             raise OracleSelfCheckError(
                 f"Gaussian mass {mass:.8f} on the box deviates from 1 at t={grid.time(k):.3f}; "
                 "the truncation box is too small for this flow")

@@ -1,4 +1,5 @@
-"""Euler-Maruyama simulation of the controlled SDE against a frozen measure flow.
+"""Euler-Maruyama simulation of the controlled SDE against a frozen measure flow;
+the same march adds up each path's control cost.
 
 Randomness comes from counter-based Philox streams keyed (seed, step), with the
 in-stream counter enumerating particles, so ensembles are bit-identical for a
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -29,23 +30,22 @@ def _stream(seed: int, step: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class ParticleEnsemble:
-    """positions[k, i] (1D) or [k, i, :] (2D) for time index k and particle i."""
+    """positions[k, i] (1D) or [k, i, :] (2D) for time index k and particle i;
+    cost[i] is path i's control cost; max_abs_position = sup |X| is a proxy for
+    square-integrable paths (the expectation bound itself is not certified)."""
 
     positions: np.ndarray
+    cost: np.ndarray
     n_particles: int
     seed: int
     boundary_leak: float
+    max_abs_position: float
 
     def __post_init__(self):
         self.positions.flags.writeable = False
+        self.cost.flags.writeable = False
         if not np.all(np.isfinite(self.positions)):
             raise ValueError("ensemble contains non-finite positions")
-
-    @property
-    def max_abs_position(self) -> float:
-        """Proxy for the square-integrability of the paths (sup |X| over the
-        ensemble; the expectation bound itself is not certified)."""
-        return float(np.max(np.abs(self.positions)))
 
 
 def sample_initial(density: np.ndarray, grid: Grid, n: int,
@@ -100,11 +100,12 @@ def policy_at(policy: Union[np.ndarray, Callable], grid: Grid, k: int,
 def simulate(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow,
              policy_or_none: Union[None, np.ndarray, Callable],
              n: int, seed: int) -> ParticleEnsemble:
-    """Euler-Maruyama march of n paths from m0 under the frozen flow.
+    """Euler-Maruyama march of n paths from m0 under the frozen flow, summing
+    each path's left-endpoint running cost (f0 + f1) * dt and terminal cost.
 
-    policy_or_none: None for the uncontrolled dynamics, else per-node feedback
-    controls indexed by time level (interpolated at particle positions) or a
-    callable (k, positions) -> controls.
+    policy_or_none: None for the uncontrolled dynamics (f1 then does not enter),
+    else per-node feedback controls indexed by time level (interpolated at
+    particle positions) or a callable (k, positions) -> controls.
     """
     if n < 1:
         raise ValueError("need at least one particle")
@@ -114,6 +115,8 @@ def simulate(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow,
     shape = (grid.nt + 1, n) if dim == 1 else (grid.nt + 1, n, 2)
     positions = np.empty(shape)
     positions[0] = x
+    max_abs = float(np.max(np.abs(x)))
+    cost = np.zeros(n)
     clamped = 0
     lo = np.array(grid.x_min) if dim == 2 else grid.x_min[0]
     hi = np.array(grid.x_max) if dim == 2 else grid.x_max[0]
@@ -123,8 +126,12 @@ def simulate(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow,
         t = grid.time(k)
         view = m_flow.view(k)
         b = problem.drift_b0(t, x, view)
+        f = problem.running_f0(t, x, view)
         if policy_or_none is not None:
-            b = b + problem.drift_b1(t, x, policy_at(policy_or_none, grid, k, x))
+            alpha = policy_at(policy_or_none, grid, k, x)
+            b = b + problem.drift_b1(t, x, alpha)
+            f = f + problem.running_f1(t, x, alpha)
+        cost += np.broadcast_to(f, cost.shape) * dt
         sig = np.asarray(problem.diffusion_sigma(t, x, view), dtype=float)
         z = _stream(seed, k).standard_normal(x.shape)
         if dim == 1:
@@ -139,14 +146,16 @@ def simulate(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow,
         clamped += int(np.count_nonzero(hit))
         x = np.clip(x, lo, hi)
         positions[k + 1] = x
+        max_abs = max(max_abs, float(np.max(np.abs(x))))
+    cost += np.broadcast_to(problem.terminal_g(x, m_flow.view(grid.nt)), cost.shape)
 
     leak = clamped / (n * grid.nt * dim)
     if leak > 1e-3:
         warnings.warn(f"boundary leak fraction {leak:.2e} exceeds 1e-3; "
                       "the truncation box is too small for this dynamics",
                       UserWarning, stacklevel=2)
-    return ParticleEnsemble(positions=positions, n_particles=n, seed=seed,
-                            boundary_leak=leak)
+    return ParticleEnsemble(positions=positions, cost=cost, n_particles=n, seed=seed,
+                            boundary_leak=leak, max_abs_position=max_abs)
 
 
 def compare_law(ensemble: ParticleEnsemble, m_flow: MeasureFlow,

@@ -53,6 +53,18 @@ def test_unparsable_run_config_on_resume_is_config_error(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["run_config.txt"]
 
 
+@pytest.mark.parametrize("flags", [["--seed", "-1"],
+                                   ["--seed", str(2 ** 64)],
+                                   ["--assumption-samples", "0"]])
+def test_out_of_range_verification_value_is_config_error_without_artifacts(
+        tmp_path, flags):
+    out = tmp_path / "o"
+    out.mkdir()
+    assert main(["verify", "--problem", "lq-riccati", "--out", str(out)]
+                + SMALL + flags) == EXIT_CONFIG
+    assert list(out.iterdir()) == []
+
+
 def test_removed_flag_is_rejected_without_artifacts(tmp_path):
     out = tmp_path / "o"
     with pytest.raises(SystemExit) as exc:

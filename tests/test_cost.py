@@ -1,17 +1,70 @@
 import numpy as np
 import pytest
 
-from mfgkit.core import MeasureFlow, build_grid, discretize_initial_density
+from mfgkit.core import (MeasureFlow, ProblemSpec, build_grid,
+                         discretize_initial_density, interpolate_field)
 from mfgkit.catalog import gaussian_density, get_entry
 from mfgkit.cost import (evaluate_cost, expected_initial_value,
                          verify_optimality)
 from mfgkit.oracle import lq_riccati_value
 from mfgkit.mfg import feedback_policy
+from mfgkit.particle import simulate
 from test_particle import _problem, _flow
 
 
 def _zero_policy(grid):
     return np.zeros((grid.nt + 1, grid.nx))
+
+
+def _two_pass_cost(problem, grid, m_flow, policy, n, seed):
+    """Reference: simulate, then a second pass over the stored paths that sums
+    the left-endpoint running cost f * dt and adds the terminal cost g."""
+    ens = simulate(problem, grid, m_flow, policy, n, seed)
+    total = np.zeros(n)
+    for k in range(grid.nt):
+        t, x, view = grid.time(k), ens.positions[k], m_flow.view(k)
+        if grid.dim == 1:
+            alpha = interpolate_field(policy[k], grid, x)
+        else:
+            alpha = np.stack([interpolate_field(policy[k][..., d], grid, x)
+                              for d in range(2)], axis=-1)
+        f = problem.running_f0(t, x, view) + problem.running_f1(t, x, alpha)
+        total += np.broadcast_to(f, total.shape) * grid.dt
+    total += np.broadcast_to(problem.terminal_g(ens.positions[grid.nt],
+                                                m_flow.view(grid.nt)), total.shape)
+    return float(np.mean(total)), float(np.std(total, ddof=1) / np.sqrt(n))
+
+
+def _separable_2d():
+    p = ProblemSpec(
+        dim=2, horizon=0.5,
+        drift_b0=lambda t, x, m: np.zeros_like(x),
+        drift_b1=lambda t, x, a: a,
+        diffusion_sigma=lambda t, x, m: np.sqrt(2.0) * np.eye(2),
+        running_f0=lambda t, x, m: 0.1 * np.tanh((x ** 2).sum(-1)),
+        running_f1=lambda t, x, a: 0.5 * (a ** 2).sum(axis=-1),
+        terminal_g=lambda x, m: np.minimum((x ** 2).sum(-1), 8.0),
+        initial_density=lambda x: np.exp(-(x ** 2).sum(-1) / 0.5) / (0.5 * np.pi),
+        closed_form_phi=lambda t, x, p_: -p_,
+        gamma1=1.0, gamma2=1.0, lipschitz=15.0)
+    g = build_grid(2, -4.0, 4.0, 21, 0.5, 10)
+    x = g.coords()
+    policy = np.stack([-(1.0 - 0.5 * t) * x for t in g.times])
+    return p, g, policy
+
+
+def test_cost_matches_two_pass_reference_bit_for_bit():
+    e = get_entry("example5-weak")
+    g = build_grid(1, -6.0, 6.0, 61, 1.0, 40)
+    cases = [(e.problem, g, feedback_policy(e.problem, g, lq_riccati_value(0.5, g))),
+             _separable_2d()]
+    for problem, grid, policy in cases:
+        flow = _flow(problem, grid)
+        est = evaluate_cost(problem, grid, flow, policy, 300, seed=17)
+        ref_mean, ref_se = _two_pass_cost(problem, grid, flow, policy, 300, seed=17)
+        assert est.mean == ref_mean
+        assert est.std_error == ref_se
+        assert est.std_error > 0
 
 
 def test_constant_terminal_payoff():

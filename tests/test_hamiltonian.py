@@ -180,6 +180,10 @@ def test_check_assumptions_deterministic():
     r1 = check_assumptions(e.problem, e.grid, n_samples=64, seed=9)
     r2 = check_assumptions(e.problem, e.grid, n_samples=64, seed=9)
     assert r1.to_dict() == r2.to_dict()
+    # the two largest seeds the CLI accepts key distinct streams
+    top = [check_assumptions(e.problem, e.grid, n_samples=64, seed=2 ** 64 - j)
+           for j in (1, 2)]
+    assert top[0].to_dict()["checks"] != top[1].to_dict()["checks"]
 
 
 def test_minimize_closed_form_requested_but_absent():

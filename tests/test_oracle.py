@@ -23,7 +23,7 @@ def test_hopf_cole_terminal_condition():
 
 def test_hopf_cole_self_check_runs():
     g = build_grid(1, -6.0, 6.0, 121, 1.0, 10)
-    hopf_cole_value(lambda x: 8.0 * np.tanh(x * x / 16.0), g, self_check=True)
+    hopf_cole_value(lambda x: 8.0 * np.tanh(x * x / 16.0), g)
 
 
 def test_hopf_cole_agrees_with_riccati_inside_box():

@@ -4,6 +4,8 @@ import pytest
 from mfgkit.core import MeasureFlow, ProblemSpec, build_grid, discretize_initial_density
 from mfgkit.catalog import gaussian_density, get_entry
 from mfgkit.measure import d1_atoms, histogram_density
+from mfgkit.mfg import feedback_policy
+from mfgkit.oracle import lq_riccati_value
 from mfgkit.particle import compare_law, sample_initial, simulate
 
 
@@ -69,6 +71,22 @@ def test_seed_determinism_bit_identical():
     assert not np.array_equal(a.positions, c.positions)
 
 
+def test_pinned_positions_and_cost():
+    # literal values pin the Philox (seed, step) key and particle counter
+    # layout and the left-endpoint cost quadrature
+    e = get_entry("lq-riccati")
+    g = build_grid(1, -6.0, 6.0, 61, 1.0, 20)
+    policy = feedback_policy(e.problem, g, lq_riccati_value(0.5, g))
+    ens = simulate(e.problem, g, _flow(e.problem, g), policy, 4, seed=7)
+    assert ens.positions[-1].tolist() == [
+        -0.3835108859374982, -1.8105342085351273,
+        -0.07889073099991395, 0.5008237867703391]
+    assert ens.cost.tolist() == [
+        0.10823353884638467, 2.020194461255792,
+        0.049897078316963134, 0.220282871293289]
+    assert ens.max_abs_position == 1.9589096988898904
+
+
 def test_sample_initial_matches_density(rng):
     g = build_grid(1, -8.0, 8.0, 321, 1.0, 10)
     dens = gaussian_density(0.3, 0.5)(g.axis(0))
@@ -125,6 +143,7 @@ def test_max_abs_position_proxy():
     g = build_grid(1, -8.0, 8.0, 161, 1.0, 50)
     ens = simulate(p, g, _flow(p, g), None, 1000, seed=4)
     assert 0 < ens.max_abs_position <= 8.0
+    assert ens.max_abs_position == np.max(np.abs(ens.positions))
 
 
 def test_boundary_leak_warning():

@@ -13,7 +13,7 @@ from .fp import FpError, FpSolverConfig, solve_fp
 from .hamiltonian import (AssumptionReport, PhiEvaluator, check_assumptions,
                           evaluate_H, minimize_H)
 from .hjb import CFLAdvisory, HjbError, HjbSolverConfig, solve_hjb
-from .measure import (FlowRegularityReport, d1_1d, d1_atoms, d1_grid, d1_lp,
+from .measure import (FlowRegularityReport, d1_atoms, d1_grid, d1_lp,
                       flow_distance, flow_regularity, histogram_density,
                       second_moment)
 from .mfg import (FixedPointConfig, FixedPointReport, apply_phi,

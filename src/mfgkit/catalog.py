@@ -13,8 +13,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ControlSpace, Grid, ProblemSpec, build_grid
+from .core import ControlSpace, Grid, ProblemSpec, ValueField, build_grid
 from .mfg import FixedPointConfig
+from .oracle import hopf_cole_value, lq_riccati_value
 
 __all__ = ["CatalogEntry", "CATALOG", "get_entry", "list_catalog",
            "gaussian_density", "capped_quadratic", "heat_check_problem"]
@@ -53,8 +54,10 @@ class CatalogEntry:
     problem: ProblemSpec
     grid: Grid
     fixed_point: FixedPointConfig
-    oracle: Optional[str] = None      # "hopf-cole" | "riccati" | None
-    oracle_arg: Optional[float] = None
+    oracle: Optional[str] = None      # kind label: "hopf-cole" | "riccati" | None
+    # the exact value field on a grid, and the interior max error allowed
+    oracle_value: Optional[Callable[[Grid], ValueField]] = None
+    oracle_tol: Optional[float] = None
     controlled: bool = True
 
 
@@ -81,7 +84,8 @@ def _decoupled_hopfcole() -> CatalogEntry:
                     "quadratic terminal cost; Hopf-Cole oracle applies",
         problem=problem, grid=grid,
         fixed_point=FixedPointConfig(theta=0.5, tol=1e-4, max_iters=50),
-        oracle="hopf-cole", oracle_arg=cap)
+        oracle="hopf-cole", oracle_value=lambda g: hopf_cole_value(G, g),
+        oracle_tol=5e-3)
 
 
 def _lq_riccati() -> CatalogEntry:
@@ -106,7 +110,8 @@ def _lq_riccati() -> CatalogEntry:
                     "box; closed-form value function",
         problem=problem, grid=grid,
         fixed_point=FixedPointConfig(theta=0.5, tol=1e-4, max_iters=50),
-        oracle="riccati", oracle_arg=c)
+        oracle="riccati", oracle_value=lambda g: lq_riccati_value(c, g),
+        oracle_tol=1e-2)
 
 
 def _example5_weak(kappa: float = 0.1) -> CatalogEntry:

@@ -281,22 +281,16 @@ def _run_locked(config: RunConfig, entry, grid, out: Path) -> int:
               "positivity": float(m.min_density.min()) >= -1e-12}
 
     if entry.oracle is not None:
-        from .oracle import hopf_cole_value, lq_riccati_value
-        from .catalog import capped_quadratic
-        if entry.oracle == "hopf-cole":
-            ref = hopf_cole_value(capped_quadratic(entry.oracle_arg), grid)
-        else:
-            ref = lq_riccati_value(entry.oracle_arg, grid)
+        ref = entry.oracle_value(grid)
         margin = 10
         sl = slice(margin, -margin)
         err = float(np.max(np.abs(u.values - ref.values)[:, sl]))
         gerr = float(np.max(np.abs(u.du - ref.du)[:, sl]))
-        tol = 5e-3 if entry.oracle == "hopf-cole" else 1e-2
         summary["oracle"] = {"kind": entry.oracle,
                              "hjb_oracle_max_err": err,
                              "hjb_oracle_gradient_err": gerr,
-                             "tolerance": tol}
-        checks["hjb_oracle"] = err <= tol
+                             "tolerance": entry.oracle_tol}
+        checks["hjb_oracle"] = err <= entry.oracle_tol
 
     if config.verify:
         policy = feedback_policy(entry.problem, grid, u) if entry.controlled else None

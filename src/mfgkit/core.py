@@ -13,7 +13,7 @@ All containers are immutable after construction; problem functions must be pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -107,12 +107,6 @@ class ProblemSpec:
             raise ValueError("horizon must be positive and finite")
         if not (self.gamma1 > 0 and self.gamma1 <= self.gamma2):
             raise ValueError("need 0 < gamma1 <= gamma2 (uniform ellipticity)")
-
-    def drift(self, t, x, view, alpha):
-        return self.drift_b0(t, x, view) + self.drift_b1(t, x, alpha)
-
-    def running_cost(self, t, x, view, alpha):
-        return self.running_f0(t, x, view) + self.running_f1(t, x, alpha)
 
 
 @dataclass(frozen=True)

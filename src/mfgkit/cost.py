@@ -9,7 +9,7 @@ small suboptimality gaps resolvable at moderate path counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -38,7 +38,7 @@ class CostEstimate:
 
 
 def evaluate_cost(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow,
-                  policy: Union[np.ndarray, Callable], n: int,
+                  policy: np.ndarray, n: int,
                   seed: int) -> CostEstimate:
     """Sample mean and standard error of the pathwise cost under the policy,
     which `simulate` adds up in its march: left-endpoint quadrature of the

@@ -10,7 +10,7 @@ and positivity-safe under the advective CFL dt <= h / max|b|.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -119,15 +119,15 @@ def _axis_step(m: np.ndarray, b: np.ndarray, a: np.ndarray, h: float, dt: float,
 
 def solve_fp(problem: ProblemSpec, grid: Grid,
              mu_flow: Optional[MeasureFlow],
-             policy: Union[None, np.ndarray, Callable],
+             policy: Optional[np.ndarray],
              config: FpSolverConfig = FpSolverConfig()) -> MeasureFlow:
     """March m forward from the discretized initial density.
 
     mu_flow freezes the measure argument of the coefficients; passing None runs
     the self-coupled form with coefficients evaluated at the current step's
     density (explicit lag, config.inner_sweeps fixed-point sweeps per step).
-    policy: None (uncontrolled), an array of per-node controls indexed by time
-    level, or a callable k -> control field slice.
+    policy: None (uncontrolled) or an array of per-node controls indexed by
+    time level.
     """
     densities = np.empty((grid.nt + 1,) + grid.shape)
     densities[0], _ = discretize_initial_density(problem, grid)
@@ -136,13 +136,6 @@ def solve_fp(problem: ProblemSpec, grid: Grid,
     mass_drift = np.zeros(grid.nt + 1)
     min_density = np.zeros(grid.nt + 1)
     min_density[0] = densities[0].min()
-
-    def control_at(k):
-        if policy is None:
-            return None
-        if callable(policy):
-            return policy(k)
-        return policy[k]
 
     for k in range(grid.nt):
         t = grid.time(k)
@@ -155,10 +148,9 @@ def solve_fp(problem: ProblemSpec, grid: Grid,
                 view = MeasureView(m_k, grid)
             else:
                 view = MeasureView(m_next / (m_next.sum() * grid.cell_volume), grid)
-            alpha = control_at(k)
             b = problem.drift_b0(t, coords, view)
-            if alpha is not None:
-                b = b + problem.drift_b1(t, coords, alpha)
+            if policy is not None:
+                b = b + problem.drift_b1(t, coords, policy[k])
             diag_a, a12 = diffusion_coefficients(problem, t, coords, view)
             b = np.asarray(b, dtype=float)
             # the explicit mixed term enters the first axis sub-step only

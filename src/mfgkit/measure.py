@@ -3,7 +3,9 @@ diagnostics, and histogram estimation.
 
 Grid densities are treated as atoms of mass m_i * h^n at the nodes, which makes
 the 1D CDF formula and the transport LP agree to solver precision on the same
-data.
+data. One CDF formula serves both dimensions: d1 is the max over axes a of
+h_a * sum |F_a - F'_a|, where F_a is the cumulative mass of the axis-a
+marginal. In 2D that is the larger marginal distance, a lower bound on d1.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .core import Grid, MeasureFlow
 
 __all__ = [
     "FlowRegularityReport",
-    "d1_1d",
     "d1_atoms",
     "d1_lp",
     "d1_grid",
@@ -33,16 +34,46 @@ _MASS_TOL = 1e-6
 _LP_MAX_SUPPORT = 400
 
 
-def _check_density(m: np.ndarray, grid: Grid, mass_tol: float = _MASS_TOL) -> np.ndarray:
+def _check_density(m: np.ndarray, grid: Grid, levels: int = 0):
+    """Check one grid density (levels=0) or a time stack of them (levels=1):
+    the grid shape behind the leading axes, no negative entry, unit quadrature
+    mass within _MASS_TOL for each density. Returns (m as floats, the masses)."""
     m = np.asarray(m, dtype=float)
-    if m.shape != grid.shape:
+    if m.ndim != grid.dim + levels or m.shape[levels:] != grid.shape:
         raise ValueError(f"density shape {m.shape} does not match grid {grid.shape}")
     if np.any(m < 0):
         raise ValueError(f"negative density entry {m.min():.3e}")
-    mass = m.sum() * grid.cell_volume
-    if abs(mass - 1.0) > mass_tol:
-        raise ValueError(f"density mass {mass:.8f} deviates from 1 beyond {mass_tol:.1e}")
-    return m / mass
+    mass = m.sum(axis=tuple(range(levels, m.ndim))) * grid.cell_volume
+    worst = np.max(np.abs(mass - 1.0))
+    if worst > _MASS_TOL:
+        raise ValueError(f"density mass deviates from 1 by {worst:.3e} "
+                         f"beyond {_MASS_TOL:.1e}")
+    return m, mass
+
+
+def _marginal_cdfs(m: np.ndarray, grid: Grid) -> list:
+    """Cumulative marginal masses of one grid density or a stack of them, one
+    array per axis a: the running sum of the axis-a marginal times h_a, with
+    the last node (the total mass) dropped. The marginal is the density itself
+    in 1D and the other axis summed out in 2D. Linear in m, so the CDFs of a
+    difference are the difference of the CDFs."""
+    h = grid.h
+    out = []
+    for a in range(grid.dim):
+        p = m
+        for b in range(grid.dim):
+            if b != a:
+                p = p.sum(axis=b - grid.dim) * h[b]
+        out.append(np.cumsum(p * h[a], axis=-1)[..., :-1])
+    return out
+
+
+def _d1(cdf_diffs: list, grid: Grid) -> np.ndarray:
+    """The grid d1 of each pair whose marginal CDF differences are given:
+    max over axes of h_a * sum |dF_a|. Exact in 1D; in 2D the larger marginal
+    distance, a lower bound on d1."""
+    return np.max([np.sum(np.abs(f), axis=-1) * h
+                   for f, h in zip(cdf_diffs, grid.h)], axis=0)
 
 
 def d1_atoms(x1: np.ndarray, w1: np.ndarray, x2: np.ndarray, w2: np.ndarray) -> float:
@@ -58,17 +89,6 @@ def d1_atoms(x1: np.ndarray, w1: np.ndarray, x2: np.ndarray, w2: np.ndarray) -> 
     xs = xs[order]
     diff = np.cumsum(ws[order])[:-1]
     return float(np.sum(np.abs(diff) * np.diff(xs)))
-
-
-def d1_1d(m1: np.ndarray, m2: np.ndarray, grid: Grid) -> float:
-    """d1 between two unit-mass densities on the same 1D grid via the CDF formula."""
-    if grid.dim != 1:
-        raise ValueError("d1_1d needs a 1D grid")
-    m1 = _check_density(m1, grid)
-    m2 = _check_density(m2, grid)
-    h = grid.h[0]
-    diff = np.cumsum((m1 - m2) * h)[:-1]
-    return float(np.sum(np.abs(diff)) * h)
 
 
 def d1_lp(x1, w1, x2, w2) -> float:
@@ -111,34 +131,21 @@ def d1_lp(x1, w1, x2, w2) -> float:
 
 
 def d1_grid(m1: np.ndarray, m2: np.ndarray, grid: Grid) -> float:
-    """The production flow metric: exact CDF distance in 1D; in 2D the max of
-    the two marginal distances (a lower bound on d1, used as the fixed-point
-    monitor)."""
-    if grid.dim == 1:
-        return d1_1d(m1, m2, grid)
-    m1 = _check_density(m1, grid)
-    m2 = _check_density(m2, grid)
-    best = 0.0
-    for axis in (0, 1):
-        other = 1 - axis
-        p1 = m1.sum(axis=other) * grid.h[other]
-        p2 = m2.sum(axis=other) * grid.h[other]
-        h = grid.h[axis]
-        diff = np.cumsum((p1 - p2) * h)[:-1]
-        best = max(best, float(np.sum(np.abs(diff)) * h))
-    return best
+    """The production flow metric between two unit-mass grid densities, each
+    renormalized to exact unit mass: the CDF formula, exact in 1D; in 2D the
+    max of the two marginal distances (a lower bound on d1, used as the
+    fixed-point monitor)."""
+    (m1, mass1), (m2, mass2) = (_check_density(m, grid) for m in (m1, m2))
+    return float(_d1(_marginal_cdfs(m1 / mass1 - m2 / mass2, grid), grid))
 
 
 def flow_distance(flow_a: MeasureFlow, flow_b: MeasureFlow, grid: Grid) -> float:
     """rho(mu, mu') = sup over time levels of d1 (marginal-max metric in 2D)."""
-    da, db = flow_a.densities, flow_b.densities
+    (da, _), (db, _) = (_check_density(f.densities, grid, levels=1)
+                        for f in (flow_a, flow_b))
     if da.shape != db.shape:
         raise ValueError("flows have mismatched shapes")
-    if grid.dim == 1:
-        h = grid.h[0]
-        diff = np.cumsum((da - db) * h, axis=1)[:, :-1]
-        return float(np.max(np.sum(np.abs(diff), axis=1) * h))
-    return max(d1_grid(da[k], db[k], grid) for k in range(da.shape[0]))
+    return float(np.max(_d1(_marginal_cdfs(da - db, grid), grid)))
 
 
 def second_moment_atoms(x: np.ndarray, w: np.ndarray) -> float:
@@ -148,14 +155,16 @@ def second_moment_atoms(x: np.ndarray, w: np.ndarray) -> float:
     return float(np.sum(sq * w) / np.sum(w))
 
 
+def _second_moments(m: np.ndarray, grid: Grid) -> np.ndarray:
+    """Quadrature of |x|^2 against one grid density or a stack of them."""
+    sq = sum(x ** 2 for x in np.meshgrid(*grid.axes, indexing="ij"))
+    return np.sum(m * sq, axis=tuple(range(-grid.dim, 0))) * grid.cell_volume
+
+
 def second_moment(m: np.ndarray, grid: Grid) -> float:
-    """Quadrature of |x|^2 against the density."""
-    m = _check_density(m, grid)
-    if grid.dim == 1:
-        sq = grid.axis(0) ** 2
-    else:
-        sq = (grid.coords() ** 2).sum(axis=-1)
-    return float(np.sum(sq * m) * grid.cell_volume)
+    """Quadrature of |x|^2 against the density, renormalized to unit mass."""
+    m, mass = _check_density(m, grid)
+    return float(_second_moments(m / mass, grid))
 
 
 @dataclass(frozen=True)
@@ -182,32 +191,17 @@ def flow_regularity(flow: MeasureFlow, grid: Grid) -> FlowRegularityReport:
     Time pairs closer than 2 dt are skipped so discretization noise does not
     dominate the quotient.
     """
-    dens = flow.densities
+    dens, _ = _check_density(flow.densities, grid, levels=1)
     nt = dens.shape[0] - 1
-    dt = grid.dt
-    if grid.dim == 1:
-        h = grid.h[0]
-        cdf = np.cumsum(dens * h, axis=1)[:, :-1]
-        sq = grid.axis(0) ** 2
-        moments = (dens * sq).sum(axis=1) * h
-    else:
-        cdf = None
-        sq = (grid.coords() ** 2).sum(axis=-1)
-        moments = (dens * sq).sum(axis=(1, 2)) * grid.cell_volume
+    cdfs = _marginal_cdfs(dens, grid)
     worst = 0.0
-    for k in range(nt + 1):
-        lo = k + 2  # skip |t - s| < 2 dt
-        if lo > nt:
-            break
-        gaps = (np.arange(lo, nt + 1) - k) * dt
-        if grid.dim == 1:
-            dists = np.sum(np.abs(cdf[lo:] - cdf[k]), axis=1) * h
-        else:
-            dists = np.array([d1_grid(dens[j], dens[k], grid)
-                              for j in range(lo, nt + 1)])
+    for k in range(nt - 1):  # level k against every level j >= k + 2
+        gaps = np.arange(2, nt + 1 - k) * grid.dt
+        dists = _d1([f[k + 2:] - f[k] for f in cdfs], grid)
         worst = max(worst, float(np.max(dists / np.sqrt(gaps))))
-    return FlowRegularityReport(holder_half_seminorm=worst,
-                                max_second_moment=float(np.max(moments)))
+    return FlowRegularityReport(
+        holder_half_seminorm=worst,
+        max_second_moment=float(np.max(_second_moments(dens, grid))))
 
 
 def histogram_density(points: np.ndarray, grid: Grid):
@@ -219,25 +213,11 @@ def histogram_density(points: np.ndarray, grid: Grid):
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
         raise ValueError("histogram needs at least one point")
-    if grid.dim == 1:
-        pts = np.atleast_1d(pts)
-        cols = [pts]
-    else:
-        pts = pts.reshape(-1, 2)
-        cols = [pts[:, 0], pts[:, 1]]
-    n = len(cols[0])
-    leak = np.zeros(n, dtype=bool)
-    idx = []
-    for d, c in enumerate(cols):
-        lo, h = grid.x_min[d], grid.h[d]
-        leak |= (c < lo) | (c > grid.x_max[d])
-        i = np.clip(np.rint((c - lo) / h).astype(int), 0, grid.nx - 1)
-        idx.append(i)
-    if grid.dim == 1:
-        counts = np.bincount(idx[0], minlength=grid.nx).astype(float)
-    else:
-        flat = idx[0] * grid.nx + idx[1]
-        counts = np.bincount(flat, minlength=grid.nx ** 2).astype(float)
-        counts = counts.reshape(grid.nx, grid.nx)
-    dens = counts / (n * grid.cell_volume)
+    pts = pts.reshape(-1, grid.dim)
+    lo, hi, h = (np.array(v) for v in (grid.x_min, grid.x_max, grid.h))
+    leak = np.any((pts < lo) | (pts > hi), axis=1)
+    idx = np.clip(np.rint((pts - lo) / h).astype(int), 0, grid.nx - 1)
+    counts = np.bincount(np.ravel_multi_index(tuple(idx.T), grid.shape),
+                         minlength=grid.n_nodes)
+    dens = counts.reshape(grid.shape) / (len(pts) * grid.cell_volume)
     return dens, float(leak.mean())

@@ -171,7 +171,7 @@ def pde_residual(problem: ProblemSpec, grid: Grid, u: ValueField, m: MeasureFlow
     if evaluator is None:
         evaluator = PhiEvaluator.for_problem(problem)
     coords = grid.coords()
-    dt = grid.dt
+    dt, h = grid.dt, grid.h
     uv, mv = u.values, m.densities
     hjb_worst = 0.0
     fp_worst = 0.0
@@ -185,33 +185,31 @@ def pde_residual(problem: ProblemSpec, grid: Grid, u: ValueField, m: MeasureFlow
         diag_a, a12 = diffusion_coefficients(problem, t, coords, view)
         u_t = (uv[k + 1] - uv[k - 1]) / (2 * dt)
         m_t = (mv[k + 1] - mv[k - 1]) / (2 * dt)
-        if grid.dim == 1:
-            a = diag_a[0]
-            h = grid.h[0]
-            u_xx = _second_diff(uv[k], h)
-            adv = np.broadcast_to(b, grid.shape) * u.du[k]
-            r_hjb = u_t + adv + a * u_xx + np.broadcast_to(f, grid.shape)
-            am_xx = _second_diff(a * mv[k], h)
-            div_bm = np.gradient(np.broadcast_to(b, grid.shape) * mv[k], h)
-            r_fp = m_t - am_xx + div_bm
-        else:
-            a11, a22 = diag_a
-            h1, h2 = grid.h
-            u_xx = _second_diff(uv[k], h1, axis=0)
-            u_yy = _second_diff(uv[k], h2, axis=1)
-            u_xy = np.gradient(np.gradient(uv[k], h1, axis=0), h2, axis=1)
-            adv = (b[..., 0] * u.du[k][..., 0] + b[..., 1] * u.du[k][..., 1])
-            diff = a11 * u_xx + a22 * u_yy + 2 * a12 * u_xy
-            r_hjb = u_t + adv + diff + f
-            q11 = _second_diff(a11 * mv[k], h1, axis=0)
-            q22 = _second_diff(a22 * mv[k], h2, axis=1)
-            q12 = np.gradient(np.gradient(a12 * mv[k], h1, axis=0), h2, axis=1)
-            div_bm = (np.gradient(b[..., 0] * mv[k], h1, axis=0)
-                      + np.gradient(b[..., 1] * mv[k], h2, axis=1))
-            r_fp = m_t - (q11 + q22 + 2 * q12) + div_bm
+        bs, dus = (_components(v, grid) for v in (b, u.du[k]))
+        axes = range(grid.dim)
+        adv = sum(bs[d] * dus[d] for d in axes)
+        diff = sum(diag_a[d] * _second_diff(uv[k], h[d], axis=d) for d in axes)
+        q = sum(_second_diff(diag_a[d] * mv[k], h[d], axis=d) for d in axes)
+        div_bm = sum(np.gradient(bs[d] * mv[k], h[d], axis=d) for d in axes)
+        if a12 is not None:
+            diff = diff + 2 * a12 * _mixed_diff(uv[k], h)
+            q = q + 2 * _mixed_diff(a12 * mv[k], h)
+        r_hjb = u_t + adv + diff + f
+        r_fp = m_t - q + div_bm
         hjb_worst = max(hjb_worst, float(np.max(np.abs(r_hjb[inner]))))
         fp_worst = max(fp_worst, float(np.max(np.abs(r_fp[inner]))))
     return hjb_worst, fp_worst
+
+
+def _components(v, grid: Grid) -> list:
+    """Per-axis components of a vector field on the nodes: the field itself in
+    1D, v[..., d] in 2D."""
+    v = np.broadcast_to(v, grid.shape + ((grid.dim,) if grid.dim > 1 else ()))
+    return [v] if grid.dim == 1 else [v[..., d] for d in range(grid.dim)]
+
+
+def _mixed_diff(v: np.ndarray, h) -> np.ndarray:
+    return np.gradient(np.gradient(v, h[0], axis=0), h[1], axis=1)
 
 
 def _second_diff(v: np.ndarray, h: float, axis: int = 0) -> np.ndarray:

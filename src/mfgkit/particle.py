@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Optional
 
 import numpy as np
 
@@ -84,13 +84,9 @@ def sample_initial(density: np.ndarray, grid: Grid, n: int,
     return out
 
 
-def policy_at(policy: Union[np.ndarray, Callable], grid: Grid, k: int,
-              x: np.ndarray) -> np.ndarray:
-    """Controls at points x and time level k: a callable (k, x) -> controls is
-    called; per-node feedback controls are interpolated multilinearly, one
-    component at a time in 2D."""
-    if callable(policy):
-        return policy(k, x)
+def policy_at(policy: np.ndarray, grid: Grid, k: int, x: np.ndarray) -> np.ndarray:
+    """Controls at points x and time level k: the per-node feedback controls
+    interpolated multilinearly, one component at a time in 2D."""
     if grid.dim == 1:
         return interpolate_field(policy[k], grid, x)
     return np.stack([interpolate_field(policy[k][..., d], grid, x)
@@ -98,14 +94,14 @@ def policy_at(policy: Union[np.ndarray, Callable], grid: Grid, k: int,
 
 
 def simulate(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow,
-             policy_or_none: Union[None, np.ndarray, Callable],
+             policy_or_none: Optional[np.ndarray],
              n: int, seed: int) -> ParticleEnsemble:
     """Euler-Maruyama march of n paths from m0 under the frozen flow, summing
     each path's left-endpoint running cost (f0 + f1) * dt and terminal cost.
 
     policy_or_none: None for the uncontrolled dynamics (f1 then does not enter),
-    else per-node feedback controls indexed by time level (interpolated at
-    particle positions) or a callable (k, positions) -> controls.
+    else per-node feedback controls indexed by time level, interpolated at the
+    particle positions.
     """
     if n < 1:
         raise ValueError("need at least one particle")

@@ -10,14 +10,14 @@ import time
 import numpy as np
 import pytest
 
-from mfgkit.catalog import capped_quadratic, get_entry, heat_check_problem
+from mfgkit.catalog import get_entry, heat_check_problem
 from mfgkit.core import build_grid, discretize_initial_density
 from mfgkit.cost import evaluate_cost, expected_initial_value, verify_optimality
 from mfgkit.fp import FpSolverConfig, solve_fp
 from mfgkit.hjb import HjbSolverConfig, solve_hjb
-from mfgkit.measure import d1_1d, d1_atoms, d1_lp, flow_distance
+from mfgkit.measure import d1_atoms, d1_grid, d1_lp, flow_distance
 from mfgkit.mfg import FixedPointConfig, feedback_policy, solve_mfg
-from mfgkit.oracle import heat_flow_density, hopf_cole_value, lq_riccati_value
+from mfgkit.oracle import heat_flow_density
 from mfgkit.particle import compare_law, simulate
 
 ALL_CATALOG = ("decoupled-hopfcole", "lq-riccati", "example5-weak",
@@ -36,14 +36,13 @@ def test_criterion_01_hjb_hopf_cole_equivalence(solved):
     u_timed = solve_hjb(entry.problem, grid,
                         _frozen_flow(entry.problem, grid), HjbSolverConfig())
     runtime = time.perf_counter() - t0
-    G = capped_quadratic(entry.oracle_arg)
-    ref = hopf_cole_value(G, grid)
+    ref = entry.oracle_value(grid)
     err = float(np.max(np.abs(u.values - ref.values)[:, 10:-10]))
 
     fine = grid.refine(2)
     u_fine = solve_hjb(entry.problem, fine, _frozen_flow(entry.problem, fine),
                        HjbSolverConfig())
-    ref_fine = hopf_cole_value(G, fine)
+    ref_fine = entry.oracle_value(fine)
     err_fine = float(np.max(np.abs(u_fine.values - ref_fine.values)[:, 10:-10]))
     factor = err / err_fine
 
@@ -55,7 +54,7 @@ def test_criterion_01_hjb_hopf_cole_equivalence(solved):
 
 def test_criterion_02_hjb_riccati_equivalence(solved):
     entry, grid, u, _, _ = solved.get("lq-riccati")
-    ref = lq_riccati_value(entry.oracle_arg, grid)
+    ref = entry.oracle_value(grid)
     sl = slice(10, -10)
     err = float(np.max(np.abs(u.values - ref.values)[:, sl]))
     # analytic gradient 2 a(t) x
@@ -83,7 +82,7 @@ def test_criterion_04_fp_heat_kernel_equivalence():
     assert (grid.nx, grid.nt) == (321, 500)
     flow = solve_fp(problem, grid, None, None)
     ref = heat_flow_density(0.0, 0.25, np.sqrt(2.0), grid)
-    worst = max(d1_1d(flow.densities[k], ref.densities[k], grid)
+    worst = max(d1_grid(flow.densities[k], ref.densities[k], grid)
                 for k in range(grid.nt + 1))
     ok = worst <= 2e-3
     _report(4, "fp vs heat kernel", ok,
@@ -194,11 +193,11 @@ def test_criterion_09_wasserstein_oracle_agreement(rng):
         for _j in range(3):
             m = rng.random(50) + 0.01
             ms.append(m / (m.sum() * g.h[0]))
-        dab = d1_1d(ms[0], ms[1], g)
-        dba = d1_1d(ms[1], ms[0], g)
-        tri = d1_1d(ms[0], ms[2], g) + d1_1d(ms[2], ms[1], g) - dab
+        dab = d1_grid(ms[0], ms[1], g)
+        dba = d1_grid(ms[1], ms[0], g)
+        tri = d1_grid(ms[0], ms[2], g) + d1_grid(ms[2], ms[1], g) - dab
         axiom_worst = max(axiom_worst, abs(dab - dba), max(0.0, -tri),
-                          d1_1d(ms[0], ms[0], g))
+                          d1_grid(ms[0], ms[0], g))
     ok = worst <= 1e-9 and axiom_worst <= 1e-12
     _report(9, "wasserstein oracle agreement", ok,
             f"max |cdf - lp| {worst:.1e} over 100 pairs (tol 1e-9); "

@@ -7,7 +7,7 @@ from mfgkit.core import MeasureFlow, MeasureView, ProblemSpec, build_grid, \
 from mfgkit.catalog import gaussian_density, heat_check_problem
 from mfgkit.fp import FpError, FpSolverConfig, _axis_step, solve_fp
 from mfgkit.hjb import solve_hjb, HjbSolverConfig
-from mfgkit.measure import d1_1d
+from mfgkit.measure import d1_grid
 from mfgkit.oracle import heat_flow_density
 
 
@@ -32,7 +32,7 @@ def test_heat_kernel_agreement(scheme):
     problem, grid = heat_check_problem()
     flow = solve_fp(problem, grid, None, None, FpSolverConfig(flux_scheme=scheme))
     ref = heat_flow_density(0.0, 0.25, np.sqrt(2.0), grid)
-    worst = max(d1_1d(flow.densities[k], ref.densities[k], grid)
+    worst = max(d1_grid(flow.densities[k], ref.densities[k], grid)
                 for k in range(0, grid.nt + 1, 5))
     assert worst <= 2e-3
 

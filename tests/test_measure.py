@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mfgkit.core import MeasureFlow, build_grid
-from mfgkit.measure import (d1_1d, d1_atoms, d1_grid, d1_lp, flow_regularity,
+from mfgkit.measure import (d1_atoms, d1_grid, d1_lp, flow_distance, flow_regularity,
                             histogram_density, second_moment,
                             second_moment_atoms)
 from mfgkit.oracle import heat_flow_density
@@ -21,7 +21,7 @@ def _density(grid, fn):
 def test_d1_identical_measures():
     g = _grid()
     m = _density(g, gaussian_density(0.0, 1.0))
-    assert d1_1d(m, m, g) == 0.0
+    assert d1_grid(m, m, g) == 0.0
 
 
 def test_d1_point_masses():
@@ -30,7 +30,7 @@ def test_d1_point_masses():
     m1 = np.zeros(101); m1[20] = 1.0 / g.h[0]
     m2 = np.zeros(101); m2[70] = 1.0 / g.h[0]
     a, b = g.axis(0)[20], g.axis(0)[70]
-    assert d1_1d(m1, m2, g) == pytest.approx(abs(a - b), abs=1e-12)
+    assert d1_grid(m1, m2, g) == pytest.approx(abs(a - b), abs=1e-12)
 
 
 def test_d1_lp_dirac_split():
@@ -45,16 +45,16 @@ def test_d1_1d_matches_lp_on_grid_densities(rng):
         m1 = _density(g, lambda x: rng.random(x.size) + 0.05)
         m2 = _density(g, lambda x: rng.random(x.size) + 0.05)
         ref = d1_lp(g.axis(0), m1 * g.h[0], g.axis(0), m2 * g.h[0])
-        assert d1_1d(m1, m2, g) == pytest.approx(ref, abs=1e-9)
+        assert d1_grid(m1, m2, g) == pytest.approx(ref, abs=1e-9)
 
 
 def test_d1_errors():
     g = _grid()
     m = _density(g, gaussian_density(0.0, 1.0))
     with pytest.raises(ValueError):
-        d1_1d(m, m[:-1], g)
+        d1_grid(m, m[:-1], g)
     with pytest.raises(ValueError):
-        d1_1d(m, m * 1.5, g)
+        d1_grid(m, m * 1.5, g)
 
 
 def test_d1_gaussian_translation():
@@ -62,21 +62,21 @@ def test_d1_gaussian_translation():
     g = build_grid(1, -10.0, 10.0, 2001, 1.0, 4)
     m1 = _density(g, gaussian_density(-0.7, 0.49))
     m2 = _density(g, gaussian_density(0.5, 0.49))
-    assert d1_1d(m1, m2, g) == pytest.approx(1.2, abs=2e-3)
+    assert d1_grid(m1, m2, g) == pytest.approx(1.2, abs=2e-3)
 
 
 def test_d1_metric_axioms(rng):
     g = _grid(nx=40, lo=0.0, hi=4.0)
     for _ in range(30):
         ms = [_density(g, lambda x: rng.random(x.size) + 0.02) for _ in range(3)]
-        dab = d1_1d(ms[0], ms[1], g)
-        dba = d1_1d(ms[1], ms[0], g)
+        dab = d1_grid(ms[0], ms[1], g)
+        dba = d1_grid(ms[1], ms[0], g)
         assert dab == dba  # symmetry exact
-        dac = d1_1d(ms[0], ms[2], g)
-        dcb = d1_1d(ms[2], ms[1], g)
+        dac = d1_grid(ms[0], ms[2], g)
+        dcb = d1_grid(ms[2], ms[1], g)
         assert dab <= dac + dcb + 1e-12
     m = ms[0]
-    assert d1_1d(m, m.copy(), g) == 0.0
+    assert d1_grid(m, m.copy(), g) == 0.0
 
 
 def test_d1_atoms_reorder_invariance(rng):
@@ -160,7 +160,7 @@ def test_histogram_normal_sample_close_to_gaussian(rng):
     d, leak = histogram_density(pts, g)
     ref = _density(g, gaussian_density(0.0, 1.0))
     assert leak < 1e-5
-    assert d1_1d(d, ref, g) <= 5e-3
+    assert d1_grid(d, ref, g) <= 5e-3
 
 
 def test_histogram_leak_counted():
@@ -181,3 +181,101 @@ def test_d1_grid_2d_marginal_max():
     v = d1_grid(m1, m2, g)
     assert 0 < v < 2.0
     assert d1_grid(m1, m1, g) == 0.0
+
+
+def _heat_flows(dim, nx, nt):
+    # unequal spacing per axis in 2D
+    g = build_grid(dim, [-6.0, -7.0][:dim], [6.0, 7.0][:dim], nx, 0.5, nt)
+    a = heat_flow_density(0.0, 0.25, np.sqrt(2.0), g)
+    b = heat_flow_density([0.4, -0.2][:dim], 0.3, np.sqrt(2.0), g)
+    return g, a, b
+
+
+def test_1d_kernel_equals_cdf_formulas_bit_for_bit():
+    g, a, b = _heat_flows(1, 161, 50)
+    da, db, h = a.densities, b.densities, g.h[0]
+    for k, j in ((0, 0), (17, 3), (50, 49)):
+        # one pair: renormalize, difference, then running sum
+        m1 = da[k] / (da[k].sum() * h)
+        m2 = db[j] / (db[j].sum() * h)
+        ref = float(np.sum(np.abs(np.cumsum((m1 - m2) * h)[:-1])) * h)
+        assert d1_grid(da[k], db[j], g) == ref
+    diff = np.cumsum((da - db) * h, axis=1)[:, :-1]
+    assert flow_distance(a, b, g) == float(np.max(np.sum(np.abs(diff), axis=1) * h))
+    # regularity: CDFs first, then the difference of every pair >= 2 dt apart
+    cdf = np.cumsum(da * h, axis=1)[:, :-1]
+    worst = 0.0
+    for k in range(g.nt + 1):
+        lo = k + 2
+        if lo > g.nt:
+            break
+        dists = np.sum(np.abs(cdf[lo:] - cdf[k]), axis=1) * h
+        gaps = (np.arange(lo, g.nt + 1) - k) * g.dt
+        worst = max(worst, float(np.max(dists / np.sqrt(gaps))))
+    rep = flow_regularity(a, g)
+    assert rep.holder_half_seminorm == worst
+    assert rep.max_second_moment == float(np.max((da * g.axis(0) ** 2).sum(axis=1) * h))
+
+
+def _marginal_max_d1(m1, m2, g):
+    """2D grid d1 of one pair, written per axis: the 1D CDF distance between
+    the marginals of the renormalized densities, maxed over the two axes."""
+    m1 = m1 / (m1.sum() * g.cell_volume)
+    m2 = m2 / (m2.sum() * g.cell_volume)
+    best = 0.0
+    for axis in (0, 1):
+        other = 1 - axis
+        p1 = m1.sum(axis=other) * g.h[other]
+        p2 = m2.sum(axis=other) * g.h[other]
+        diff = np.cumsum((p1 - p2) * g.h[axis])[:-1]
+        best = max(best, float(np.sum(np.abs(diff)) * g.h[axis]))
+    return best
+
+
+def test_2d_kernel_matches_per_level_and_per_pair_loops():
+    g, a, b = _heat_flows(2, 31, 10)
+    da, db = a.densities, b.densities
+    levels = range(g.nt + 1)
+    assert d1_grid(da[3], db[7], g) == pytest.approx(
+        _marginal_max_d1(da[3], db[7], g), rel=1e-12, abs=0)
+    ref = max(_marginal_max_d1(da[k], db[k], g) for k in levels)
+    assert ref > 0.1
+    assert flow_distance(a, b, g) == pytest.approx(ref, rel=1e-12, abs=0)
+    worst = max(_marginal_max_d1(da[j], da[k], g) / np.sqrt((j - k) * g.dt)
+                for k in levels for j in range(k + 2, g.nt + 1))
+    rep = flow_regularity(a, g)
+    assert rep.holder_half_seminorm == pytest.approx(worst, rel=1e-12, abs=0)
+    sq = (g.coords() ** 2).sum(axis=-1)
+    moments = (da * sq).sum(axis=(1, 2)) * g.cell_volume
+    assert rep.max_second_moment == pytest.approx(moments.max(), rel=1e-12, abs=0)
+
+
+def test_histogram_2d_puts_each_point_in_its_cell():
+    g = build_grid(2, -2.0, 2.0, 21, 1.0, 4)
+    cells = [(3, 17), (10, 10), (3, 17), (19, 1)]
+    pts = [[g.axis(0)[i] + 0.05, g.axis(1)[j] - 0.05] for i, j in cells]
+    pts.append([2.5, -3.0])  # outside the box: clamped to the corner node
+    cells.append((20, 0))
+    d, leak = histogram_density(np.array(pts), g)
+    counts = np.zeros(g.shape)
+    for i, j in cells:
+        counts[i, j] += 1
+    assert leak == pytest.approx(1 / 5)
+    assert np.array_equal(d, counts / (5 * g.cell_volume))
+
+
+@pytest.mark.parametrize("defect", ["mass", "negative"])
+def test_flow_functions_reject_invalid_1d_flows(defect):
+    g, good, _ = _heat_flows(1, 161, 20)
+    dens = good.densities.copy()
+    if defect == "mass":
+        dens *= 1.5
+    else:
+        dens[5, 0] = -1e-9  # a tail entry: the mass stays within tolerance
+    bad = MeasureFlow(dens, g)
+    with pytest.raises(ValueError):
+        flow_distance(bad, good, g)
+    with pytest.raises(ValueError):
+        flow_distance(good, bad, g)
+    with pytest.raises(ValueError):
+        flow_regularity(bad, g)

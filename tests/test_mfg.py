@@ -189,3 +189,61 @@ def test_uncontrolled_initial_guess_reaches_same_fixed_point():
     _, m2, r2 = solve_mfg(e.problem, g, alt)
     assert r1.converged and r2.converged
     assert flow_distance(m1, m2, g) <= 10 * base.tol
+
+
+def test_pde_residual_2d_matches_written_out_sums():
+    # correlated, x-dependent diffusion, a mean-coupled drift and cost, and
+    # smooth injected fields; the 2D sums written out term by term
+    from mfgkit.core import ProblemSpec, ValueField, diffusion_coefficients, gradient_field
+    from mfgkit.hamiltonian import PhiEvaluator, minimize_H
+    from mfgkit.mfg import _second_diff
+    from mfgkit.oracle import heat_flow_density
+
+    def sigma(t, x, m):
+        sig = np.zeros(x.shape[:-1] + (2, 2))
+        sig[..., 0, 0] = np.sqrt(2.0) * (1.0 + 0.2 * np.tanh(x[..., 0] + 0.5 * x[..., 1]))
+        sig[..., 0, 1] = 0.3 * (1.0 + 0.5 * np.tanh(x[..., 1]))
+        sig[..., 1, 1] = np.sqrt(2.0) * (1.0 + 0.2 * np.tanh(x[..., 0]))
+        return sig
+    p = ProblemSpec(
+        dim=2, horizon=0.5, drift_b0=lambda t, x, m: 0.3 * np.tanh(m.mean - x),
+        drift_b1=lambda t, x, a: a, diffusion_sigma=sigma,
+        running_f0=lambda t, x, m: 0.1 * np.tanh(((x - m.mean) ** 2).sum(-1)),
+        running_f1=lambda t, x, a: 0.5 * (a ** 2).sum(axis=-1),
+        terminal_g=lambda x, m: np.zeros(x.shape[:-1]),
+        initial_density=lambda x: np.exp(-(x ** 2).sum(-1)),
+        closed_form_phi=lambda t, x, q: -q, gamma1=0.5, gamma2=3.0)
+    g = build_grid(2, -6.0, 6.0, 31, 0.5, 8)
+    c = g.coords()
+    vals = np.stack([np.sin(0.4 * c[..., 0] + t) * np.cos(0.3 * c[..., 1] + 0.5)
+                     for t in g.times])
+    u = ValueField(vals, np.stack([gradient_field(v, g) for v in vals]), g)
+    m = heat_flow_density([0.3, -0.2], 0.25, np.sqrt(2.0), g)
+    margin = 4
+    ev = PhiEvaluator.for_problem(p)
+    h1, h2 = g.h
+    hjb_worst = fp_worst = 0.0
+    inner = (slice(margin, -margin),) * 2
+    uv, mv = u.values, m.densities
+    for k in range(1, g.nt):
+        t, view = g.time(k), m.view(k)
+        alpha = minimize_H(p, ev, t, c, u.du[k])
+        b = p.drift_b0(t, c, view) + p.drift_b1(t, c, alpha)
+        f = p.running_f0(t, c, view) + p.running_f1(t, c, alpha)
+        (a11, a22), a12 = diffusion_coefficients(p, t, c, view)
+        u_t = (uv[k + 1] - uv[k - 1]) / (2 * g.dt)
+        m_t = (mv[k + 1] - mv[k - 1]) / (2 * g.dt)
+        u_xy = np.gradient(np.gradient(uv[k], h1, axis=0), h2, axis=1)
+        r_hjb = (u_t + (b[..., 0] * u.du[k][..., 0] + b[..., 1] * u.du[k][..., 1])
+                 + (a11 * _second_diff(uv[k], h1, axis=0)
+                    + a22 * _second_diff(uv[k], h2, axis=1) + 2 * a12 * u_xy) + f)
+        q12 = np.gradient(np.gradient(a12 * mv[k], h1, axis=0), h2, axis=1)
+        q = (_second_diff(a11 * mv[k], h1, axis=0)
+             + _second_diff(a22 * mv[k], h2, axis=1) + 2 * q12)
+        div_bm = (np.gradient(b[..., 0] * mv[k], h1, axis=0)
+                  + np.gradient(b[..., 1] * mv[k], h2, axis=1))
+        r_fp = m_t - q + div_bm
+        hjb_worst = max(hjb_worst, float(np.max(np.abs(r_hjb[inner]))))
+        fp_worst = max(fp_worst, float(np.max(np.abs(r_fp[inner]))))
+    assert fp_worst > 0 and hjb_worst > 0
+    assert pde_residual(p, g, u, m, margin=margin) == (hjb_worst, fp_worst)

@@ -94,8 +94,8 @@ def test_sample_initial_matches_density(rng):
     pts = sample_initial(dens, g, 200_000, rng)
     emp, leak = histogram_density(pts, g)
     assert leak == 0.0
-    from mfgkit.measure import d1_1d
-    assert d1_1d(emp, dens, g) <= 5e-3
+    from mfgkit.measure import d1_grid
+    assert d1_grid(emp, dens, g) <= 5e-3
 
 
 def test_resampling_self_consistency():
@@ -115,9 +115,9 @@ def test_resampling_self_consistency():
         p2 = sample_initial(flow.densities[k], g, n, rng2)
         e1, _ = histogram_density(p1, g)
         e2, _ = histogram_density(p2, g)
-        from mfgkit.measure import d1_1d
-        d_main.append(d1_1d(e1, flow.densities[k], g))
-        d_floor.append(d1_1d(e2, flow.densities[k], g))
+        from mfgkit.measure import d1_grid
+        d_main.append(d1_grid(e1, flow.densities[k], g))
+        d_floor.append(d1_grid(e2, flow.densities[k], g))
     assert max(d_main) <= 3 * max(d_floor)
 
 

@@ -189,8 +189,8 @@ def _build(config: RunConfig):
     from .core import build_grid
     entry = get_entry(config.problem)
     grid = entry.grid
-    x_min = config.x_min if config.x_min == config.x_min else grid.x_min[0]
-    x_max = config.x_max if config.x_max == config.x_max else grid.x_max[0]
+    x_min = config.x_min if config.x_min == config.x_min else grid.x_min
+    x_max = config.x_max if config.x_max == config.x_max else grid.x_max
     horizon = config.horizon if config.horizon == config.horizon else grid.horizon
     nx = config.nx or grid.nx
     nt = config.nt or grid.nt

@@ -187,6 +187,12 @@ def build_grid(dim: int, x_min, x_max, nx: int, horizon: float, nt: int) -> Grid
     return Grid(dim, tuple(lo), tuple(hi), int(nx), int(nt), float(horizon))
 
 
+def _second_moments(m: np.ndarray, grid: Grid) -> np.ndarray:
+    """Quadrature of |x|^2 against one grid density or a stack of them."""
+    sq = sum(x ** 2 for x in np.meshgrid(*grid.axes, indexing="ij"))
+    return np.sum(m * sq, axis=tuple(range(-grid.dim, 0))) * grid.cell_volume
+
+
 class MeasureView:
     """Read-only view of one time slice of a MeasureFlow, with cached summaries.
 
@@ -218,12 +224,7 @@ class MeasureView:
     @property
     def second_moment(self) -> float:
         if self._second_moment is None:
-            w = self.density * self.grid.cell_volume
-            if self.grid.dim == 1:
-                sq = self.grid.axis(0) ** 2
-            else:
-                sq = (self.grid.coords() ** 2).sum(axis=-1)
-            self._second_moment = float(np.sum(w * sq))
+            self._second_moment = float(_second_moments(self.density, self.grid))
         return self._second_moment
 
 
@@ -310,8 +311,8 @@ def diffusion_coefficients(problem: ProblemSpec, t: float, x: np.ndarray, view):
     sig = np.asarray(problem.diffusion_sigma(t, x, view), dtype=float)
     if problem.dim == 1:
         return (np.broadcast_to(0.5 * sig ** 2, x.shape),), None
-    sig = np.broadcast_to(sig, x.shape[:-1] + (2, 2))
     a = 0.5 * np.einsum("...ik,...jk->...ij", sig, sig)
+    a = np.broadcast_to(a, x.shape[:-1] + (2, 2))
     return (a[..., 0, 0], a[..., 1, 1]), a[..., 0, 1]
 
 
@@ -328,37 +329,45 @@ def interpolate_field(field_values: np.ndarray, grid: Grid, x) -> np.ndarray:
     """Multilinear interpolation of node values at points x (clamped to the box).
 
     Exact on affine functions. x: scalar or (N,) in 1D; (2,) or (N, 2) in 2D.
+    field_values has the grid's shape, optionally followed by component axes
+    (a 2D control field is (nx, nx, 2)); the cell lookup is done once for all
+    components. Returns one value, or one row of components, per point.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("interpolation points must be finite")
-    if grid.dim == 1:
-        pts = np.atleast_1d(x)
-        scalar = x.ndim == 0
-        cols = [pts]
-    else:
-        pts = x.reshape(-1, 2) if x.ndim > 1 or x.shape == (2,) else None
-        if pts is None:
-            raise ValueError("2D interpolation needs points of shape (..., 2)")
-        scalar = x.ndim == 1
-        cols = [pts[:, 0], pts[:, 1]]
+    dim, nx = grid.dim, grid.nx
+    if dim > 1 and (x.ndim == 0 or x.shape[-1] != dim):
+        raise ValueError(f"{dim}D interpolation needs points of shape (..., {dim})")
+    values = np.asarray(field_values, dtype=float)
+    if values.shape[:dim] != grid.shape:
+        raise ValueError(f"field shape {values.shape} does not match grid {grid.shape}")
+    lead = x.shape[:x.ndim - dim + 1]  # 1D points carry no coordinate axis
+    comps = values.shape[dim:]
+    table = values.reshape(grid.n_nodes, -1).T  # (components, nodes)
+    pts = x.reshape(-1, dim)
 
-    idx, frac = [], []
-    for d, c in enumerate(cols):
-        lo, h = grid.x_min[d], grid.h[d]
-        s = np.clip((c - lo) / h, 0.0, grid.nx - 1.0)
-        i = np.minimum(s.astype(int), grid.nx - 2)
-        idx.append(i)
-        frac.append(s - i)
+    # the cell lookup: flat index of the lower corner and per-axis weights
+    flat, weights, h = None, [], grid.h
+    for d in range(dim):
+        s = np.clip((pts[:, d] - grid.x_min[d]) / h[d], 0.0, nx - 1.0)
+        i = np.minimum(s.astype(int), nx - 2)
+        f = s - i
+        flat = i if flat is None else flat * nx + i
+        weights.append((1 - f, f))
 
-    if grid.dim == 1:
-        i, f = idx[0], frac[0]
-        out = field_values[i] * (1 - f) + field_values[i + 1] * f
-    else:
-        i, j = idx
-        fi, fj = frac
-        out = (field_values[i, j] * (1 - fi) * (1 - fj)
-               + field_values[i + 1, j] * fi * (1 - fj)
-               + field_values[i, j + 1] * (1 - fi) * fj
-               + field_values[i + 1, j + 1] * fi * fj)
-    return float(out[0]) if scalar else out
+    # the 2^dim corners, first axis varying fastest ((0,0), (1,0), (0,1), (1,1)
+    # in 2D), each a flat-index offset and its weights in axis order
+    corners = [(0, ())]
+    for d in range(dim):
+        step = nx ** (dim - 1 - d)
+        corners = [(off + c * step, ws + (weights[d][c],))
+                   for c in (0, 1) for off, ws in corners]
+    out = None
+    for off, ws in corners:
+        term = table.take(flat + off if off else flat, axis=1)
+        for w in ws:
+            term = term * w
+        out = term if out is None else out + term
+    out = out.T.reshape(lead + comps)
+    return float(out) if out.ndim == 0 else out

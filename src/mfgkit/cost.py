@@ -101,9 +101,13 @@ class OptimalityReport:
 def _sinusoid_fields(grid: Grid, dim: int, count: int,
                      rng: np.random.Generator) -> list[np.ndarray]:
     """Smooth unit-amplitude perturbation directions: tensor-product sinusoids
-    in (t, x) with random integer frequencies and phases."""
+    in (t, x) with random integer frequencies and phases. Each control
+    component is a product of sines over the axes, the spatial phase on the
+    first axis only, times a sine in t."""
     T = grid.horizon if grid.horizon > 0 else 1.0
-    t = grid.times[:, None] if dim == 1 else grid.times[:, None, None]
+    t = grid.times.reshape((-1,) + (1,) * dim)
+    xs = [grid.axis(a).reshape((1,) + tuple(-1 if b == a else 1 for b in range(dim)))
+          for a in range(dim)]
     fields = []
     for _ in range(count):
         comps = []
@@ -112,20 +116,13 @@ def _sinusoid_fields(grid: Grid, dim: int, count: int,
             kt = rng.integers(1, 4)
             ph_x = rng.uniform(0, 2 * np.pi)
             ph_t = rng.uniform(0, 2 * np.pi)
-            if dim == 1:
-                xs = grid.axis(0)[None, :]
-                span = grid.x_max[0] - grid.x_min[0]
-                eta = (np.sin(kx * np.pi * (xs - grid.x_min[0]) / span + ph_x)
-                       * np.sin(kt * np.pi * t / T + ph_t))
-            else:
-                x1 = grid.axis(0)[None, :, None]
-                x2 = grid.axis(1)[None, None, :]
-                s1 = grid.x_max[0] - grid.x_min[0]
-                s2 = grid.x_max[1] - grid.x_min[1]
-                eta = (np.sin(kx * np.pi * (x1 - grid.x_min[0]) / s1 + ph_x)
-                       * np.sin(kx * np.pi * (x2 - grid.x_min[1]) / s2)
-                       * np.sin(kt * np.pi * t / T + ph_t))
-            comps.append(eta)
+            eta = None
+            for a, x in enumerate(xs):
+                arg = kx * np.pi * (x - grid.x_min[a]) / (grid.x_max[a] - grid.x_min[a])
+                s = np.sin(arg + ph_x) if a == 0 else np.sin(arg)
+                eta = s if eta is None else eta * s
+            comps.append(eta * np.sin(kt * np.pi * t / T + ph_t))
+        # 1D controls carry no component axis
         fields.append(comps[0] if dim == 1 else np.stack(comps, axis=-1))
     return fields
 

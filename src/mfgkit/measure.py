@@ -16,7 +16,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .core import Grid, MeasureFlow
+from .core import Grid, MeasureFlow, _second_moments
 
 __all__ = [
     "FlowRegularityReport",
@@ -153,12 +153,6 @@ def second_moment_atoms(x: np.ndarray, w: np.ndarray) -> float:
     w = np.asarray(w, dtype=float)
     sq = x ** 2 if x.ndim == 1 else (x ** 2).sum(axis=-1)
     return float(np.sum(sq * w) / np.sum(w))
-
-
-def _second_moments(m: np.ndarray, grid: Grid) -> np.ndarray:
-    """Quadrature of |x|^2 against one grid density or a stack of them."""
-    sq = sum(x ** 2 for x in np.meshgrid(*grid.axes, indexing="ij"))
-    return np.sum(m * sq, axis=tuple(range(-grid.dim, 0))) * grid.cell_volume
 
 
 def second_moment(m: np.ndarray, grid: Grid) -> float:

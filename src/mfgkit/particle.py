@@ -50,47 +50,24 @@ class ParticleEnsemble:
 
 def sample_initial(density: np.ndarray, grid: Grid, n: int,
                    rng: np.random.Generator) -> np.ndarray:
-    """Draw n points from the cell histogram of a grid density: inverse CDF over
-    cells in 1D, rejection in 2D; uniform placement within each cell."""
-    if grid.dim == 1:
-        h = grid.h[0]
-        w = density * h
-        cdf = np.cumsum(w)
-        if cdf[-1] <= 0 or not np.isfinite(cdf[-1]):
-            raise ValueError("cannot sample from a zero or malformed density")
-        cdf /= cdf[-1]
-        u = rng.random(n)
-        cells = np.searchsorted(cdf, u, side="left")
-        jitter = (rng.random(n) - 0.5) * h
-        x = grid.axis(0)[cells] + jitter
-        return np.clip(x, grid.x_min[0], grid.x_max[0])
-    peak = density.max()
-    if peak <= 0:
+    """Draw n points from a grid density: each node is drawn with its atom
+    weight m_i * h^n by inverse CDF, then placed uniformly in its cell and
+    clipped to the box."""
+    m = np.asarray(density, dtype=float)
+    if m.shape != grid.shape:
+        raise ValueError(f"density shape {m.shape} does not match grid {grid.shape}")
+    if not np.all(np.isfinite(m)) or np.any(m < 0):
+        raise ValueError("cannot sample from a density with negative or "
+                         "non-finite entries")
+    cdf = np.cumsum(m.ravel() * grid.cell_volume)
+    if cdf[-1] <= 0:
         raise ValueError("cannot sample from a zero density")
-    out = np.empty((n, 2))
-    filled = 0
-    while filled < n:
-        batch = max(4 * (n - filled), 1024)
-        cand = np.column_stack([rng.uniform(grid.x_min[d], grid.x_max[d], batch)
-                                for d in range(2)])
-        ix = np.clip(np.rint((cand[:, 0] - grid.x_min[0]) / grid.h[0]).astype(int),
-                     0, grid.nx - 1)
-        iy = np.clip(np.rint((cand[:, 1] - grid.x_min[1]) / grid.h[1]).astype(int),
-                     0, grid.nx - 1)
-        accept = rng.random(batch) * peak < density[ix, iy]
-        take = cand[accept][: n - filled]
-        out[filled:filled + len(take)] = take
-        filled += len(take)
-    return out
-
-
-def policy_at(policy: np.ndarray, grid: Grid, k: int, x: np.ndarray) -> np.ndarray:
-    """Controls at points x and time level k: the per-node feedback controls
-    interpolated multilinearly, one component at a time in 2D."""
-    if grid.dim == 1:
-        return interpolate_field(policy[k], grid, x)
-    return np.stack([interpolate_field(policy[k][..., d], grid, x)
-                     for d in range(2)], axis=-1)
+    cdf /= cdf[-1]
+    cells = np.searchsorted(cdf, rng.random(n), side="left")
+    nodes = grid.coords().reshape(grid.n_nodes, grid.dim)
+    x = nodes[cells] + (rng.random((n, grid.dim)) - 0.5) * np.array(grid.h)
+    x = np.clip(x, grid.x_min, grid.x_max)
+    return x.reshape(n) if grid.dim == 1 else x  # 1D points carry no coordinate axis
 
 
 def simulate(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow,
@@ -108,14 +85,12 @@ def simulate(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow,
     dim, dt = problem.dim, grid.dt
     init_rng = _stream(seed, _INIT_STREAM)
     x = sample_initial(m_flow.densities[0], grid, n, init_rng)
-    shape = (grid.nt + 1, n) if dim == 1 else (grid.nt + 1, n, 2)
-    positions = np.empty(shape)
+    positions = np.empty((grid.nt + 1,) + x.shape)
     positions[0] = x
     max_abs = float(np.max(np.abs(x)))
     cost = np.zeros(n)
     clamped = 0
-    lo = np.array(grid.x_min) if dim == 2 else grid.x_min[0]
-    hi = np.array(grid.x_max) if dim == 2 else grid.x_max[0]
+    lo, hi = np.array(grid.x_min), np.array(grid.x_max)
     sqdt = np.sqrt(dt)
 
     for k in range(grid.nt):
@@ -124,20 +99,16 @@ def simulate(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow,
         b = problem.drift_b0(t, x, view)
         f = problem.running_f0(t, x, view)
         if policy_or_none is not None:
-            alpha = policy_at(policy_or_none, grid, k, x)
+            alpha = interpolate_field(policy_or_none[k], grid, x)
             b = b + problem.drift_b1(t, x, alpha)
             f = f + problem.running_f1(t, x, alpha)
         cost += np.broadcast_to(f, cost.shape) * dt
         sig = np.asarray(problem.diffusion_sigma(t, x, view), dtype=float)
         z = _stream(seed, k).standard_normal(x.shape)
-        if dim == 1:
-            x = x + np.broadcast_to(b, x.shape) * dt + sig * sqdt * z
-        else:
-            if sig.ndim == 2:
-                noise = z @ sig.T
-            else:
-                noise = np.einsum("nij,nj->ni", sig, z)
-            x = x + np.broadcast_to(b, x.shape) * dt + sqdt * noise
+        # 1D sigma drops its matrix axes, as 1D points drop their coordinate axis
+        noise = (sig * sqdt * z if dim == 1
+                 else np.einsum("...ij,...j->...i", sig * sqdt, z))
+        x = x + np.broadcast_to(b, x.shape) * dt + noise
         hit = (x < lo) | (x > hi)
         clamped += int(np.count_nonzero(hit))
         x = np.clip(x, lo, hi)

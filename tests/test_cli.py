@@ -1,10 +1,11 @@
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from mfgkit.cli import (EXIT_CONFIG, EXIT_OK, RunConfig, main,
+from mfgkit.cli import (EXIT_CONFIG, EXIT_OK, RunConfig, _build, main,
                         parse_config_file, read_checkpoint, read_field_csv,
                         run, write_checkpoint)
 from mfgkit.core import build_grid
@@ -28,6 +29,16 @@ def test_unknown_problem_is_config_error(tmp_path):
     cfg = RunConfig(problem="no-such-instance", out_dir=str(tmp_path / "o"))
     assert run(cfg) == EXIT_CONFIG
     assert not (tmp_path / "o").exists()
+
+
+def test_build_keeps_per_axis_box_bounds(monkeypatch):
+    from mfgkit import catalog
+    box = build_grid(2, [-4.0, -6.0], [4.0, 6.0], 21, 0.5, 10)
+    monkeypatch.setattr(catalog, "get_entry", lambda name: SimpleNamespace(grid=box))
+    _, grid = _build(RunConfig(problem="box-2d"))
+    assert grid == box
+    _, grid = _build(RunConfig(problem="box-2d", x_max=5.0))
+    assert grid.x_min == (-4.0, -6.0) and grid.x_max == (5.0, 5.0)
 
 
 def test_negative_nx_is_config_error_without_artifacts(tmp_path):

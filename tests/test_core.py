@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mfgkit.core import (ControlSpace, MeasureFlow, MeasureView, ProblemSpec,
-                         build_grid, discretize_initial_density,
-                         interpolate_field)
+                         build_grid, diffusion_coefficients,
+                         discretize_initial_density, interpolate_field)
 from mfgkit.catalog import gaussian_density, get_entry
 
 
@@ -79,6 +79,63 @@ def test_interpolate_clamps_outside():
     assert interpolate_field(f, g, 5.0) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         interpolate_field(f, g, float("nan"))
+
+
+def _cell(c, lo, h, nx):
+    # the lower node index and fraction of each point along one axis
+    s = np.clip((c - lo) / h, 0.0, nx - 1.0)
+    i = np.minimum(s.astype(int), nx - 2)
+    return i, s - i
+
+
+def test_interpolate_matches_written_out_formulas(rng):
+    g = build_grid(1, -3.0, 2.0, 31, 1.0, 4)
+    v = rng.standard_normal(31)
+    x = np.concatenate([rng.uniform(-4.0, 3.0, 300), [-3.0, 2.0, -7.5, 9.0]])
+    i, f = _cell(x, g.x_min[0], g.h[0], g.nx)
+    assert np.array_equal(interpolate_field(v, g, x), v[i] * (1 - f) + v[i + 1] * f)
+    assert interpolate_field(v, g, 2.0) == v[-1]
+
+    g = build_grid(2, [-3.0, -1.0], [2.0, 4.0], 21, 1.0, 4)
+    v = rng.standard_normal((21, 21, 2))
+    x = np.concatenate([rng.uniform([-4.0, -2.0], [3.0, 5.0], (300, 2)),
+                        [[2.0, 4.0], [-3.0, -1.0], [9.0, -9.0], [2.0, 0.3]]])
+    (i, fi), (j, fj) = (_cell(x[:, d], g.x_min[d], g.h[d], g.nx) for d in range(2))
+    both = interpolate_field(v, g, x)
+    assert both.shape == (len(x), 2)
+    for c in range(2):
+        w = v[..., c]
+        ref = (w[i, j] * (1 - fi) * (1 - fj) + w[i + 1, j] * fi * (1 - fj)
+               + w[i, j + 1] * (1 - fi) * fj + w[i + 1, j + 1] * fi * fj)
+        assert np.array_equal(interpolate_field(w, g, x), ref)
+        assert np.array_equal(both[:, c], ref)
+    assert np.array_equal(interpolate_field(v, g, x[0]), both[0])
+    assert interpolate_field(v[..., 0], g, np.array([2.0, 4.0])) == v[-1, -1, 0]
+    with pytest.raises(ValueError, match="field shape"):
+        interpolate_field(v[:20], g, x)
+
+
+def test_diffusion_tensor_equals_broadcast_then_einsum():
+    g = build_grid(2, -3.0, 3.0, 61, 1.0, 4)
+    c = g.coords()
+
+    def varying(t, x, m):
+        s = np.empty(x.shape[:-1] + (2, 2))
+        s[..., 0, 0] = 1.0 + 0.2 * np.tanh(x[..., 0])
+        s[..., 0, 1] = 0.3 * np.sin(x[..., 1])
+        s[..., 1, 0] = 0.1 * x[..., 0]
+        s[..., 1, 1] = 1.1 + 0.05 * x[..., 1] ** 2
+        return s
+
+    for sigma in (lambda t, x, m: np.array([[1.3, 0.4], [-0.2, 0.9]]), varying):
+        p = _dummy_problem(dim=2, diffusion_sigma=sigma)
+        (a11, a22), a12 = diffusion_coefficients(p, 0.0, c, None)
+        sig = np.broadcast_to(sigma(0.0, c, None), c.shape[:-1] + (2, 2))
+        a = 0.5 * np.einsum("...ik,...jk->...ij", sig, sig)
+        assert np.array_equal(a11, a[..., 0, 0])
+        assert np.array_equal(a22, a[..., 1, 1])
+        assert np.array_equal(a12, a[..., 0, 1])
+        assert a11.shape == a12.shape == g.shape
 
 
 def _dummy_problem(**kw):

@@ -4,8 +4,8 @@ import pytest
 from mfgkit.core import (MeasureFlow, ProblemSpec, build_grid,
                          discretize_initial_density, interpolate_field)
 from mfgkit.catalog import gaussian_density, get_entry
-from mfgkit.cost import (evaluate_cost, expected_initial_value,
-                         verify_optimality)
+from mfgkit.cost import (_sinusoid_fields, evaluate_cost,
+                         expected_initial_value, verify_optimality)
 from mfgkit.oracle import lq_riccati_value
 from mfgkit.mfg import feedback_policy
 from mfgkit.particle import simulate
@@ -155,3 +155,32 @@ def test_std_error_scales_inverse_sqrt_n(solved):
     large = evaluate_cost(e.problem, g, m, pol, 25_000, seed=21)
     ratio = small.std_error / large.std_error
     assert ratio == pytest.approx(5.0, rel=0.25)  # sqrt(25)
+
+
+def test_sinusoid_fields_match_written_out_formulas():
+    grids = (build_grid(1, -6.0, 5.0, 41, 0.8, 12),
+             build_grid(2, [-4.0, -3.0], [4.0, 5.0], 21, 0.5, 10))
+    for g in grids:
+        fields = _sinusoid_fields(g, g.dim, 3, np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        T = g.horizon
+        for eta in fields:
+            comps = []
+            for _ in range(g.dim):
+                kx, kt = rng.integers(1, 4), rng.integers(1, 4)
+                ph_x, ph_t = rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi)
+                s1 = g.x_max[0] - g.x_min[0]
+                if g.dim == 1:
+                    t, x1 = g.times[:, None], g.axis(0)[None, :]
+                    comps.append(np.sin(kx * np.pi * (x1 - g.x_min[0]) / s1 + ph_x)
+                                 * np.sin(kt * np.pi * t / T + ph_t))
+                else:
+                    t = g.times[:, None, None]
+                    x1, x2 = g.axis(0)[None, :, None], g.axis(1)[None, None, :]
+                    s2 = g.x_max[1] - g.x_min[1]
+                    comps.append(np.sin(kx * np.pi * (x1 - g.x_min[0]) / s1 + ph_x)
+                                 * np.sin(kx * np.pi * (x2 - g.x_min[1]) / s2)
+                                 * np.sin(kt * np.pi * t / T + ph_t))
+            ref = comps[0] if g.dim == 1 else np.stack(comps, axis=-1)
+            assert eta.shape == (g.nt + 1,) + g.shape + ((2,) if g.dim == 2 else ())
+            assert np.array_equal(eta, ref)

@@ -98,6 +98,35 @@ def test_sample_initial_matches_density(rng):
     assert d1_grid(emp, dens, g) <= 5e-3
 
 
+def test_sample_initial_2d_matches_density(rng):
+    g = build_grid(2, [-5.0, -4.0], [5.0, 6.0], 61, 1.0, 10)
+    c = g.coords()
+    dens = np.exp(-((c[..., 0] - 0.5) ** 2 + 2.0 * (c[..., 1] + 0.3) ** 2))
+    dens /= dens.sum() * g.cell_volume
+    pts = sample_initial(dens, g, 200_000, rng)
+    assert pts.shape == (200_000, 2)
+    assert np.all((pts >= g.x_min) & (pts <= g.x_max))
+    emp, leak = histogram_density(pts, g)
+    assert leak == 0.0
+    from mfgkit.measure import d1_grid
+    assert d1_grid(emp, dens, g) <= 5e-3
+    # a uniform density puts mass on the boundary nodes, whose cells reach
+    # past the box
+    pts = sample_initial(np.ones(g.shape), g, 20_000, rng)
+    assert np.all((pts >= g.x_min) & (pts <= g.x_max))
+    assert np.any(pts == g.x_min) and np.any(pts == g.x_max)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("bad", [-1e-3, np.nan])
+def test_sample_initial_rejects_negative_or_nonfinite_density(dim, bad):
+    g = build_grid(dim, -2.0, 2.0, 21, 1.0, 5)
+    dens = np.ones(g.shape)
+    dens[(3,) * dim] = bad
+    with pytest.raises(ValueError, match="density"):
+        sample_initial(dens, g, 10, np.random.default_rng(0))
+
+
 def test_resampling_self_consistency():
     # ensembles drawn from the flow itself: d1 sits at the Monte Carlo floor,
     # estimated by two independent resamplings

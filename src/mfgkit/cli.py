@@ -82,10 +82,10 @@ class RunConfig:
         path.write_text("\n".join(lines) + "\n")
 
 
-_BOOL_KEYS = {"verify", "resume", "dump_ensemble"}
-_INT_KEYS = {"nx", "nt", "max_iters", "picard_inner_iters", "n_particles",
-             "n_perturbations", "seed", "assumption_samples"}
-_FLOAT_KEYS = {"x_min", "x_max", "horizon", "theta", "tol", "duality_tol"}
+# typed keys by their defaults' types (`type(...) is`, since a bool is an int)
+_BOOL_KEYS, _INT_KEYS, _FLOAT_KEYS = (
+    tuple(f.name for f in fields(RunConfig) if type(f.default) is t)
+    for t in (bool, int, float))
 
 
 def parse_config_file(path: str) -> dict:
@@ -144,19 +144,21 @@ def read_checkpoint(path: Path, grid):
     if raw[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path} is not a checkpoint (bad magic)")
     off = 4
-    (version,) = struct.unpack_from("<I", raw, off); off += 4
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    (ghash,) = struct.unpack_from("<Q", raw, off); off += 8
-    if ghash != _grid_hash(grid):
-        raise ValueError("checkpoint grid does not match the configured grid")
-    (iteration,) = struct.unpack_from("<I", raw, off); off += 4
-    (nres,) = struct.unpack_from("<I", raw, off); off += 4
-    res = np.frombuffer(raw, dtype="<f8", count=nres, offset=off).tolist()
-    off += 8 * nres
-    (size,) = struct.unpack_from("<I", raw, off); off += 4
-    mu = np.frombuffer(raw, dtype="<f8", count=size, offset=off)
-    mu = mu.reshape((grid.nt + 1,) + grid.shape).copy()
+    try:
+        (version,) = struct.unpack_from("<I", raw, off); off += 4
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported version {version}")
+        (ghash,) = struct.unpack_from("<Q", raw, off); off += 8
+        if ghash != _grid_hash(grid):
+            raise ValueError("grid does not match the configured grid")
+        iteration, nres = struct.unpack_from("<II", raw, off); off += 8
+        res = np.frombuffer(raw, dtype="<f8", count=nres, offset=off).tolist()
+        off += 8 * nres
+        (size,) = struct.unpack_from("<I", raw, off); off += 4
+        mu = np.frombuffer(raw, dtype="<f8", count=size, offset=off)
+        mu = mu.reshape((grid.nt + 1,) + grid.shape).copy()
+    except (struct.error, ValueError) as e:  # a short or corrupt payload too
+        raise ValueError(f"checkpoint {path}: {e}") from None
     return IterationState(iteration=iteration, mu=mu, residual_history=res)
 
 
@@ -231,20 +233,20 @@ def _run_locked(config: RunConfig, entry, grid, out: Path) -> int:
     from .particle import simulate, compare_law
     from .cost import verify_optimality, expected_initial_value
 
+    state0 = None
+    ckpt = out / "checkpoint.bin"
+    if config.resume:  # validated before anything in the directory is written
+        try:
+            state0 = read_checkpoint(ckpt, grid)
+        except (OSError, ValueError) as e:
+            print(f"configuration error: {e}", file=sys.stderr)
+            return EXIT_CONFIG
+
     config.to_file(out / "run_config.txt")
     t_start = time.time()
     hjb_cfg = HjbSolverConfig(picard_inner_iters=config.picard_inner_iters)
     fx_cfg = FixedPointConfig(theta=config.theta, tol=config.tol,
                               max_iters=config.max_iters)
-
-    state0 = None
-    ckpt = out / "checkpoint.bin"
-    if config.resume:
-        if not ckpt.exists():
-            print(f"configuration error: no checkpoint in {out}", file=sys.stderr)
-            return EXIT_CONFIG
-        state0 = read_checkpoint(ckpt, grid)
-
     try:
         u, m, report = solve_mfg(
             entry.problem, grid, fx_cfg, hjb_cfg,
@@ -376,7 +378,7 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         for key in _INT_KEYS:
             p.add_argument(f"--{key.replace('_', '-')}", type=int, dest=key)
-        for key in _FLOAT_KEYS | {"theta", "tol"}:
+        for key in _FLOAT_KEYS:
             p.add_argument(f"--{key.replace('_', '-')}", type=float, dest=key)
         p.add_argument("--dump-ensemble", dest="dump_ensemble",
                        action="store_const", const=True, default=None)
@@ -391,11 +393,18 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig()
+    """Stored run_config.txt (resume only), then --config, --problem and flags,
+    each overriding the last. A resume may not switch problem (ValueError)."""
     updates: dict = {}
-    if getattr(args, "config", None):
+    if args.command == "resume":
+        rc_path = Path(args.out) / "run_config.txt"
+        if not rc_path.exists():
+            raise ValueError(f"{rc_path} not found")
+        updates.update(parse_config_file(str(rc_path)))
+    stored = updates.get("problem")
+    if args.config:
         updates.update(parse_config_file(args.config))
-    if getattr(args, "problem", None):
+    if args.problem:
         # a catalog name, or a config file describing the run
         if Path(args.problem).is_file():
             updates.update(parse_config_file(args.problem))
@@ -403,10 +412,14 @@ def _config_from_args(args) -> RunConfig:
             updates["problem"] = args.problem
     for f in fields(RunConfig):
         v = getattr(args, f.name, None)
-        if v is not None and f.name not in ("problem",):
+        if v is not None and f.name != "problem":
             updates[f.name] = v
-    for k, v in updates.items():
-        setattr(cfg, k, v)
+    if args.command == "resume":
+        if updates.get("problem") != stored:
+            raise ValueError(f"resume cannot switch problem {stored!r} to "
+                             f"{updates.get('problem')!r}")
+        updates["resume"] = True
+    cfg = RunConfig(**updates)
     cfg.out_dir = args.out
     return cfg
 
@@ -422,20 +435,8 @@ def main(argv=None) -> int:
                   f"nx={g.nx} nt={g.nt} T={g.horizon:g}  {entry.description}")
         return EXIT_OK
     try:
-        if args.command == "resume":
-            rc_path = Path(args.out) / "run_config.txt"
-            if not rc_path.exists():
-                raise ValueError(f"{rc_path} not found")
-            cfg = RunConfig(**parse_config_file(str(rc_path)))
-            for f in fields(RunConfig):  # explicit flags override the stored config
-                v = getattr(args, f.name, None)
-                if v is not None and f.name != "problem":
-                    setattr(cfg, f.name, v)
-            cfg.out_dir = args.out
-            cfg.resume = True
-        else:
-            cfg = _config_from_args(args)
-    except ValueError as e:  # unreadable config file: nothing has been written
+        cfg = _config_from_args(args)
+    except ValueError as e:  # unreadable config or a problem switch: nothing written
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     if args.command == "solve":

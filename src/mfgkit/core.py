@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 __all__ = [
     "ControlSpace",
@@ -314,6 +315,57 @@ def diffusion_coefficients(problem: ProblemSpec, t: float, x: np.ndarray, view):
     a = 0.5 * np.einsum("...ik,...jk->...ij", sig, sig)
     a = np.broadcast_to(a, x.shape[:-1] + (2, 2))
     return (a[..., 0, 0], a[..., 1, 1]), a[..., 0, 1]
+
+
+class StepCoefficients:
+    """One time level's coefficients at the measure view, evaluated once: b0,
+    f0, the per-axis diagonal diag_a of a = sigma sigma^T / 2, and a12, None in
+    1D or where it is identically zero. drift and cost add b1 and f1."""
+
+    __slots__ = ("problem", "t", "x", "shape", "b0", "f0", "diag_a", "a12")
+
+    def __init__(self, problem: ProblemSpec, t: float, x: np.ndarray, view):
+        self.problem, self.t, self.x = problem, t, x
+        self.shape = x.shape if problem.dim == 1 else x.shape[:-1]
+        self.b0 = problem.drift_b0(t, x, view)
+        self.f0 = problem.running_f0(t, x, view)
+        self.diag_a, a12 = diffusion_coefficients(problem, t, x, view)
+        self.a12 = a12 if a12 is not None and np.any(a12 != 0) else None
+
+    def drift(self, alpha=None) -> list:
+        """Per-axis drift b0 + b1(alpha), or b0 when alpha is None."""
+        b = self.b0 if alpha is None else \
+            self.b0 + self.problem.drift_b1(self.t, self.x, alpha)
+        return _components(np.asarray(b, dtype=float), self.shape)
+
+    def cost(self, alpha) -> np.ndarray:
+        """Running cost f0 + f1(alpha) on the nodes."""
+        f = self.f0 + self.problem.running_f1(self.t, self.x, alpha)
+        return np.broadcast_to(np.asarray(f, dtype=float), self.shape)
+
+
+def _components(v: np.ndarray, shape: tuple) -> list:
+    """Per-axis components of a vector field on nodes of the given shape: the
+    field itself in 1D, v[..., d] in 2D, each broadcast to the shape."""
+    if len(shape) == 1:
+        return [np.broadcast_to(v, shape)]
+    return [np.broadcast_to(v[..., d], shape) for d in range(len(shape))]
+
+
+def _mixed_diff(v: np.ndarray, h: tuple) -> np.ndarray:
+    """d2 v / dx1 dx2, centered (one-sided at the rim via np.gradient)."""
+    return np.gradient(np.gradient(v, h[0], axis=0), h[1], axis=1)
+
+
+def _solve_lines(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the banded system of every grid line (the last axis of rhs) in
+    one LAPACK call. band, (2 w + 1,) + rhs.shape, holds each line's matrix in
+    diagonal-ordered form; its entries reaching past a line's ends must be
+    zero, so the stacked block-diagonal system couples no two lines."""
+    w = band.shape[0] // 2
+    out = solve_banded((w, w), band.reshape(2 * w + 1, -1), rhs.reshape(-1),
+                       check_finite=False)
+    return out.reshape(rhs.shape)
 
 
 def gradient_field(values: np.ndarray, grid: Grid) -> np.ndarray:

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-from .core import (Grid, MeasureFlow, MeasureView, ProblemSpec, diffusion_coefficients,
-                   discretize_initial_density)
+from .core import (Grid, MeasureFlow, MeasureView, ProblemSpec, StepCoefficients,
+                   _solve_lines, discretize_initial_density)
 
 __all__ = ["FpSolverConfig", "FpError", "solve_fp"]
 
@@ -53,68 +52,50 @@ def _bernoulli_weight(z: np.ndarray) -> np.ndarray:
 
 def _advective_face_flux(m: np.ndarray, v: np.ndarray, a_face: np.ndarray,
                          h: float, scheme: str) -> np.ndarray:
-    """Explicit advective flux at interior faces for densities m along an axis.
+    """Explicit advective flux at interior faces for densities m along the last
+    axis.
 
     v is the effective face drift (drift minus the derivative of the diffusion
     coefficient when the scheme transforms the flux). Returns flux of shape
-    m.shape with the leading axis shortened by one.
+    m.shape with the last axis shortened by one.
     """
     if scheme == "upwind":
-        return np.where(v > 0, v * m[:-1], v * m[1:])
+        return np.where(v > 0, v * m[..., :-1], v * m[..., 1:])
     z = v * h / a_face
     bm = _bernoulli_weight(-z)
     bp = _bernoulli_weight(z)
     # exponential fitting split: total SG flux minus the implicit central part
-    return (a_face / h) * ((bm - 1.0) * m[:-1] - (bp - 1.0) * m[1:])
-
-
-def _implicit_fp_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
-                       rhs: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal systems along the leading axis, for every grid line
-    at once: the lines are stacked into one block-diagonal system whose
-    off-block entries are zero, and solved by a single LAPACK call."""
-    n = rhs.shape[0]
-    lo, dg, up, b = (v.reshape(n, -1).T for v in (lower, diag, upper, rhs))
-    ab = np.zeros((3,) + b.shape)
-    ab[0, :, 1:] = up[:, :-1]
-    ab[1] = dg
-    ab[2, :, :-1] = lo[:, 1:]
-    out = solve_banded((1, 1), ab.reshape(3, -1), b.ravel(), check_finite=False)
-    return out.reshape(b.shape).T.reshape(rhs.shape)
+    return (a_face / h) * ((bm - 1.0) * m[..., :-1] - (bp - 1.0) * m[..., 1:])
 
 
 def _axis_step(m: np.ndarray, b: np.ndarray, a: np.ndarray, h: float, dt: float,
                scheme: str, axis: int,
                cross_rhs: Optional[np.ndarray] = None) -> np.ndarray:
     """One conservative sub-step along one axis, for every grid line at once."""
-    m, b, a = (v.swapaxes(axis, 0) for v in (m, b, a))
-    v_face = 0.5 * (b[1:] + b[:-1])
-    a_face = 0.5 * (a[1:] + a[:-1])
+    m, b, a = (v.swapaxes(axis, -1) for v in (m, b, a))
+    v_face = 0.5 * (b[..., 1:] + b[..., :-1])
+    a_face = 0.5 * (a[..., 1:] + a[..., :-1])
     if scheme == "exponential":
         # the fitted flux transports against a d(m)/dx, so the drift absorbs a_x
-        v_face = v_face - (a[1:] - a[:-1]) / h
+        v_face = v_face - (a[..., 1:] - a[..., :-1]) / h
     f_adv = _advective_face_flux(m, v_face, a_face, h, scheme)
     rhs = m.copy()
-    rhs[:-1] -= dt / h * f_adv
-    rhs[1:] += dt / h * f_adv
+    rhs[..., :-1] -= dt / h * f_adv
+    rhs[..., 1:] += dt / h * f_adv
     if cross_rhs is not None:
-        rhs += dt * cross_rhs.swapaxes(axis, 0)
+        rhs += dt * cross_rhs.swapaxes(axis, -1)
+    # the implicit diffusive flux through each face weighs the densities on
+    # its two sides: a_face on both for the fitted flux, the nodal a for the
+    # flux form of the second derivative of (a m)
+    left, right = (a_face, a_face) if scheme == "exponential" else (a[..., :-1], a[..., 1:])
     r = dt / h ** 2
-    diag = np.ones_like(m)
-    lower = np.zeros_like(m)
-    upper = np.zeros_like(m)
-    if scheme == "exponential":
-        diag[:-1] += r * a_face
-        diag[1:] += r * a_face
-        upper[:-1] = -r * a_face
-        lower[1:] = -r * a_face
-    else:
-        # flux form of the second derivative of (a m)
-        diag[:-1] += r * a[:-1]
-        diag[1:] += r * a[1:]
-        upper[:-1] = -r * a[1:]
-        lower[1:] = -r * a[:-1]
-    return _implicit_fp_solve(lower, diag, upper, rhs).swapaxes(axis, 0)
+    band = np.zeros((3,) + m.shape)
+    band[0, ..., 1:] = -r * right        # superdiagonal
+    band[1] = 1.0                        # diagonal
+    band[1, ..., :-1] += r * left
+    band[1, ..., 1:] += r * right
+    band[2, ..., :-1] = -r * left        # subdiagonal
+    return _solve_lines(band, rhs).swapaxes(axis, -1)
 
 
 def solve_fp(problem: ProblemSpec, grid: Grid,
@@ -148,18 +129,13 @@ def solve_fp(problem: ProblemSpec, grid: Grid,
                 view = MeasureView(m_k, grid)
             else:
                 view = MeasureView(m_next / (m_next.sum() * grid.cell_volume), grid)
-            b = problem.drift_b0(t, coords, view)
-            if policy is not None:
-                b = b + problem.drift_b1(t, coords, policy[k])
-            diag_a, a12 = diffusion_coefficients(problem, t, coords, view)
-            b = np.asarray(b, dtype=float)
+            coef = StepCoefficients(problem, t, coords, view)
+            b = coef.drift(None if policy is None else policy[k])
             # the explicit mixed term enters the first axis sub-step only
-            cross = _cross_divergence(m_k, a12, grid) if a12 is not None \
-                and np.any(a12 != 0) else None
+            cross = None if coef.a12 is None else _cross_divergence(m_k, coef.a12, grid)
             m_next = m_k
             for d in range(grid.dim):
-                bd = np.broadcast_to(b if grid.dim == 1 else b[..., d], grid.shape)
-                m_next = _axis_step(m_next, bd, diag_a[d], grid.h[d], dt,
+                m_next = _axis_step(m_next, b[d], coef.diag_a[d], grid.h[d], dt,
                                     config.flux_scheme, d, cross)
                 cross = None
 

@@ -17,10 +17,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-from .core import (Grid, MeasureFlow, ProblemSpec, ValueField, diffusion_coefficients,
-                   gradient_field)
+from .core import (Grid, MeasureFlow, ProblemSpec, StepCoefficients, ValueField,
+                   _mixed_diff, _solve_lines, gradient_field)
 from .hamiltonian import PhiEvaluator, minimize_H
 
 __all__ = ["HjbSolverConfig", "HjbError", "CFLAdvisory", "solve_hjb"]
@@ -54,26 +53,24 @@ def _advective_term(u: np.ndarray, b: np.ndarray, a: np.ndarray, h: float,
     |b| h / a <= 2 to 1 as it tends to infinity. Boundary nodes use the
     second-order one-sided difference.
     """
-    u = np.moveaxis(u, axis, 0)
-    b = np.moveaxis(b, axis, 0)
-    a = np.moveaxis(a, axis, 0)
+    u, b, a = (v.swapaxes(axis, -1) for v in (u, b, a))
     fwd = np.empty_like(u)
     bwd = np.empty_like(u)
-    fwd[:-1] = (u[1:] - u[:-1]) / h
-    bwd[1:] = fwd[:-1]
-    fwd[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
-    bwd[-1] = fwd[-1]
-    bwd[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
-    fwd[0] = bwd[0]
+    fwd[..., :-1] = (u[..., 1:] - u[..., :-1]) / h
+    bwd[..., 1:] = fwd[..., :-1]
+    fwd[..., -1] = (3.0 * u[..., -1] - 4.0 * u[..., -2] + u[..., -3]) / (2.0 * h)
+    bwd[..., -1] = fwd[..., -1]
+    bwd[..., 0] = (-3.0 * u[..., 0] + 4.0 * u[..., 1] - u[..., 2]) / (2.0 * h)
+    fwd[..., 0] = bwd[..., 0]
     upw = np.where(b > 0, fwd, bwd)
     cen = np.empty_like(u)
-    cen[1:-1] = (u[2:] - u[:-2]) / (2 * h)
-    cen[0] = fwd[0]
-    cen[-1] = bwd[-1]
+    cen[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2 * h)
+    cen[..., 0] = fwd[..., 0]
+    cen[..., -1] = bwd[..., -1]
     pe = np.abs(b) * h / np.maximum(a, 1e-300)
     w = np.clip(1.0 - 2.0 / np.maximum(pe, 1e-300), 0.0, 1.0)
     out = b * ((1.0 - w) * cen + w * upw)
-    return np.moveaxis(out, 0, axis)
+    return out.swapaxes(axis, -1)
 
 
 def _implicit_diffusion_solve(a: np.ndarray, rhs: np.ndarray, h: float, dt: float,
@@ -82,31 +79,26 @@ def _implicit_diffusion_solve(a: np.ndarray, rhs: np.ndarray, h: float, dt: floa
 
     The wall node is slaved to cubic extrapolation of the new interior
     solution (u_xxx = 0 there, exact for quadratic profiles), so the two wall
-    rows reach three nodes in. The lines are stacked into one block-diagonal
-    banded system and solved by a single LAPACK call; every off-block band
-    entry is zero, so no line couples to another.
+    rows reach three nodes in.
     Raises HjbError when any line's residual exceeds tol (1 + max |rhs|).
     """
-    lines = rhs.swapaxes(axis, -1)
-    n = lines.shape[-1]
-    r = (a.swapaxes(axis, -1) * dt / h ** 2).reshape(-1, n)
-    b_rhs = lines.reshape(-1, n).copy()
-    b_rhs[:, 0] = b_rhs[:, -1] = 0.0
+    r = a.swapaxes(axis, -1) * dt / h ** 2
+    b_rhs = rhs.swapaxes(axis, -1).copy()
+    b_rhs[..., 0] = b_rhs[..., -1] = 0.0
     band = np.zeros((7,) + r.shape)
-    band[2, :, 1:] = -r[:, :-1]          # superdiagonal
+    band[2, ..., 1:] = -r[..., :-1]      # superdiagonal
     band[3] = 1.0 + 2.0 * r              # diagonal
-    band[4, :, :-1] = -r[:, 1:]          # subdiagonal
+    band[4, ..., :-1] = -r[..., 1:]      # subdiagonal
     for k, c in enumerate((1.0, -3.0, 3.0, -1.0)):  # u0 - 3u1 + 3u2 - u3 = 0
-        band[3 - k, :, k] = c
-        band[3 + k, :, -1 - k] = c
-    band = band.reshape(7, -1)
-    out = solve_banded((3, 3), band, b_rhs.ravel(), check_finite=False)
-    res = np.abs(_banded_matvec(band, 3, out) - b_rhs.ravel()).reshape(b_rhs.shape)
-    worst = res.max(axis=1)
-    bad = worst > tol * (1.0 + np.abs(b_rhs).max(axis=1))
+        band[3 - k, ..., k] = c
+        band[3 + k, ..., -1 - k] = c
+    out = _solve_lines(band, b_rhs)
+    res = _banded_matvec(band.reshape(7, -1), 3, out.ravel()) - b_rhs.ravel()
+    worst = np.abs(res).reshape(b_rhs.shape).max(axis=-1)
+    bad = worst > tol * (1.0 + np.abs(b_rhs).max(axis=-1))
     if bad.any():
         raise HjbError(f"linear solve residual {worst[bad].max():.3e} exceeds tolerance")
-    return out.reshape(lines.shape).swapaxes(axis, -1)
+    return out.swapaxes(axis, -1)
 
 
 def _banded_matvec(band: np.ndarray, bw: int, x: np.ndarray) -> np.ndarray:
@@ -115,11 +107,6 @@ def _banded_matvec(band: np.ndarray, bw: int, x: np.ndarray) -> np.ndarray:
         y[:-k] += band[bw - k, k:] * x[k:]
         y[k:] += band[bw + k, :-k] * x[:-k]
     return y
-
-
-def _mixed_term(u: np.ndarray, a12: np.ndarray, h: tuple) -> np.ndarray:
-    # 2 a12 u_x1x2, centered (one-sided at the rim via np.gradient)
-    return 2.0 * a12 * np.gradient(np.gradient(u, h[0], axis=0), h[1], axis=1)
 
 
 def solve_hjb(problem: ProblemSpec, grid: Grid, mu_flow: MeasureFlow,
@@ -154,29 +141,23 @@ def solve_hjb(problem: ProblemSpec, grid: Grid, mu_flow: MeasureFlow,
     cfl_worst = 0.0
     for k in range(grid.nt - 1, -1, -1):
         t = grid.time(k)
-        view = mu_flow.view(k)
-        diag_a, a12 = diffusion_coefficients(problem, t, coords, view)
+        coef = StepCoefficients(problem, t, coords, mu_flow.view(k))
         u_old = values[k + 1]
         p_lag = grads[k + 1]
-        b0 = problem.drift_b0(t, coords, view)
-        f0 = problem.running_f0(t, coords, view)
         u_new = u_old
         for _ in range(config.picard_inner_iters):
             alpha = minimize_H(problem, evaluator, t, coords, p_lag)
-            b = np.asarray(b0 + problem.drift_b1(t, coords, alpha), dtype=float)
-            f = np.asarray(f0 + problem.running_f1(t, coords, alpha), dtype=float)
             src = None
-            for d in range(grid.dim):
-                bd = np.broadcast_to(b if grid.dim == 1 else b[..., d], grid.shape)
+            for d, bd in enumerate(coef.drift(alpha)):
                 cfl_worst = max(cfl_worst, float(np.max(np.abs(bd))) * dt / h[d])
-                adv = _advective_term(u_old, bd, diag_a[d], h[d], axis=d)
+                adv = _advective_term(u_old, bd, coef.diag_a[d], h[d], axis=d)
                 src = adv if src is None else src + adv
-            src = src + np.broadcast_to(f, grid.shape)
-            if a12 is not None and np.any(a12 != 0):
-                src = src + _mixed_term(u_old, a12, h)
+            src = src + coef.cost(alpha)
+            if coef.a12 is not None:
+                src = src + 2.0 * coef.a12 * _mixed_diff(u_old, h)
             u_new = u_old + dt * src
             for d in range(grid.dim):
-                u_new = _implicit_diffusion_solve(diag_a[d], u_new, h[d], dt,
+                u_new = _implicit_diffusion_solve(coef.diag_a[d], u_new, h[d], dt,
                                                   config.linear_solver_tol, axis=d)
             if np.any(np.isnan(u_new)):
                 bad = np.argwhere(np.isnan(u_new))[0]

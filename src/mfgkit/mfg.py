@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (Grid, MeasureFlow, ProblemSpec, ValueField, diffusion_coefficients,
-                   discretize_initial_density)
+from .core import (Grid, MeasureFlow, ProblemSpec, StepCoefficients, ValueField,
+                   _components, _mixed_diff, discretize_initial_density)
 from .fp import FpSolverConfig, solve_fp
 from .hamiltonian import PhiEvaluator, minimize_H
 from .hjb import HjbSolverConfig, solve_hjb
@@ -178,44 +178,30 @@ def pde_residual(problem: ProblemSpec, grid: Grid, u: ValueField, m: MeasureFlow
     inner = (slice(margin, -margin),) * grid.dim
     for k in range(1, grid.nt):
         t = grid.time(k)
-        view = m.view(k)
         alpha = minimize_H(problem, evaluator, t, coords, u.du[k])
-        b = problem.drift_b0(t, coords, view) + problem.drift_b1(t, coords, alpha)
-        f = problem.running_f0(t, coords, view) + problem.running_f1(t, coords, alpha)
-        diag_a, a12 = diffusion_coefficients(problem, t, coords, view)
+        coef = StepCoefficients(problem, t, coords, m.view(k))
+        bs, dus = coef.drift(alpha), _components(u.du[k], grid.shape)
         u_t = (uv[k + 1] - uv[k - 1]) / (2 * dt)
         m_t = (mv[k + 1] - mv[k - 1]) / (2 * dt)
-        bs, dus = (_components(v, grid) for v in (b, u.du[k]))
         axes = range(grid.dim)
         adv = sum(bs[d] * dus[d] for d in axes)
-        diff = sum(diag_a[d] * _second_diff(uv[k], h[d], axis=d) for d in axes)
-        q = sum(_second_diff(diag_a[d] * mv[k], h[d], axis=d) for d in axes)
+        diff = sum(coef.diag_a[d] * _second_diff(uv[k], h[d], axis=d) for d in axes)
+        q = sum(_second_diff(coef.diag_a[d] * mv[k], h[d], axis=d) for d in axes)
         div_bm = sum(np.gradient(bs[d] * mv[k], h[d], axis=d) for d in axes)
-        if a12 is not None:
-            diff = diff + 2 * a12 * _mixed_diff(uv[k], h)
-            q = q + 2 * _mixed_diff(a12 * mv[k], h)
-        r_hjb = u_t + adv + diff + f
+        if coef.a12 is not None:
+            diff = diff + 2 * coef.a12 * _mixed_diff(uv[k], h)
+            q = q + 2 * _mixed_diff(coef.a12 * mv[k], h)
+        r_hjb = u_t + adv + diff + coef.cost(alpha)
         r_fp = m_t - q + div_bm
         hjb_worst = max(hjb_worst, float(np.max(np.abs(r_hjb[inner]))))
         fp_worst = max(fp_worst, float(np.max(np.abs(r_fp[inner]))))
     return hjb_worst, fp_worst
 
 
-def _components(v, grid: Grid) -> list:
-    """Per-axis components of a vector field on the nodes: the field itself in
-    1D, v[..., d] in 2D."""
-    v = np.broadcast_to(v, grid.shape + ((grid.dim,) if grid.dim > 1 else ()))
-    return [v] if grid.dim == 1 else [v[..., d] for d in range(grid.dim)]
-
-
-def _mixed_diff(v: np.ndarray, h) -> np.ndarray:
-    return np.gradient(np.gradient(v, h[0], axis=0), h[1], axis=1)
-
-
 def _second_diff(v: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
-    v = np.moveaxis(v, axis, 0)
+    v = v.swapaxes(axis, -1)
     out = np.zeros_like(v)
-    out[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / h ** 2
-    out[0] = out[1]
-    out[-1] = out[-2]
-    return np.moveaxis(out, 0, axis)
+    out[..., 1:-1] = (v[..., 2:] - 2 * v[..., 1:-1] + v[..., :-2]) / h ** 2
+    out[..., 0] = out[..., 1]
+    out[..., -1] = out[..., -2]
+    return out.swapaxes(axis, -1)

@@ -5,9 +5,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mfgkit.cli import (EXIT_CONFIG, EXIT_OK, RunConfig, _build, main,
-                        parse_config_file, read_checkpoint, read_field_csv,
-                        run, write_checkpoint)
+from mfgkit.cli import (EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, RunConfig, _build,
+                        _make_parser, main, parse_config_file, read_checkpoint,
+                        read_field_csv, run, write_checkpoint)
 from mfgkit.core import build_grid
 from mfgkit.mfg import IterationState
 
@@ -15,6 +15,7 @@ from mfgkit.mfg import IterationState
 SMALL = ["--nx", "81", "--nt", "60", "--n-particles", "2000",
          "--n-perturbations", "1", "--assumption-samples", "32",
          "--duality-tol", "0.15"]  # smoke-scale particle count
+TINY = ["--problem", "example5-weak", "--nx", "41", "--nt", "20"]  # solve only
 
 
 def test_catalog_list(capsys):
@@ -210,3 +211,67 @@ def test_hopfcole_default_grid_summary(tmp_path):
     assert s["checks"]["hjb_oracle"]
     assert s["all_checks_passed"]
     assert s["particle"]["max_abs_position"] <= 6.0
+
+
+def _snapshot(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("damage", ["grid", "truncated"])
+def test_resume_rejects_bad_checkpoint_before_writing(tmp_path, damage):
+    out = tmp_path / "o"
+    assert main(["solve"] + TINY + ["--max-iters", "2", "--out", str(out)]) == EXIT_VERIFY
+    ckpt = out / "checkpoint.bin"
+    argv = ["resume", "--out", str(out)]
+    if damage == "grid":
+        argv += ["--nt", "30"]  # checkpointed at nt = 20
+    else:
+        ckpt.write_bytes(ckpt.read_bytes()[:-8])
+    before = _snapshot(out)
+    assert main(argv) == EXIT_CONFIG
+    assert _snapshot(out) == before
+    if damage == "grid":  # the stored configuration still resumes
+        assert main(["resume", "--out", str(out), "--max-iters", "50"]) == EXIT_OK
+
+
+def test_resume_layers_stored_config_then_config_file_then_flags(tmp_path):
+    full, part = tmp_path / "full", tmp_path / "part"
+    assert main(["solve"] + TINY + ["--out", str(full)]) == EXIT_OK
+    assert main(["solve"] + TINY + ["--max-iters", "2", "--out", str(part)]) == EXIT_VERIFY
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("max_iters = 4\n")
+    # the file overrides the stored max_iters = 2 ...
+    assert main(["resume", "--config", str(cfg), "--out", str(part)]) == EXIT_VERIFY
+    assert len((part / "residuals.csv").read_text().splitlines()) == 1 + 4
+    # ... and a flag overrides the file
+    assert main(["resume", "--config", str(cfg), "--max-iters", "50",
+                 "--out", str(part)]) == EXIT_OK
+    for name in ("u_field.csv", "m_flow.csv", "residuals.csv"):
+        assert (full / name).read_bytes() == (part / name).read_bytes()
+
+
+def test_resume_rejects_bad_config_and_problem_switch_without_writing(tmp_path):
+    out = tmp_path / "o"
+    assert main(["solve"] + TINY + ["--max-iters", "2", "--out", str(out)]) == EXIT_VERIFY
+    before = _snapshot(out)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("nx = abc\n")
+    other = tmp_path / "other.txt"
+    other.write_text("problem = lq-riccati\n")
+    for extra in (["--config", str(bad)], ["--config", str(other)],
+                  ["--problem", "lq-riccati"]):
+        assert main(["resume", "--out", str(out)] + extra) == EXIT_CONFIG
+        assert _snapshot(out) == before
+
+
+def test_run_commands_keep_their_flag_set():
+    ap = _make_parser()
+    sub = next(a for a in ap._actions if a.dest == "command")
+    expected = {"-h", "--help", "--problem", "--config", "--out", "--nx", "--nt",
+                "--x-min", "--x-max", "--horizon", "--theta", "--tol",
+                "--max-iters", "--picard-inner-iters", "--n-particles",
+                "--n-perturbations", "--seed", "--assumption-samples",
+                "--duality-tol", "--dump-ensemble"}
+    for command in ("solve", "verify", "resume"):
+        actions = sub.choices[command]._actions
+        assert {o for a in actions for o in a.option_strings} == expected

@@ -204,26 +204,43 @@ def test_2d_cross_term_conserves_mass_and_positivity():
     assert flow.min_density.min() >= -1e-9  # cross term is explicit
 
 
-@pytest.mark.parametrize("axis", [0, 1])
-def test_2d_stacked_sweep_matches_per_line_solve(axis, varying_diffusion):
-    # zero drift with the upwind flux: the sub-step is the implicit zero-flux
-    # diffusion (I - dt D_xx(a .)) m_new = m along each line of the axis
+@pytest.mark.parametrize("axis,scheme", [(0, "upwind"), (1, "upwind"),
+                                         (0, "exponential"), (1, "exponential")],
+                         ids=["0", "1", "exponential-0", "exponential-1"])
+def test_2d_stacked_sweep_matches_per_line_solve(axis, scheme, varying_diffusion):
+    # zero drift: with the upwind flux the sub-step is the implicit zero-flux
+    # diffusion (I - dt D_xx(a .)) m_new = m along each line of the axis; the
+    # exponential flux diffuses with the face value a_face and carries the
+    # drift -a_x as an explicit fitted flux
     g, diag_a = varying_diffusion
     x = g.coords()
     a, h, dt = diag_a[axis], g.h[axis], g.dt
     m = np.exp(-((x - 0.3) ** 2).sum(-1))
-    out = _axis_step(m, np.zeros_like(m), a, h, dt, "upwind", axis)
+    out = _axis_step(m, np.zeros_like(m), a, h, dt, scheme, axis)
     ref = np.empty_like(m)
     r = dt / h ** 2
     for j in range(g.nx):
         line = (slice(None), j) if axis == 0 else (j, slice(None))
-        al = a[line]
+        al, rhs = a[line], m[line].copy()
         ab = np.zeros((3, g.nx))
-        ab[0, 1:] = -r * al[1:]
-        ab[1] = 1.0 + 2.0 * r * al
-        ab[1, [0, -1]] = 1.0 + r * al[[0, -1]]
-        ab[2, :-1] = -r * al[:-1]
-        ref[line] = solve_banded((1, 1), ab, m[line])
+        if scheme == "upwind":
+            ab[0, 1:] = -r * al[1:]
+            ab[1] = 1.0 + 2.0 * r * al
+            ab[1, [0, -1]] = 1.0 + r * al[[0, -1]]
+            ab[2, :-1] = -r * al[:-1]
+        else:
+            a_face = 0.5 * (al[1:] + al[:-1])
+            z = -(al[1:] - al[:-1]) / a_face  # face Peclet number of the drift -a_x
+            with np.errstate(invalid="ignore"):
+                bm, bp = (np.where(s == 0, 1.0, s / np.expm1(s)) for s in (-z, z))
+            flux = a_face / h * ((bm - 1.0) * rhs[:-1] - (bp - 1.0) * rhs[1:])
+            rhs[:-1] -= dt / h * flux
+            rhs[1:] += dt / h * flux
+            ab[0, 1:] = ab[2, :-1] = -r * a_face
+            ab[1] = 1.0
+            ab[1, :-1] += r * a_face
+            ab[1, 1:] += r * a_face
+        ref[line] = solve_banded((1, 1), ab, rhs)
     np.testing.assert_allclose(out, ref, rtol=1e-13, atol=1e-15)
 
 

@@ -247,3 +247,68 @@ def test_pde_residual_2d_matches_written_out_sums():
         fp_worst = max(fp_worst, float(np.max(np.abs(r_fp[inner]))))
     assert fp_worst > 0 and hjb_worst > 0
     assert pde_residual(p, g, u, m, margin=margin) == (hjb_worst, fp_worst)
+
+
+def _fingerprint(u, m, rep, node):
+    mid, half = u.grid.nt // 2, u.grid.nx // 2
+    return {"u": [float(u.values[0][node]), float(u.values[mid][node])],
+            "m": [float(m.densities[mid][node]), float(m.densities[-1][node])],
+            "row_sums": [float(u.values[0].sum()), float(u.values[mid].sum()),
+                         float(m.densities[mid][:half].sum()),
+                         float(m.densities[-1][:half].sum())],
+            "rho": [float(r) for r in rep.residual_history],
+            "pde": [float(r) for r in rep.pde_residuals]}
+
+
+def test_pinned_example5_solve():
+    # literal values pin the 1D HJB and exponential-flux FP steps, the damped
+    # iteration and the PDE residual, bit for bit
+    e = get_entry("example5-weak")
+    g = build_grid(1, -6.0, 6.0, 61, 1.0, 40)
+    u, m, rep = solve_mfg(e.problem, g, e.fixed_point)
+    assert _fingerprint(u, m, rep, 35) == {
+        "u": [0.8783036320492771, 0.6916444448212509],
+        "m": [0.3539444285610613, 0.3098121411193391],
+        "row_sums": [227.8190090423099, 267.64922620434027,
+                     1.445305565525515, 1.7447074428593174],
+        "rho": [0.4066076263949769, 0.00886126595251856, 0.004772621205905195,
+                0.0025697536446007405, 0.0013832514786556616,
+                0.0007443709361620264, 0.00040046121001955986,
+                0.00021538660716777783, 0.00011581600098655545,
+                6.226076150029571e-05],
+        "pde": [0.11715467801424317, 0.20391778500669167]}
+
+
+def test_pinned_2d_correlated_solve():
+    # correlated, x-dependent sigma with a mean-coupled drift and cost, and the
+    # upwind flux, whose diffusive band weighs the two sides of a face
+    # differently: literal values pin the mixed term of the HJB step and of
+    # the residual, and the orientation of the FP band
+    from mfgkit.core import ProblemSpec
+    from mfgkit.fp import FpSolverConfig
+    from mfgkit.hjb import HjbSolverConfig
+
+    def sigma(t, x, m):
+        sig = np.zeros(x.shape[:-1] + (2, 2))
+        sig[..., 0, 0] = np.sqrt(2.0) * (1.0 + 0.2 * np.tanh(x[..., 0] + 0.5 * x[..., 1]))
+        sig[..., 0, 1] = 0.3 * (1.0 + 0.5 * np.tanh(x[..., 1]))
+        sig[..., 1, 1] = np.sqrt(2.0) * (1.0 + 0.2 * np.tanh(x[..., 0]))
+        return sig
+    p = ProblemSpec(
+        dim=2, horizon=0.5, drift_b0=lambda t, x, m: 0.3 * np.tanh(m.mean - x),
+        drift_b1=lambda t, x, a: a, diffusion_sigma=sigma,
+        running_f0=lambda t, x, m: 0.1 * np.tanh(((x - m.mean) ** 2).sum(-1)),
+        running_f1=lambda t, x, a: 0.5 * (a ** 2).sum(axis=-1),
+        terminal_g=lambda x, m: 0.1 * ((x - 0.5) ** 2).sum(-1),
+        initial_density=lambda x: np.exp(-((x + 0.3) ** 2).sum(-1) / 2),
+        closed_form_phi=lambda t, x, q: -q, gamma1=0.5, gamma2=3.0)
+    g = build_grid(2, -3.0, 3.0, 21, 0.5, 20)
+    u, m, rep = solve_mfg(p, g, FixedPointConfig(max_iters=2), HjbSolverConfig(),
+                          FpSolverConfig(flux_scheme="upwind"))
+    assert _fingerprint(u, m, rep, (8, 12)) == {
+        "u": [0.30063152849182884, 0.2127929973655018],
+        "m": [0.09293965102560982, 0.08625136592009346],
+        "row_sums": [358.47299850684806, 335.69557149529726,
+                     6.256265422042299, 6.203389244545858],
+        "rho": [0.18090587134772199, 0.0011123442918681231],
+        "pde": [0.00040159925076875547, 0.002825522355146576]}

@@ -295,25 +295,33 @@ def _run_locked(config: RunConfig, entry, grid, out: Path) -> int:
         checks["hjb_oracle"] = err <= entry.oracle_tol
 
     if config.verify:
+        # a controlled entry's feedback paths are marched once, by
+        # verify_optimality, which also compares their law with the flow
         policy = feedback_policy(entry.problem, grid, u) if entry.controlled else None
-        ens = simulate(entry.problem, grid, m, policy, config.n_particles,
-                       config.seed)
-        if config.dump_ensemble:
-            np.save(out / "ensemble.npy", ens.positions)
-        profile = compare_law(ens, m, grid)
-        summary["particle"] = {
-            "n": config.n_particles, "seed": config.seed,
-            "max_d1": float(profile.max()),
-            "boundary_leak": ens.boundary_leak,
-            "max_abs_position": ens.max_abs_position,
-            "d1_profile_head": [float(v) for v in profile[:: max(1, grid.nt // 10)]],
-        }
-        del ens  # free the stored paths before verify_optimality stores its own
-        checks["sde_fp_duality"] = float(profile.max()) <= config.duality_tol
         if entry.controlled:
             opt = verify_optimality(entry.problem, grid, u, m,
                                     config.n_perturbations, config.n_particles,
                                     config.seed, policy=policy)
+            profile, leak, max_abs = (opt.d1_profile, opt.boundary_leak,
+                                      opt.max_abs_position)
+        if config.dump_ensemble or not entry.controlled:
+            ens = simulate(entry.problem, grid, m, policy, config.n_particles,
+                           config.seed)
+            if config.dump_ensemble:
+                np.save(out / "ensemble.npy", ens.positions)
+            if not entry.controlled:
+                profile = compare_law(ens, m, grid)
+                leak, max_abs = ens.boundary_leak, ens.max_abs_position
+            del ens
+        summary["particle"] = {
+            "n": config.n_particles, "seed": config.seed,
+            "max_d1": float(profile.max()),
+            "boundary_leak": leak,
+            "max_abs_position": max_abs,
+            "d1_profile_head": [float(v) for v in profile[:: max(1, grid.nt // 10)]],
+        }
+        checks["sde_fp_duality"] = float(profile.max()) <= config.duality_tol
+        if entry.controlled:
             summary["optimality"] = opt.to_dict()
             checks["optimality"] = opt.all_passed
         else:

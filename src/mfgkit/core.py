@@ -388,17 +388,25 @@ def interpolate_field(field_values: np.ndarray, grid: Grid, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("interpolation points must be finite")
-    dim, nx = grid.dim, grid.nx
+    dim = grid.dim
     if dim > 1 and (x.ndim == 0 or x.shape[-1] != dim):
         raise ValueError(f"{dim}D interpolation needs points of shape (..., {dim})")
     values = np.asarray(field_values, dtype=float)
     if values.shape[:dim] != grid.shape:
         raise ValueError(f"field shape {values.shape} does not match grid {grid.shape}")
     lead = x.shape[:x.ndim - dim + 1]  # 1D points carry no coordinate axis
-    comps = values.shape[dim:]
     table = values.reshape(grid.n_nodes, -1).T  # (components, nodes)
-    pts = x.reshape(-1, dim)
+    out = _interpolate(table, grid, x.reshape(-1, dim))
+    out = out.T.reshape(lead + values.shape[dim:])
+    return float(out) if out.ndim == 0 else out
 
+
+def _interpolate(table: np.ndarray, grid: Grid, pts: np.ndarray,
+                 base: Optional[np.ndarray] = None) -> np.ndarray:
+    """The interpolation kernel: table is (components, fields * nodes), a stack
+    of node fields; pts is (N, dim); base is None for one field, else each
+    point's offset field * n_nodes into the stack. Returns (components, N)."""
+    dim, nx = grid.dim, grid.nx
     # the cell lookup: flat index of the lower corner and per-axis weights
     flat, weights, h = None, [], grid.h
     for d in range(dim):
@@ -407,6 +415,8 @@ def interpolate_field(field_values: np.ndarray, grid: Grid, x) -> np.ndarray:
         f = s - i
         flat = i if flat is None else flat * nx + i
         weights.append((1 - f, f))
+    if base is not None:
+        flat = flat + base
 
     # the 2^dim corners, first axis varying fastest ((0,0), (1,0), (0,1), (1,1)
     # in 2D), each a flat-index offset and its weights in axis order
@@ -421,5 +431,4 @@ def interpolate_field(field_values: np.ndarray, grid: Grid, x) -> np.ndarray:
         for w in ws:
             term = term * w
         out = term if out is None else out + term
-    out = out.T.reshape(lead + comps)
-    return float(out) if out.ndim == 0 else out
+    return out

@@ -1,9 +1,10 @@
 """Monte Carlo evaluation of the control cost and statistical optimality checks.
 
-Pathwise costs are added up inside the particle march (`particle.simulate`).
-Feedback and perturbed policies are costed under the same frozen equilibrium
-flow and the same noise realization (common random numbers), which is what makes
-small suboptimality gaps resolvable at moderate path counts.
+Pathwise costs are added up inside the particle march (`particle._march`).
+Feedback and perturbed policies are costed in one stacked march, under the same
+frozen equilibrium flow and the same noise realization (common random numbers);
+the standard error of the paired per-path differences is what makes small
+suboptimality gaps resolvable at moderate path counts.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Grid, MeasureFlow, ProblemSpec, ValueField
-from .particle import simulate
+from .particle import _law_d1, _march, _single
 
 __all__ = [
     "CostEstimate",
@@ -41,12 +42,21 @@ def evaluate_cost(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow,
                   policy: np.ndarray, n: int,
                   seed: int) -> CostEstimate:
     """Sample mean and standard error of the pathwise cost under the policy,
-    which `simulate` adds up in its march: left-endpoint quadrature of the
-    running cost plus the terminal cost, the Euler-Maruyama convention."""
-    total = simulate(problem, grid, m_flow, policy, n, seed).cost
-    se = float(np.std(total, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return CostEstimate(mean=float(np.mean(total)), std_error=se,
-                        n_paths=n, seed=seed)
+    which the particle march adds up without storing the paths: left-endpoint
+    quadrature of the running cost plus the terminal cost, the Euler-Maruyama
+    convention."""
+    cost, _, _ = _march(problem, grid, m_flow, _single(policy), 1, n, seed)
+    return _estimate(cost[0], seed)
+
+
+def _std_error(samples: np.ndarray) -> float:
+    n = samples.size
+    return float(np.std(samples, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+
+
+def _estimate(total: np.ndarray, seed: int) -> CostEstimate:
+    return CostEstimate(mean=float(np.mean(total)), std_error=_std_error(total),
+                        n_paths=total.size, seed=seed)
 
 
 def expected_initial_value(u: ValueField, m0_density: np.ndarray,
@@ -64,11 +74,13 @@ class PerturbationResult:
     direction: int
     cost: CostEstimate
     gap: float            # perturbed mean minus feedback mean
+    paired_std_error: float  # of the per-path differences against the feedback
     passed: bool
 
     def to_dict(self) -> dict:
         return {"epsilon": self.epsilon, "direction": self.direction,
-                "cost": self.cost.to_dict(), "gap": self.gap, "passed": self.passed}
+                "cost": self.cost.to_dict(), "gap": self.gap,
+                "paired_std_error": self.paired_std_error, "passed": self.passed}
 
 
 @dataclass
@@ -80,6 +92,11 @@ class OptimalityReport:
     value_check_passed: bool = False
     perturbations: list = field(default_factory=list)
     all_perturbations_passed: bool = False
+    # the feedback paths' law check, which the CLI reports under `particle`:
+    # d1 to the flow per time level, boundary leak, sup |X|
+    d1_profile: np.ndarray = None
+    boundary_leak: float = np.nan
+    max_abs_position: float = np.nan
 
     @property
     def all_passed(self) -> bool:
@@ -136,34 +153,54 @@ def verify_optimality(problem: ProblemSpec, grid: Grid, u: ValueField,
 
     (i) the feedback cost matches the quadrature of u(0,.) against m0 within
     3 standard errors plus a discretization allowance; (ii) every perturbed
-    policy costs at least the feedback cost minus 3 combined standard errors.
-    All costs are evaluated against the same frozen flow and noise.
+    policy costs at least the feedback cost minus 3 standard errors of the
+    gap: the smaller of the paired-difference error and the hypot of the two
+    standard errors. The feedback and every perturbed policy are marched
+    together, against the same frozen flow and noise; the report also holds
+    the feedback paths' law check against the flow.
     """
     from .mfg import feedback_policy  # deferred: mfg depends on lower layers only
 
     if policy is None:
         policy = feedback_policy(problem, grid, u)
+    policy = np.asarray(policy, dtype=float)
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0x5EED],
+                                                            dtype=np.uint64)))
+    etas = _sinusoid_fields(grid, problem.dim, n_perturbations, rng)
+    members = [(j, eps) for j in range(len(etas)) for eps in epsilons]
+    clip = problem.control_space.clip
+
+    def controls(k):  # the feedback, then each perturbed policy, at level k
+        return np.stack([policy[k]] + [clip(policy[k] + eps * etas[j][k])
+                                       for j, eps in members])
+
     report = OptimalityReport()
-    fb = evaluate_cost(problem, grid, m_flow, policy, n_paths, seed)
+    report.d1_profile = np.empty(grid.nt + 1)
+
+    def law(k, x):
+        report.d1_profile[k] = _law_d1(x[:n_paths], m_flow.densities[k], grid)
+
+    cost, leak, max_abs = _march(problem, grid, m_flow, controls,
+                                 1 + len(members), n_paths, seed, law)
+    report.boundary_leak = float(leak[0])
+    report.max_abs_position = float(max_abs[0])
+    fb = _estimate(cost[0], seed)
     report.feedback_cost = fb
     report.expected_value = expected_initial_value(u, m_flow.densities[0], grid)
     report.value_gap = abs(fb.mean - report.expected_value)
     report.value_tolerance = 3.0 * fb.std_error + discretization_allowance
     report.value_check_passed = report.value_gap <= report.value_tolerance
 
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0x5EED],
-                                                            dtype=np.uint64)))
-    etas = _sinusoid_fields(grid, problem.dim, n_perturbations, rng)
     ok = True
-    for j, eta in enumerate(etas):
-        for eps in epsilons:
-            pert = problem.control_space.clip(policy + eps * eta)
-            ce = evaluate_cost(problem, grid, m_flow, pert, n_paths, seed)
-            gap = ce.mean - fb.mean
-            combined = np.hypot(ce.std_error, fb.std_error)
-            passed = gap >= -3.0 * combined
-            ok &= passed
-            report.perturbations.append(PerturbationResult(
-                epsilon=eps, direction=j, cost=ce, gap=gap, passed=passed))
+    for (j, eps), total in zip(members, cost[1:]):
+        ce = _estimate(total, seed)
+        gap = ce.mean - fb.mean
+        paired = _std_error(total - cost[0])
+        combined = np.hypot(ce.std_error, fb.std_error)
+        passed = gap >= -3.0 * min(paired, combined)
+        ok &= passed
+        report.perturbations.append(PerturbationResult(
+            epsilon=eps, direction=j, cost=ce, gap=gap,
+            paired_std_error=paired, passed=passed))
     report.all_perturbations_passed = ok
     return report

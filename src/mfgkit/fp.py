@@ -104,9 +104,10 @@ def solve_fp(problem: ProblemSpec, grid: Grid,
              config: FpSolverConfig = FpSolverConfig()) -> MeasureFlow:
     """March m forward from the discretized initial density.
 
-    mu_flow freezes the measure argument of the coefficients; passing None runs
-    the self-coupled form with coefficients evaluated at the current step's
-    density (explicit lag, config.inner_sweeps fixed-point sweeps per step).
+    mu_flow freezes the measure argument of the coefficients (one sweep per
+    step); passing None runs the self-coupled form with coefficients evaluated
+    at the current step's density (explicit lag, config.inner_sweeps
+    fixed-point sweeps per step).
     policy: None (uncontrolled) or an array of per-node controls indexed by
     time level.
     """
@@ -118,11 +119,14 @@ def solve_fp(problem: ProblemSpec, grid: Grid,
     min_density = np.zeros(grid.nt + 1)
     min_density[0] = densities[0].min()
 
+    # a frozen flow fixes the coefficients, so every further sweep would
+    # recompute the same step
+    sweeps = config.inner_sweeps if mu_flow is None else 1
     for k in range(grid.nt):
         t = grid.time(k)
         m_k = densities[k]
         m_next = m_k
-        for sweep in range(config.inner_sweeps):
+        for sweep in range(sweeps):
             if mu_flow is not None:
                 view = mu_flow.view(k)
             elif sweep == 0:
@@ -148,8 +152,12 @@ def solve_fp(problem: ProblemSpec, grid: Grid,
             bad = np.argwhere(~np.isfinite(m_next))[0]
             raise FpError(f"non-finite density at time index {k + 1}, node {tuple(bad)}")
         if lowest < -NEGATIVITY_TOL:
+            cause = ("the advective step is unstable (check the CFL bound)"
+                     if coef.a12 is None else
+                     "the explicit mixed-term flux of the off-diagonal diffusion "
+                     "a12 is not positivity-safe on this grid and time step")
             raise FpError(f"density fell to {lowest:.3e} at time index {k + 1}; "
-                          "the advective step is unstable (check the CFL bound)")
+                          + cause)
         if drift > MASS_DRIFT_TOL:
             raise FpError(f"pre-renormalization mass drift {drift:.3e} at "
                           f"time index {k + 1}")

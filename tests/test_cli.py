@@ -275,3 +275,25 @@ def test_run_commands_keep_their_flag_set():
     for command in ("solve", "verify", "resume"):
         actions = sub.choices[command]._actions
         assert {o for a in actions for o in a.option_strings} == expected
+
+
+@pytest.mark.parametrize("problem", ["lq-riccati", "uncontrolled-fp"])
+def test_verify_marches_once(tmp_path, monkeypatch, problem):
+    # a controlled entry's law check and optimality check share one stacked
+    # march; a control-free entry marches its ensemble once for the law check
+    from mfgkit import cost, particle
+    marches = []
+    march = particle._march
+
+    def counted(*args, **kwargs):
+        marches.append(args[4])  # the number of stacked policies
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(particle, "_march", counted)
+    monkeypatch.setattr(cost, "_march", counted)
+    out = tmp_path / "v"
+    main(["verify", "--problem", problem, "--out", str(out)] + SMALL)
+    assert marches == ([3] if problem == "lq-riccati" else [1])
+    checks = json.loads((out / "summary.json").read_text())["checks"]
+    assert checks["sde_fp_duality"]
+    assert checks.get("optimality", True)

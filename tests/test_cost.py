@@ -8,7 +8,7 @@ from mfgkit.cost import (_sinusoid_fields, evaluate_cost,
                          expected_initial_value, verify_optimality)
 from mfgkit.oracle import lq_riccati_value
 from mfgkit.mfg import feedback_policy
-from mfgkit.particle import simulate
+from mfgkit.particle import compare_law, simulate
 from test_particle import _problem, _flow
 
 
@@ -184,3 +184,63 @@ def test_sinusoid_fields_match_written_out_formulas():
             ref = comps[0] if g.dim == 1 else np.stack(comps, axis=-1)
             assert eta.shape == (g.nt + 1,) + g.shape + ((2,) if g.dim == 2 else ())
             assert np.array_equal(eta, ref)
+
+
+def _quadratic_value_2d(grid):
+    """A smooth stand-in value field for the 2D policy: u = |x|^2 / 4."""
+    from mfgkit.core import ValueField, gradient_field
+    vals = np.stack([0.25 * (grid.coords() ** 2).sum(-1)] * (grid.nt + 1))
+    return ValueField(vals, np.stack([gradient_field(v, grid) for v in vals]), grid)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_one_stacked_march_equals_separate_evaluations(dim):
+    # verify_optimality marches the feedback and every perturbed policy
+    # together: each cost equals a separate evaluate_cost bit for bit, the law
+    # profile, leak and sup |X| equal those of the feedback ensemble, and the
+    # gate uses the smaller of the paired and the combined standard error
+    if dim == 1:
+        e = get_entry("example5-weak")
+        problem, g = e.problem, build_grid(1, -6.0, 6.0, 61, 1.0, 40)
+        u = lq_riccati_value(0.5, g)
+    else:
+        problem, g, _ = _separable_2d()
+        u = _quadratic_value_2d(g)
+    flow, n, seed = _flow(problem, g), 400, 29
+    policy = feedback_policy(problem, g, u)
+    rep = verify_optimality(problem, g, u, flow, n_perturbations=2, n_paths=n,
+                            seed=seed, epsilons=(0.1, 0.3), policy=policy)
+    assert rep.feedback_cost == evaluate_cost(problem, g, flow, policy, n, seed)
+    ens = simulate(problem, g, flow, policy, n, seed)
+    assert np.array_equal(rep.d1_profile, compare_law(ens, flow, g))
+    assert rep.boundary_leak == ens.boundary_leak
+    assert rep.max_abs_position == ens.max_abs_position
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0x5EED],
+                                                            dtype=np.uint64)))
+    etas = _sinusoid_fields(g, g.dim, 2, rng)
+    assert len(rep.perturbations) == 4
+    for pr in rep.perturbations:
+        pert = problem.control_space.clip(policy + pr.epsilon * etas[pr.direction])
+        assert pr.cost == evaluate_cost(problem, g, flow, pert, n, seed)
+        diff = (simulate(problem, g, flow, pert, n, seed).cost - ens.cost)
+        assert pr.paired_std_error == float(np.std(diff, ddof=1) / np.sqrt(n))
+        assert 0 < pr.paired_std_error < np.hypot(pr.cost.std_error,
+                                                  rep.feedback_cost.std_error)
+        assert pr.passed == (pr.gap >= -3.0 * pr.paired_std_error)
+        assert pr.to_dict()["paired_std_error"] == pr.paired_std_error
+
+
+def test_evaluate_cost_stores_no_path():
+    import tracemalloc
+    e = get_entry("lq-riccati")
+    g = build_grid(1, -6.0, 6.0, 61, 1.0, 400)
+    policy = feedback_policy(e.problem, g, lq_riccati_value(0.5, g))
+    flow, n = _flow(e.problem, g), 2000
+    evaluate_cost(e.problem, g, flow, policy, n, seed=3)  # warm caches
+    tracemalloc.start()
+    try:
+        evaluate_cost(e.problem, g, flow, policy, n, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * (g.nt + 1) * 8 / 4

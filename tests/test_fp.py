@@ -250,3 +250,59 @@ def test_renormalization_flag_and_drift_reporting():
     flow = solve_fp(p, g, None, None, FpSolverConfig(renormalize_each_step=False))
     flow.validate(mass_tol=1e-6)  # conservative fluxes keep mass without help
     assert flow.mass_drift.max() <= 1e-10
+
+
+def test_frozen_flow_runs_one_sweep(monkeypatch):
+    # a frozen flow fixes the coefficients: more sweeps would recompute the
+    # same step, so solve_fp runs one and builds one StepCoefficients per step
+    from mfgkit import fp
+    p = _problem(drift_b0=lambda t, x, view: 0.5 * np.tanh(view.mean - x))
+    g = build_grid(1, -6.0, 6.0, 61, 1.0, 40)
+    mu = solve_fp(p, g, None, None)
+    one = solve_fp(p, g, mu, None, FpSolverConfig(inner_sweeps=1))
+    built = []
+
+    class Counted(fp.StepCoefficients):
+        def __init__(self, *args):
+            built.append(args[1])
+            super().__init__(*args)
+
+    monkeypatch.setattr(fp, "StepCoefficients", Counted)
+    three = solve_fp(p, g, mu, None, FpSolverConfig(inner_sweeps=3))
+    assert np.array_equal(three.densities, one.densities)
+    assert built == [g.time(k) for k in range(g.nt)]
+    # the self-coupled form still runs every sweep
+    built.clear()
+    solve_fp(p, g, None, None, FpSolverConfig(inner_sweeps=3))
+    assert len(built) == 3 * g.nt
+
+
+def _correlated_2d(sigma12):
+    def sigma(t, x, m):
+        sig = np.zeros(x.shape[:-1] + (2, 2))
+        sig[..., 0, 0] = np.sqrt(2.0) * (1.0 + 0.2 * np.tanh(x[..., 0] + 0.5 * x[..., 1]))
+        sig[..., 0, 1] = sigma12 * (1.0 + 0.5 * np.tanh(x[..., 1]))
+        sig[..., 1, 1] = np.sqrt(2.0) * (1.0 + 0.2 * np.tanh(x[..., 0]))
+        return sig
+    return ProblemSpec(
+        dim=2, horizon=0.25, drift_b0=lambda t, x, m: 0.3 * np.tanh(m.mean - x),
+        drift_b1=lambda t, x, a: a, diffusion_sigma=sigma,
+        running_f0=lambda t, x, m: 0.1 * np.tanh(((x - m.mean) ** 2).sum(-1)),
+        running_f1=lambda t, x, a: 0.5 * (a ** 2).sum(axis=-1),
+        terminal_g=lambda x, m: np.zeros(x.shape[:-1]),
+        initial_density=lambda x: np.exp(-(x ** 2).sum(-1)),
+        closed_form_phi=lambda t, x, q: -q, gamma1=0.5, gamma2=3.0)
+
+
+def test_mixed_flux_negativity_names_the_mixed_term():
+    # 21^2 x 20 on [-3, 3]^2 with the upwind flux: the explicit mixed-term
+    # flux of the correlated diffusion drives tail densities below
+    # -NEGATIVITY_TOL; without the correlation the same march stays positive,
+    # so the advective CFL bound is not the cause
+    g = build_grid(2, -3.0, 3.0, 21, 0.25, 20)
+    upwind = FpSolverConfig(flux_scheme="upwind")
+    with pytest.raises(FpError, match="mixed-term flux") as err:
+        solve_fp(_correlated_2d(0.3), g, None, None, upwind)
+    assert "CFL" not in str(err.value)
+    flow = solve_fp(_correlated_2d(0.0), g, None, None, upwind)
+    assert flow.min_density.min() >= 0.0

@@ -6,7 +6,7 @@ from mfgkit.catalog import gaussian_density, get_entry
 from mfgkit.measure import d1_atoms, histogram_density
 from mfgkit.mfg import feedback_policy
 from mfgkit.oracle import lq_riccati_value
-from mfgkit.particle import compare_law, sample_initial, simulate
+from mfgkit.particle import _march, compare_law, sample_initial, simulate
 
 
 def _problem(**kw):
@@ -211,3 +211,66 @@ def test_malformed_initial_density_fails_cleanly():
     g = build_grid(1, -2.0, 2.0, 21, 1.0, 5)
     with pytest.raises(ValueError, match="density"):
         sample_initial(np.zeros(21), g, 10, np.random.default_rng(0))
+
+
+def _correlated_2d():
+    """A 2D problem with correlated, x-dependent sigma, a mean-coupled drift
+    and cost, and a control entering drift and cost."""
+    def sigma(t, x, m):
+        sig = np.zeros(x.shape[:-1] + (2, 2))
+        sig[..., 0, 0] = np.sqrt(2.0) * (1.0 + 0.2 * np.tanh(x[..., 0] + 0.5 * x[..., 1]))
+        sig[..., 0, 1] = 0.3 * (1.0 + 0.5 * np.tanh(x[..., 1]))
+        sig[..., 1, 1] = np.sqrt(2.0) * (1.0 + 0.2 * np.tanh(x[..., 0]))
+        return sig
+    return ProblemSpec(
+        dim=2, horizon=0.5, drift_b0=lambda t, x, m: 0.3 * np.tanh(m.mean - x),
+        drift_b1=lambda t, x, a: a, diffusion_sigma=sigma,
+        running_f0=lambda t, x, m: 0.1 * np.tanh(((x - m.mean) ** 2).sum(-1)),
+        running_f1=lambda t, x, a: 0.5 * (a ** 2).sum(axis=-1),
+        terminal_g=lambda x, m: 0.1 * ((x - 0.5) ** 2).sum(-1),
+        initial_density=lambda x: np.exp(-((x + 0.3) ** 2).sum(-1) / 2),
+        closed_form_phi=lambda t, x, q: -q, gamma1=0.5, gamma2=3.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stacked_march_members_equal_separate_marches(dim):
+    # one march of several stacked policies: each member's costs, boundary
+    # leak and sup |X| equal those of simulate on that policy alone, and the
+    # observer sees the members' points end to end, member-major
+    if dim == 1:
+        e = get_entry("lq-riccati")
+        problem, g = e.problem, build_grid(1, -6.0, 6.0, 61, 1.0, 20)
+        base = feedback_policy(problem, g, lq_riccati_value(0.5, g))
+    else:
+        problem, g = _correlated_2d(), build_grid(2, -4.0, 4.0, 21, 0.5, 20)
+        base = np.stack([-(1.0 - t) * g.coords() for t in g.times])
+    rng = np.random.default_rng(31)
+    policies = [base] + [base + 0.3 * rng.standard_normal(base.shape)
+                         for _ in range(3)]
+    flow, n = _flow(problem, g), 257
+    seen = []
+    cost, leak, max_abs = _march(problem, g, flow,
+                                 lambda k: np.stack([p[k] for p in policies]),
+                                 len(policies), n, 23,
+                                 lambda k, x: seen.append(x.copy()))
+    assert cost.shape == (len(policies), n)
+    for j, policy in enumerate(policies):
+        ens = simulate(problem, g, flow, policy, n, seed=23)
+        assert np.array_equal(cost[j], ens.cost)
+        assert leak[j] == ens.boundary_leak
+        assert max_abs[j] == ens.max_abs_position
+        assert np.array_equal(np.stack([x[j * n:(j + 1) * n] for x in seen]),
+                              ens.positions)
+
+
+def test_non_finite_positions_fail_cleanly():
+    # a drift that turns NaN mid-march stops the march at that level, with or
+    # without a stored path and with or without a policy to interpolate
+    from mfgkit.cost import evaluate_cost
+    p = _problem(drift_b0=lambda t, x, m: np.full_like(x, np.nan if t > 0.3 else 0.0))
+    g = build_grid(1, -4.0, 4.0, 41, 1.0, 10)
+    flow, policy = _flow(p, g), np.zeros((g.nt + 1, g.nx))
+    with pytest.raises(ValueError, match="non-finite positions"):
+        simulate(p, g, flow, None, 50, seed=1)
+    with pytest.raises(ValueError, match="non-finite positions"):
+        evaluate_cost(p, g, flow, policy, 50, seed=1)

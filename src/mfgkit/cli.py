@@ -166,18 +166,17 @@ def _write_field_csv(path: Path, grid, values) -> None:
     """Long format t,x1[,x2],value with 17 significant digits, one row per
     node, nodes in C order within each time level."""
     import numpy as np
-    coords = grid.coords().reshape(grid.n_nodes, grid.dim)
+    coords = grid.coords().reshape(grid.n_nodes, grid.dim).tolist()
     header = "t," + ",".join(f"x{d + 1}" for d in range(grid.dim)) + ",value\n"
-    row = ",".join(["%.17g"] * (grid.dim + 2)) + "\n"
-    block = row * grid.n_nodes
-    rows = np.empty((grid.n_nodes, grid.dim + 2))
-    rows[:, 1:-1] = coords
+    # each node's row after its time column, coordinates formatted once; the
+    # only % directive left is the value's
+    tails = ["".join(",%.17g" % c for c in xs) + ",%.17g\n" for xs in coords]
     with open(path, "w") as fh:
         fh.write(header)
         for k in range(grid.nt + 1):
-            rows[:, 0] = grid.time(k)
-            rows[:, -1] = values[k].ravel()
-            fh.write(block % tuple(rows.ravel().tolist()))
+            lead = "%.17g" % grid.time(k)
+            block = lead + lead.join(tails)
+            fh.write(block % tuple(np.asarray(values[k], dtype=float).ravel().tolist()))
 
 
 def read_field_csv(path: Path, grid):

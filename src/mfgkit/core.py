@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 __all__ = [
     "ControlSpace",
@@ -262,6 +262,8 @@ class MeasureFlow:
     grid: Grid
     mass_drift: Optional[np.ndarray] = None
     min_density: Optional[np.ndarray] = None
+    _views: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         self.densities.flags.writeable = False
@@ -276,7 +278,12 @@ class MeasureFlow:
             raise ValueError(f"mass deviates from 1 by {worst:.3e}")
 
     def view(self, k: int) -> MeasureView:
-        return MeasureView(self.densities[k], self.grid)
+        """The view of level k; one per level, so every reader of the
+        (read-only) flow shares its cached summaries."""
+        view = self._views.get(k)
+        if view is None:
+            view = self._views[k] = MeasureView(self.densities[k], self.grid)
+        return view
 
     @staticmethod
     def constant_in_time(density: np.ndarray, grid: Grid) -> "MeasureFlow":
@@ -352,28 +359,87 @@ def _components(v: np.ndarray, shape: tuple) -> list:
     return [np.broadcast_to(v[..., d], shape) for d in range(len(shape))]
 
 
+def _first_diff(v: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
+    """dv/dx along one axis: central differences inside, first-order one-sided
+    (v[1] - v[0]) / h at the rim; the arithmetic of numpy's gradient with
+    uniform spacing, without its per-call overhead."""
+    v = np.swapaxes(np.asarray(v, dtype=float), axis, -1)
+    out = np.empty_like(v)
+    out[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * h)
+    out[..., 0] = (v[..., 1] - v[..., 0]) / h
+    out[..., -1] = (v[..., -1] - v[..., -2]) / h
+    return out.swapaxes(axis, -1)
+
+
 def _mixed_diff(v: np.ndarray, h: tuple) -> np.ndarray:
-    """d2 v / dx1 dx2, centered (one-sided at the rim via np.gradient)."""
-    return np.gradient(np.gradient(v, h[0], axis=0), h[1], axis=1)
+    """d2 v / dx1 dx2, centered (one-sided at the rim)."""
+    return _first_diff(_first_diff(v, h[0], axis=0), h[1], axis=1)
 
 
-def _solve_lines(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the banded system of every grid line (the last axis of rhs) in
-    one LAPACK call. band, (2 w + 1,) + rhs.shape, holds each line's matrix in
-    diagonal-ordered form; its entries reaching past a line's ends must be
-    zero, so the stacked block-diagonal system couples no two lines."""
-    w = band.shape[0] // 2
-    out = solve_banded((w, w), band.reshape(2 * w + 1, -1), rhs.reshape(-1),
-                       check_finite=False)
-    return out.reshape(rhs.shape)
+_GBTRF, _GBTRS, _GTTRF, _GTTRS = get_lapack_funcs(
+    ("gbtrf", "gbtrs", "gttrf", "gttrs"), dtype=np.float64)
+
+
+class LineSystem:
+    """The implicit-diffusion systems of every grid line along one axis as one
+    block-diagonal banded system, assembled and LU-factored once per distinct
+    diffusion array.
+
+    band(a, *args) assembles the lines' matrices from the diffusion array a
+    (line axis last) in diagonal-ordered form, shape (2 w + 1,) + a.shape; its
+    entries reaching past a line's ends must be zero, so no two lines couple.
+    A tridiagonal band (w = 1) is factored by gttrf, a wider one by gbtrf.
+    LAPACK's gtsv and gbsv are these factorizations followed by gttrs and
+    gbtrs, so a solve gives the bits of one gtsv or gbsv call on the band.
+    """
+
+    def __init__(self, band: Callable, *args):
+        self._assemble, self._args = band, args
+        self.a = None         # the diffusion array band and factors come from
+        self.band = None      # (2 w + 1, lines * nodes)
+        self._factors = None
+
+    def solve(self, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve every line's system at diffusion a for rhs of a's shape,
+        refactoring only when a is not bitwise equal to self.a."""
+        if self.a is None or not np.array_equal(a, self.a):
+            self._factor(a)
+        w = self.band.shape[0] // 2
+        if w == 1:
+            x, info = _GTTRS(*self._factors, rhs.reshape(-1))
+        else:
+            lu, piv = self._factors
+            x, info = _GBTRS(lu, w, w, rhs.reshape(-1), piv)
+        _check_info(info)
+        return x.reshape(rhs.shape)
+
+    def _factor(self, a: np.ndarray) -> None:
+        band = self._assemble(a, *self._args)
+        w = band.shape[0] // 2
+        band = band.reshape(2 * w + 1, -1)
+        if w == 1:
+            *factors, info = _GTTRF(band[2, :-1], band[1], band[0, 1:])
+        else:
+            ab = np.zeros((3 * w + 1, band.shape[1]))  # w rows of fill-in on top
+            ab[w:] = band
+            *factors, info = _GBTRF(ab, w, w, overwrite_ab=1)
+        _check_info(info)
+        self.a, self.band, self._factors = a, band, factors
+
+
+def _check_info(info: int) -> None:
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of a LAPACK banded solve")
 
 
 def gradient_field(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Central differences interior, one-sided at the boundary."""
     if grid.dim == 1:
-        return np.gradient(values, grid.h[0])
-    g1 = np.gradient(values, grid.h[0], axis=0)
-    g2 = np.gradient(values, grid.h[1], axis=1)
+        return _first_diff(values, grid.h[0])
+    g1 = _first_diff(values, grid.h[0], axis=0)
+    g2 = _first_diff(values, grid.h[1], axis=1)
     return np.stack([g1, g2], axis=-1)
 
 

@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (Grid, MeasureFlow, MeasureView, ProblemSpec, StepCoefficients,
-                   _solve_lines, discretize_initial_density)
+from .core import (Grid, LineSystem, MeasureFlow, MeasureView, ProblemSpec,
+                   StepCoefficients, _first_diff, discretize_initial_density)
 
 __all__ = ["FpSolverConfig", "FpError", "solve_fp"]
 
@@ -68,8 +68,30 @@ def _advective_face_flux(m: np.ndarray, v: np.ndarray, a_face: np.ndarray,
     return (a_face / h) * ((bm - 1.0) * m[..., :-1] - (bp - 1.0) * m[..., 1:])
 
 
-def _axis_step(m: np.ndarray, b: np.ndarray, a: np.ndarray, h: float, dt: float,
-               scheme: str, axis: int,
+def _diffusion_band(a: np.ndarray, h: float, dt: float, scheme: str) -> np.ndarray:
+    """The tridiagonal band of the implicit zero-flux diffusion on every grid
+    line (line axis last).
+
+    The diffusive flux through each face weighs the densities on its two
+    sides: a_face on both for the fitted flux, the nodal a for the flux form
+    of the second derivative of (a m).
+    """
+    if scheme == "exponential":
+        left = right = 0.5 * (a[..., 1:] + a[..., :-1])
+    else:
+        left, right = a[..., :-1], a[..., 1:]
+    r = dt / h ** 2
+    band = np.zeros((3,) + a.shape)
+    band[0, ..., 1:] = -r * right        # superdiagonal
+    band[1] = 1.0                        # diagonal
+    band[1, ..., :-1] += r * left
+    band[1, ..., 1:] += r * right
+    band[2, ..., :-1] = -r * left        # subdiagonal
+    return band
+
+
+def _axis_step(lines: LineSystem, m: np.ndarray, b: np.ndarray, a: np.ndarray,
+               h: float, dt: float, scheme: str, axis: int,
                cross_rhs: Optional[np.ndarray] = None) -> np.ndarray:
     """One conservative sub-step along one axis, for every grid line at once."""
     m, b, a = (v.swapaxes(axis, -1) for v in (m, b, a))
@@ -84,18 +106,7 @@ def _axis_step(m: np.ndarray, b: np.ndarray, a: np.ndarray, h: float, dt: float,
     rhs[..., 1:] += dt / h * f_adv
     if cross_rhs is not None:
         rhs += dt * cross_rhs.swapaxes(axis, -1)
-    # the implicit diffusive flux through each face weighs the densities on
-    # its two sides: a_face on both for the fitted flux, the nodal a for the
-    # flux form of the second derivative of (a m)
-    left, right = (a_face, a_face) if scheme == "exponential" else (a[..., :-1], a[..., 1:])
-    r = dt / h ** 2
-    band = np.zeros((3,) + m.shape)
-    band[0, ..., 1:] = -r * right        # superdiagonal
-    band[1] = 1.0                        # diagonal
-    band[1, ..., :-1] += r * left
-    band[1, ..., 1:] += r * right
-    band[2, ..., :-1] = -r * left        # subdiagonal
-    return _solve_lines(band, rhs).swapaxes(axis, -1)
+    return lines.solve(a, rhs).swapaxes(axis, -1)
 
 
 def solve_fp(problem: ProblemSpec, grid: Grid,
@@ -115,6 +126,8 @@ def solve_fp(problem: ProblemSpec, grid: Grid,
     densities[0], _ = discretize_initial_density(problem, grid)
     coords = grid.coords()
     dt = grid.dt
+    lines = [LineSystem(_diffusion_band, grid.h[d], dt, config.flux_scheme)
+             for d in range(grid.dim)]
     mass_drift = np.zeros(grid.nt + 1)
     min_density = np.zeros(grid.nt + 1)
     min_density[0] = densities[0].min()
@@ -139,8 +152,8 @@ def solve_fp(problem: ProblemSpec, grid: Grid,
             cross = None if coef.a12 is None else _cross_divergence(m_k, coef.a12, grid)
             m_next = m_k
             for d in range(grid.dim):
-                m_next = _axis_step(m_next, b[d], coef.diag_a[d], grid.h[d], dt,
-                                    config.flux_scheme, d, cross)
+                m_next = _axis_step(lines[d], m_next, b[d], coef.diag_a[d],
+                                    grid.h[d], dt, config.flux_scheme, d, cross)
                 cross = None
 
         mass = m_next.sum() * grid.cell_volume
@@ -176,12 +189,12 @@ def _cross_divergence(m: np.ndarray, a12: np.ndarray, grid: Grid) -> np.ndarray:
     assembled as flux differences so it telescopes in both directions."""
     h1, h2 = grid.h
     q = a12 * m
-    dq_dy = np.gradient(q, h2, axis=1)
+    dq_dy = _first_diff(q, h2, axis=1)
     fx = 0.5 * (dq_dy[1:, :] + dq_dy[:-1, :])   # x-face value of d(a12 m)/dy
     out = np.zeros_like(m)
     out[:-1, :] += fx / h1
     out[1:, :] -= fx / h1
-    dq_dx = np.gradient(q, h1, axis=0)
+    dq_dx = _first_diff(q, h1, axis=0)
     fy = 0.5 * (dq_dx[:, 1:] + dq_dx[:, :-1])
     out[:, :-1] += fy / h2
     out[:, 1:] -= fy / h2

@@ -8,7 +8,8 @@ sign-upwinded differences by the mesh Peclet number, so it is second order where
 diffusion resolves the drift and monotone where it does not. The one wall
 closure slaves each wall node to cubic extrapolation of the interior (u_xxx = 0
 there). In 2D the implicit diffusion is split by axis, and each axis sweep
-solves all grid lines as one stacked banded system.
+solves all grid lines as one stacked banded system, assembled and factored once
+per distinct diffusion array within a solve.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Grid, MeasureFlow, ProblemSpec, StepCoefficients, ValueField,
-                   _mixed_diff, _solve_lines, gradient_field)
+from .core import (Grid, LineSystem, MeasureFlow, ProblemSpec, StepCoefficients,
+                   ValueField, _mixed_diff, gradient_field)
 from .hamiltonian import PhiEvaluator, minimize_H
 
 __all__ = ["HjbSolverConfig", "HjbError", "CFLAdvisory", "solve_hjb"]
@@ -73,18 +74,14 @@ def _advective_term(u: np.ndarray, b: np.ndarray, a: np.ndarray, h: float,
     return out.swapaxes(axis, -1)
 
 
-def _implicit_diffusion_solve(a: np.ndarray, rhs: np.ndarray, h: float, dt: float,
-                              tol: float, axis: int) -> np.ndarray:
-    """Solve (I - dt a Dxx) u = rhs along one axis, for every grid line at once.
+def _diffusion_band(a: np.ndarray, h: float, dt: float) -> np.ndarray:
+    """The (3,3) band of I - dt a Dxx on every grid line (line axis last).
 
     The wall node is slaved to cubic extrapolation of the new interior
     solution (u_xxx = 0 there, exact for quadratic profiles), so the two wall
     rows reach three nodes in.
-    Raises HjbError when any line's residual exceeds tol (1 + max |rhs|).
     """
-    r = a.swapaxes(axis, -1) * dt / h ** 2
-    b_rhs = rhs.swapaxes(axis, -1).copy()
-    b_rhs[..., 0] = b_rhs[..., -1] = 0.0
+    r = a * dt / h ** 2
     band = np.zeros((7,) + r.shape)
     band[2, ..., 1:] = -r[..., :-1]      # superdiagonal
     band[3] = 1.0 + 2.0 * r              # diagonal
@@ -92,8 +89,20 @@ def _implicit_diffusion_solve(a: np.ndarray, rhs: np.ndarray, h: float, dt: floa
     for k, c in enumerate((1.0, -3.0, 3.0, -1.0)):  # u0 - 3u1 + 3u2 - u3 = 0
         band[3 - k, ..., k] = c
         band[3 + k, ..., -1 - k] = c
-    out = _solve_lines(band, b_rhs)
-    res = _banded_matvec(band.reshape(7, -1), 3, out.ravel()) - b_rhs.ravel()
+    return band
+
+
+def _implicit_diffusion_solve(lines: LineSystem, a: np.ndarray, rhs: np.ndarray,
+                              tol: float, axis: int) -> np.ndarray:
+    """Solve (I - dt a Dxx) u = rhs along one axis, for every grid line at once,
+    with the wall rows of rhs set to zero (the closure).
+
+    Raises HjbError when any line's residual exceeds tol (1 + max |rhs|).
+    """
+    b_rhs = rhs.swapaxes(axis, -1).copy()
+    b_rhs[..., 0] = b_rhs[..., -1] = 0.0
+    out = lines.solve(a.swapaxes(axis, -1), b_rhs)
+    res = _banded_matvec(lines.band, 3, out.ravel()) - b_rhs.ravel()
     worst = np.abs(res).reshape(b_rhs.shape).max(axis=-1)
     bad = worst > tol * (1.0 + np.abs(b_rhs).max(axis=-1))
     if bad.any():
@@ -118,7 +127,8 @@ def solve_hjb(problem: ProblemSpec, grid: Grid, mu_flow: MeasureFlow,
     the previous time level, assemble the Peclet-blended drift and the source
     explicitly, solve the diffusion implicitly one axis after the other with the
     cubic-extrapolation wall closure, recompute Du, and repeat
-    picard_inner_iters times.
+    picard_inner_iters times. Each axis's line system is factored again only
+    when its diffusion array changes.
     """
     if mu_flow.densities.shape != (grid.nt + 1,) + grid.shape:
         raise ValueError("measure flow shape does not match the grid")
@@ -126,6 +136,7 @@ def solve_hjb(problem: ProblemSpec, grid: Grid, mu_flow: MeasureFlow,
         evaluator = PhiEvaluator.for_problem(problem)
     coords = grid.coords()
     dt, h = grid.dt, grid.h
+    lines = [LineSystem(_diffusion_band, h[d], dt) for d in range(grid.dim)]
     values = np.empty((grid.nt + 1,) + grid.shape)
     grads = np.empty_like(values) if grid.dim == 1 else \
         np.empty((grid.nt + 1,) + grid.shape + (2,))
@@ -157,7 +168,7 @@ def solve_hjb(problem: ProblemSpec, grid: Grid, mu_flow: MeasureFlow,
                 src = src + 2.0 * coef.a12 * _mixed_diff(u_old, h)
             u_new = u_old + dt * src
             for d in range(grid.dim):
-                u_new = _implicit_diffusion_solve(coef.diag_a[d], u_new, h[d], dt,
+                u_new = _implicit_diffusion_solve(lines[d], coef.diag_a[d], u_new,
                                                   config.linear_solver_tol, axis=d)
             if np.any(np.isnan(u_new)):
                 bad = np.argwhere(np.isnan(u_new))[0]

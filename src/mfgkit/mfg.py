@@ -15,7 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (Grid, MeasureFlow, ProblemSpec, StepCoefficients, ValueField,
-                   _components, _mixed_diff, discretize_initial_density)
+                   _components, _first_diff, _mixed_diff,
+                   discretize_initial_density)
 from .fp import FpSolverConfig, solve_fp
 from .hamiltonian import PhiEvaluator, minimize_H
 from .hjb import HjbSolverConfig, solve_hjb
@@ -187,7 +188,7 @@ def pde_residual(problem: ProblemSpec, grid: Grid, u: ValueField, m: MeasureFlow
         adv = sum(bs[d] * dus[d] for d in axes)
         diff = sum(coef.diag_a[d] * _second_diff(uv[k], h[d], axis=d) for d in axes)
         q = sum(_second_diff(coef.diag_a[d] * mv[k], h[d], axis=d) for d in axes)
-        div_bm = sum(np.gradient(bs[d] * mv[k], h[d], axis=d) for d in axes)
+        div_bm = sum(_first_diff(bs[d] * mv[k], h[d], axis=d) for d in axes)
         if coef.a12 is not None:
             diff = diff + 2 * coef.a12 * _mixed_diff(uv[k], h)
             q = q + 2 * _mixed_diff(coef.a12 * mv[k], h)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.signal import fftconvolve
 
 from .core import Grid, MeasureFlow, ValueField
 
@@ -38,6 +37,9 @@ def hopf_cole_value(G, grid: Grid, aux_refine: int = 4) -> ValueField:
     solver grid, extended past the box so the kernel tail is negligible. 1D only;
     G must be bounded on the extended line (cap growth for integrability).
     """
+    # imported here: only this oracle needs scipy.signal, whose import is slow
+    # enough to show in every CLI start-up
+    from scipy.signal import fftconvolve
     if grid.dim != 1:
         raise ValueError("hopf_cole_value is 1D")
     T = grid.horizon

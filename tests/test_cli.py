@@ -174,6 +174,30 @@ def test_field_csv_roundtrips_in_memory_values(tmp_path):
     assert np.array_equal(back, u.values)  # 17 significant digits round-trip
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_field_csv_bytes_equal_the_row_block_formula(tmp_path, dim):
+    from mfgkit.cli import _write_field_csv
+    grid = build_grid(dim, -1.3, 2.9, 7, 0.7, 3)
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=(grid.nt + 1,) + grid.shape) * 10.0 ** rng.integers(
+        -300, 300, size=(grid.nt + 1,) + grid.shape)
+    values.flat[:6] = [0.0, -0.0, -2.5, 5e-324, -2.2e-310, 1e300]
+    path = tmp_path / "field.csv"
+    _write_field_csv(path, grid, values)
+    # the writer's earlier form: every column of every row through one
+    # %-block per time level
+    coords = grid.coords().reshape(grid.n_nodes, grid.dim)
+    expected = "t," + ",".join(f"x{d + 1}" for d in range(dim)) + ",value\n"
+    block = (",".join(["%.17g"] * (dim + 2)) + "\n") * grid.n_nodes
+    rows = np.empty((grid.n_nodes, dim + 2))
+    rows[:, 1:-1] = coords
+    for k in range(grid.nt + 1):
+        rows[:, 0] = grid.time(k)
+        rows[:, -1] = values[k].ravel()
+        expected += block % tuple(rows.ravel().tolist())
+    assert path.read_bytes() == expected.encode()
+
+
 def test_dump_ensemble_flag(tmp_path):
     out = tmp_path / "dump"
     code = main(["verify", "--problem", "uncontrolled-fp", "--out", str(out),

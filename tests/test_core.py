@@ -2,10 +2,12 @@ import importlib
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
-from mfgkit.core import (ControlSpace, MeasureFlow, MeasureView, ProblemSpec,
-                         build_grid, diffusion_coefficients,
-                         discretize_initial_density, interpolate_field)
+from mfgkit.core import (ControlSpace, LineSystem, MeasureFlow, MeasureView,
+                         ProblemSpec, _first_diff, build_grid,
+                         diffusion_coefficients, discretize_initial_density,
+                         interpolate_field)
 from mfgkit.catalog import gaussian_density, get_entry
 
 
@@ -179,6 +181,30 @@ def test_measure_flow_invariants():
     bad[2, 5] = -1e-6
     with pytest.raises(ValueError):
         MeasureFlow(bad, g).validate()
+
+
+def test_measure_flow_view_is_one_per_level():
+    g = build_grid(1, -1.0, 1.0, 21, 1.0, 3)
+    flow = MeasureFlow.constant_in_time(np.full(21, 1.0 / (21 * g.h[0])), g)
+    assert flow.view(2) is flow.view(2)
+    assert flow.view(1) is not flow.view(2)
+
+
+def test_first_diff_equals_numpy_gradient(rng):
+    v = rng.normal(size=17)
+    for h in (1.0, 0.37, 1e-3):
+        assert np.array_equal(_first_diff(v, h), np.gradient(v, h))
+    w = rng.normal(size=(13, 9)) * 1e3
+    for axis, h in ((0, 0.25), (1, 0.7)):
+        assert np.array_equal(_first_diff(w, h, axis=axis), np.gradient(w, h, axis=axis))
+
+
+@pytest.mark.parametrize("w", [1, 3])
+def test_line_system_raises_on_a_singular_band(w):
+    lines = LineSystem(lambda a: np.zeros((2 * w + 1,) + a.shape))
+    with pytest.raises(LinAlgError, match="singular"):
+        lines.solve(np.ones(8), np.ones(8))
+    assert lines.a is None  # nothing half-stored
 
 
 def test_measure_view_summaries():

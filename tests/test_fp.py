@@ -1,11 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from mfgkit.core import MeasureFlow, MeasureView, ProblemSpec, build_grid, \
+from mfgkit.core import LineSystem, MeasureFlow, MeasureView, ProblemSpec, build_grid, \
     discretize_initial_density
 from mfgkit.catalog import gaussian_density, heat_check_problem
-from mfgkit.fp import FpError, FpSolverConfig, _axis_step, solve_fp
+from mfgkit.fp import FpError, FpSolverConfig, _axis_step, _diffusion_band, solve_fp
 from mfgkit.hjb import solve_hjb, HjbSolverConfig
 from mfgkit.measure import d1_grid
 from mfgkit.oracle import heat_flow_density
@@ -216,7 +218,8 @@ def test_2d_stacked_sweep_matches_per_line_solve(axis, scheme, varying_diffusion
     x = g.coords()
     a, h, dt = diag_a[axis], g.h[axis], g.dt
     m = np.exp(-((x - 0.3) ** 2).sum(-1))
-    out = _axis_step(m, np.zeros_like(m), a, h, dt, scheme, axis)
+    out = _axis_step(LineSystem(_diffusion_band, h, dt, scheme), m, np.zeros_like(m), a,
+                     h, dt, scheme, axis)
     ref = np.empty_like(m)
     r = dt / h ** 2
     for j in range(g.nx):
@@ -242,6 +245,68 @@ def test_2d_stacked_sweep_matches_per_line_solve(axis, scheme, varying_diffusion
             ab[1, 1:] += r * a_face
         ref[line] = solve_banded((1, 1), ab, rhs)
     np.testing.assert_allclose(out, ref, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("scheme", ["upwind", "exponential"])
+@pytest.mark.parametrize("dim,varying", [(1, False), (1, True), (2, False), (2, True)],
+                         ids=["1d-constant", "1d-varying", "2d-constant", "2d-varying"])
+def test_factored_lines_equal_solve_banded(dim, varying, scheme, varying_diffusion):
+    # the stored factors, reused for a second right-hand side, give the bits
+    # of a fresh solve_banded call on the same stacked tridiagonal band
+    g, diag_a = varying_diffusion
+    if dim == 1:
+        g = build_grid(1, -3.0, 3.0, 41, 1.0, 10)
+        diag_a = (1.0 + 0.3 * np.tanh(g.axis(0)),)
+    if not varying:
+        diag_a = tuple(np.full(g.shape, 1.3) for _ in diag_a)
+    x = g.coords().reshape(g.shape + (dim,))
+    for axis, a in enumerate(diag_a):
+        h, dt = g.h[axis], g.dt
+        lines = LineSystem(_diffusion_band, h, dt, scheme)
+        a = a.swapaxes(axis, -1)
+        for rhs in (np.exp(-(x ** 2).sum(-1)), 1.0 + np.cos(3.0 * x[..., 0]) ** 2):
+            rhs = rhs.swapaxes(axis, -1)
+            out = lines.solve(a, rhs)
+            band = _diffusion_band(a, h, dt, scheme).reshape(3, -1)
+            ref = solve_banded((1, 1), band, rhs.ravel()).reshape(rhs.shape)
+            assert np.array_equal(out, ref)
+
+
+def _sigma_problem(dim, t_dependent):
+    c = (lambda t: np.sqrt(2.0) * (1.0 + 0.1 * t)) if t_dependent else \
+        (lambda t: np.sqrt(2.0))
+    if dim == 1:
+        return _problem(diffusion_sigma=lambda t, x, m: c(t) * np.ones_like(x))
+    zero = lambda x: np.zeros(x.shape[:-1])  # noqa: E731
+    return _problem(dim=2, diffusion_sigma=lambda t, x, m: c(t) * np.eye(2),
+                    running_f0=lambda t, x, m: zero(x),
+                    running_f1=lambda t, x, a: zero(x),
+                    terminal_g=lambda x, m: zero(x),
+                    initial_density=lambda x: np.exp(-(x ** 2).sum(-1)))
+
+
+@pytest.mark.parametrize("solver", ["hjb", "fp"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("t_dependent", [False, True], ids=["constant", "t-dependent"])
+def test_solvers_factor_once_per_axis_per_diffusion(solver, dim, t_dependent, monkeypatch):
+    # each call builds one line system per axis; it refactors only when the
+    # level's diffusion array changes, so once per call for a constant sigma
+    # and at every level (both HJB inner sweeps share one) for sigma(t)
+    factored = Counter()
+    factor = LineSystem._factor
+
+    def counted(self, a):
+        factored[id(self)] += 1
+        factor(self, a)
+
+    monkeypatch.setattr(LineSystem, "_factor", counted)
+    p = _sigma_problem(dim, t_dependent)
+    g = build_grid(dim, -3.0, 3.0, 21 if dim == 1 else 11, 1.0, 10)
+    if solver == "hjb":
+        solve_hjb(p, g, MeasureFlow.constant_in_time(discretize_initial_density(p, g)[0], g))
+    else:
+        solve_fp(p, g, None, None)
+    assert sorted(factored.values()) == [g.nt if t_dependent else 1] * dim
 
 
 def test_renormalization_flag_and_drift_reporting():

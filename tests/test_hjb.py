@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from mfgkit.core import MeasureFlow, ProblemSpec, build_grid, discretize_initial_density
+from mfgkit.core import (LineSystem, MeasureFlow, ProblemSpec, build_grid,
+                         discretize_initial_density)
 from mfgkit.catalog import capped_quadratic, gaussian_density, get_entry
-from mfgkit.hjb import (CFLAdvisory, HjbError, HjbSolverConfig, _implicit_diffusion_solve,
-                        solve_hjb)
+from mfgkit.hjb import (CFLAdvisory, HjbError, HjbSolverConfig, _diffusion_band,
+                        _implicit_diffusion_solve, solve_hjb)
 from mfgkit.oracle import hopf_cole_value, lq_riccati_value
 
 
@@ -202,7 +203,8 @@ def test_2d_stacked_sweep_matches_per_line_solve(axis, varying_diffusion):
     x = g.coords()
     a, h, dt = diag_a[axis], g.h[axis], g.dt
     rhs = np.sin(x[..., 0]) * np.cos(0.7 * x[..., 1]) + 0.1 * x[..., 0] ** 2
-    out = _implicit_diffusion_solve(a, rhs, h, dt, 1e-10, axis=axis)
+    out = _implicit_diffusion_solve(LineSystem(_diffusion_band, h, dt), a, rhs, 1e-10,
+                                    axis=axis)
     ref = np.empty_like(rhs)
     for j in range(g.nx):
         line = (slice(None), j) if axis == 0 else (j, slice(None))
@@ -218,6 +220,30 @@ def test_2d_stacked_sweep_matches_per_line_solve(axis, varying_diffusion):
         b[[0, -1]] = 0.0
         ref[line] = solve_banded((3, 3), band, b)
     np.testing.assert_allclose(out, ref, rtol=1e-13, atol=1e-14)
+
+
+@pytest.mark.parametrize("dim,varying", [(1, False), (1, True), (2, False), (2, True)],
+                         ids=["1d-constant", "1d-varying", "2d-constant", "2d-varying"])
+def test_factored_lines_equal_solve_banded(dim, varying, varying_diffusion):
+    # the stored factors, reused for a second right-hand side, give the bits
+    # of a fresh solve_banded call on the same stacked (3,3) band
+    g, diag_a = varying_diffusion
+    if dim == 1:
+        g = build_grid(1, -3.0, 3.0, 41, 1.0, 10)
+        diag_a = (1.0 + 0.3 * np.tanh(g.axis(0)),)
+    if not varying:
+        diag_a = tuple(np.full(g.shape, 1.3) for _ in diag_a)
+    x = g.coords().reshape(g.shape + (dim,))
+    for axis, a in enumerate(diag_a):
+        h, dt = g.h[axis], g.dt
+        lines = LineSystem(_diffusion_band, h, dt)
+        a = a.swapaxes(axis, -1)
+        for rhs in (np.sin(x.sum(-1)), np.cos(3.0 * x[..., 0]) + x[..., -1] ** 2):
+            rhs = rhs.swapaxes(axis, -1)
+            out = lines.solve(a, rhs)
+            band = _diffusion_band(a, h, dt).reshape(7, -1)
+            ref = solve_banded((3, 3), band, rhs.ravel()).reshape(rhs.shape)
+            assert np.array_equal(out, ref)
 
 
 def test_linear_solve_residual_guard_raises():

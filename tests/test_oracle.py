@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -86,3 +91,16 @@ def test_heat_flow_rejects_bad_variance_and_small_box():
     small = build_grid(1, -1.0, 1.0, 21, 4.0, 10)
     with pytest.raises(OracleSelfCheckError):
         heat_flow_density(0.0, 0.25, np.sqrt(2.0), small)
+
+
+def test_cli_import_leaves_signal_and_stats_unloaded():
+    # scipy.signal is only needed inside hopf_cole_value; importing it at
+    # module load slowed every CLI start-up
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, mfgkit.cli, mfgkit.oracle; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,6 +1,6 @@
 """Numerical solver and verification toolkit for second-order mean-field games.
 
-Solves the coupled backward value equation / forward density equation by damped
+Solves the coupled backward value equation / forward density equation by
 Picard iteration on the measure flow, extracts the optimal feedback strategy,
 and verifies the solution independently against particle simulation of the
 controlled dynamics and Monte Carlo cost evaluation.

@@ -318,9 +318,9 @@ def diffusion_coefficients(problem: ProblemSpec, t: float, x: np.ndarray, view):
     """
     sig = np.asarray(problem.diffusion_sigma(t, x, view), dtype=float)
     if problem.dim == 1:
-        return (np.broadcast_to(0.5 * sig ** 2, x.shape),), None
+        return (_broadcast(0.5 * sig ** 2, x.shape),), None
     a = 0.5 * np.einsum("...ik,...jk->...ij", sig, sig)
-    a = np.broadcast_to(a, x.shape[:-1] + (2, 2))
+    a = _broadcast(a, x.shape[:-1] + (2, 2))
     return (a[..., 0, 0], a[..., 1, 1]), a[..., 0, 1]
 
 
@@ -348,15 +348,20 @@ class StepCoefficients:
     def cost(self, alpha) -> np.ndarray:
         """Running cost f0 + f1(alpha) on the nodes."""
         f = self.f0 + self.problem.running_f1(self.t, self.x, alpha)
-        return np.broadcast_to(np.asarray(f, dtype=float), self.shape)
+        return _broadcast(np.asarray(f, dtype=float), self.shape)
+
+
+def _broadcast(v: np.ndarray, shape: tuple) -> np.ndarray:
+    """v itself when it already has the shape, else broadcast to it."""
+    return v if v.shape == shape else np.broadcast_to(v, shape)
 
 
 def _components(v: np.ndarray, shape: tuple) -> list:
     """Per-axis components of a vector field on nodes of the given shape: the
     field itself in 1D, v[..., d] in 2D, each broadcast to the shape."""
     if len(shape) == 1:
-        return [np.broadcast_to(v, shape)]
-    return [np.broadcast_to(v[..., d], shape) for d in range(len(shape))]
+        return [_broadcast(v, shape)]
+    return [_broadcast(v[..., d], shape) for d in range(len(shape))]
 
 
 def _first_diff(v: np.ndarray, h: float, axis: int = 0) -> np.ndarray:

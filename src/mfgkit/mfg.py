@@ -1,9 +1,14 @@
-"""The fixed-point map (HJB solve, then FP solve under the induced feedback) and
-the damped Picard iteration that produces the MFG solution.
+"""The fixed-point map Phi (HJB solve, then FP solve under the induced feedback)
+and the Picard iteration that produces the MFG solution.
 
-The first outer step takes the full map output (the constant-in-time initial
-guess is far from the fixed set); damping applies from the second step on. For
-instances whose map ignores the measure this makes the iteration terminate in
+Each outer step records the map residual r_k = d1(mu_k, Phi(mu_k)) and stops
+once r_k <= tol, so the returned m is within tol of the flow u was solved
+against. The iteration takes the full step mu_{k+1} = Phi(mu_k) while every
+recorded residual has strictly decreased; from the first step whose residual
+did not decrease it takes the theta-damped step to the end of the run (never
+switching back, so an overshooting full step cannot alternate with a damped
+one). The rule reads only the residual history, so a resumed run repeats it.
+For instances whose map ignores the measure the iteration terminates in
 exactly two steps with a zero second residual.
 """
 
@@ -35,8 +40,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FixedPointConfig:
-    theta: float = 0.5          # damping of the Picard update
-    tol: float = 1e-4           # stopping threshold on sup_t d1(mu_k(t), mu_{k+1}(t))
+    theta: float = 0.5          # damping used once the map residual stops contracting
+    tol: float = 1e-4           # stopping threshold on sup_t d1(mu_k(t), Phi(mu_k)(t))
     max_iters: int = 100
     initial_guess: str = "m0"   # "m0" (constant-in-time) | "uncontrolled"
 
@@ -114,9 +119,10 @@ def solve_mfg(problem: ProblemSpec, grid: Grid,
               fp_config: FpSolverConfig = FpSolverConfig(),
               initial_state: Optional[IterationState] = None,
               on_iteration=None):
-    """Damped Picard iteration on the measure flow.
+    """Picard iteration on the measure flow: full steps while the map residual
+    contracts, theta-damped steps from its first non-decrease on.
 
-    Non-convergence within max_iters returns the best iterate with
+    Non-convergence within max_iters returns the last map output with
     converged=False (existence is known, convergence of the iteration is not).
     on_iteration(state) is called after every outer step for checkpointing;
     initial_state resumes from such a state bit-for-bit.
@@ -141,18 +147,18 @@ def solve_mfg(problem: ProblemSpec, grid: Grid,
     it = start
     for it in range(start + 1, config.max_iters + 1):
         u, m = apply_phi(problem, grid, mu, hjb_config, fp_config, evaluator)
-        if it == 1:
-            mu_next = m  # full first step away from the initial guess
+        r = flow_distance(mu, m, grid)
+        history = report.residual_history
+        history.append(r)
+        if all(b < a for a, b in zip(history, history[1:])):
+            mu = m
         else:
-            mixed = (1.0 - config.theta) * mu.densities + config.theta * m.densities
-            mu_next = MeasureFlow(mixed, grid)
-        rho = flow_distance(mu, mu_next, grid)
-        report.residual_history.append(rho)
-        mu = mu_next
+            mu = MeasureFlow((1.0 - config.theta) * mu.densities
+                             + config.theta * m.densities, grid)
         if on_iteration is not None:
             on_iteration(IterationState(iteration=it, mu=mu.densities.copy(),
-                                        residual_history=list(report.residual_history)))
-        if rho <= config.tol:
+                                        residual_history=list(history)))
+        if r <= config.tol:
             converged = True
             break
 

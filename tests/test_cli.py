@@ -263,10 +263,10 @@ def test_resume_layers_stored_config_then_config_file_then_flags(tmp_path):
     assert main(["solve"] + TINY + ["--out", str(full)]) == EXIT_OK
     assert main(["solve"] + TINY + ["--max-iters", "2", "--out", str(part)]) == EXIT_VERIFY
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("max_iters = 4\n")
+    cfg.write_text("max_iters = 3\n")
     # the file overrides the stored max_iters = 2 ...
     assert main(["resume", "--config", str(cfg), "--out", str(part)]) == EXIT_VERIFY
-    assert len((part / "residuals.csv").read_text().splitlines()) == 1 + 4
+    assert len((part / "residuals.csv").read_text().splitlines()) == 1 + 3
     # ... and a flag overrides the file
     assert main(["resume", "--config", str(cfg), "--max-iters", "50",
                  "--out", str(part)]) == EXIT_OK

@@ -179,6 +179,62 @@ def test_resume_state_continues_identically():
     assert np.array_equal(m_res.densities, m_full.densities)
 
 
+def test_converged_flow_is_within_tol_of_the_flow_u_was_solved_against():
+    e = get_entry("example5-weak")
+    g = _small_grid(e, nx=81, nt=60)
+    states = []
+    _, m, rep = solve_mfg(e.problem, g, e.fixed_point, on_iteration=states.append)
+    assert rep.converged
+    gap = flow_distance(MeasureFlow(states[-2].mu, g), m, g)
+    assert gap == rep.residual_history[-1]
+    assert gap <= e.fixed_point.tol
+
+
+def test_damped_steps_follow_the_first_non_contracting_residual(monkeypatch):
+    # the third map solve returns the initial flow, so r rises there: the two
+    # steps before it are full, it and every later step are theta-damped
+    import mfgkit.mfg as mfg
+    from mfgkit.mfg import IterationState
+    e = get_entry("example5-weak")
+    g = _small_grid(e, nx=81, nt=60)
+    theta = e.fixed_point.theta
+    real_phi, calls, spike = mfg.apply_phi, [], 3
+
+    def phi(problem, grid, mu, *args):
+        u, m = real_phi(problem, grid, mu, *args)
+        if len(calls) == spike - 1:
+            m = MeasureFlow.constant_in_time(m.densities[0], grid)
+        calls.append((mu.densities.copy(), m.densities.copy()))
+        return u, m
+    monkeypatch.setattr(mfg, "apply_phi", phi)
+
+    states = []
+    u_full, m_full, rep_full = solve_mfg(e.problem, g, e.fixed_point,
+                                         on_iteration=states.append)
+    assert rep_full.converged
+    r = rep_full.residual_history
+    assert all(r[i + 1] < r[i] for i in range(spike - 2)) and r[spike - 1] >= r[spike - 2]
+    for i, (st, (mu, m)) in enumerate(zip(states, calls)):
+        expected = m if i < spike - 1 else (1.0 - theta) * mu + theta * m
+        assert np.array_equal(st.mu, expected)
+
+    st = states[spike]  # two damped steps in
+    resumed = IterationState(iteration=st.iteration, mu=st.mu.copy(),
+                             residual_history=list(st.residual_history))
+    u_res, m_res, rep_res = solve_mfg(e.problem, g, e.fixed_point,
+                                      initial_state=resumed)
+    assert rep_res.residual_history == rep_full.residual_history
+    assert np.array_equal(u_res.values, u_full.values)
+    assert np.array_equal(m_res.densities, m_full.densities)
+
+
+def test_example5_reaches_tol_within_six_outer_iterations(solved):
+    _, _, _, _, report = solved.get("example5-weak")
+    assert report.converged
+    assert report.iterations_used <= 6
+    assert report.residual_history[-1] <= 1e-4
+
+
 def test_uncontrolled_initial_guess_reaches_same_fixed_point():
     e = get_entry("example5-weak")
     g = _small_grid(e, nx=81, nt=60)
@@ -261,22 +317,19 @@ def _fingerprint(u, m, rep, node):
 
 
 def test_pinned_example5_solve():
-    # literal values pin the 1D HJB and exponential-flux FP steps, the damped
-    # iteration and the PDE residual, bit for bit
+    # literal values pin the 1D HJB and exponential-flux FP steps, the Picard
+    # step rule and the PDE residual, bit for bit
     e = get_entry("example5-weak")
     g = build_grid(1, -6.0, 6.0, 61, 1.0, 40)
     u, m, rep = solve_mfg(e.problem, g, e.fixed_point)
     assert _fingerprint(u, m, rep, 35) == {
-        "u": [0.8783036320492771, 0.6916444448212509],
-        "m": [0.3539444285610613, 0.3098121411193391],
-        "row_sums": [227.8190090423099, 267.64922620434027,
-                     1.445305565525515, 1.7447074428593174],
-        "rho": [0.4066076263949769, 0.00886126595251856, 0.004772621205905195,
-                0.0025697536446007405, 0.0013832514786556616,
-                0.0007443709361620264, 0.00040046121001955986,
-                0.00021538660716777783, 0.00011581600098655545,
-                6.226076150029571e-05],
-        "pde": [0.11715467801424317, 0.20391778500669167]}
+        "u": [0.8783034197607609, 0.6916443444746894],
+        "m": [0.3539440620640037, 0.309811209446636],
+        "row_sums": [227.8189820974364, 267.6492132791748,
+                     1.4453075875477643, 1.7447129828766992],
+        "rho": [0.4066076263949769, 0.017722531905037184,
+                0.0013681856141107846, 9.928074199669084e-05],
+        "pde": [0.11715776555611335, 0.20391780124864667]}
 
 
 def test_pinned_2d_correlated_solve():
@@ -310,5 +363,5 @@ def test_pinned_2d_correlated_solve():
         "m": [0.09293965102560982, 0.08625136592009346],
         "row_sums": [358.47299850684806, 335.69557149529726,
                      6.256265422042299, 6.203389244545858],
-        "rho": [0.18090587134772199, 0.0011123442918681231],
+        "rho": [0.18090587134772199, 0.002224688583736295],
         "pde": [0.00040159925076875547, 0.002825522355146576]}

@@ -9,7 +9,7 @@ controlled dynamics and Monte Carlo cost evaluation.
 from .core import (ControlSpace, Grid, MeasureFlow, MeasureView, ProblemSpec,
                    ValueField, build_grid, discretize_initial_density,
                    interpolate_field)
-from .fp import FpError, FpSolverConfig, solve_fp
+from .fp import FpError, solve_fp
 from .hamiltonian import (AssumptionReport, PhiEvaluator, check_assumptions,
                           evaluate_H, minimize_H)
 from .hjb import CFLAdvisory, HjbError, HjbSolverConfig, solve_hjb

@@ -64,12 +64,6 @@ class RunConfig:
             raise ValueError(f"nx must be >= 3, got {self.nx}")
         if self.nt and self.nt < 1:
             raise ValueError(f"nt must be >= 1, got {self.nt}")
-        if not (0.0 < self.theta <= 1.0):
-            raise ValueError("theta must lie in (0, 1]")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_iters < 1 or self.picard_inner_iters < 1:
-            raise ValueError("iteration counts must be positive")
         if (self.n_particles < 1 or self.n_perturbations < 0
                 or self.assumption_samples < 1):
             raise ValueError("verification sizes must be positive")
@@ -201,9 +195,15 @@ def _build(config: RunConfig):
 
 def run(config: RunConfig) -> int:
     """Solve, verify, and write artifacts; see module docstring for exit codes."""
+    from .hjb import HjbSolverConfig
+    from .mfg import FixedPointConfig
     try:
         config.validate()
         entry, grid = _build(config)
+        # the solver configs range-check theta, tol and the iteration counts
+        solver = (FixedPointConfig(theta=config.theta, tol=config.tol,
+                                   max_iters=config.max_iters),
+                  HjbSolverConfig(picard_inner_iters=config.picard_inner_iters))
     except (ValueError, KeyError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
@@ -218,17 +218,16 @@ def run(config: RunConfig) -> int:
               "directory (delete the stale lock to proceed)", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return _run_locked(config, entry, grid, out)
+        return _run_locked(config, entry, grid, solver, out)
     finally:
         os.close(lock_fd)
         lock.unlink(missing_ok=True)
 
 
-def _run_locked(config: RunConfig, entry, grid, out: Path) -> int:
+def _run_locked(config: RunConfig, entry, grid, solver, out: Path) -> int:
     import numpy as np
-    from .hjb import HjbSolverConfig
     from .hamiltonian import check_assumptions
-    from .mfg import FixedPointConfig, feedback_policy, solve_mfg
+    from .mfg import feedback_policy, solve_mfg
     from .particle import simulate, compare_law
     from .cost import verify_optimality, expected_initial_value
 
@@ -243,12 +242,9 @@ def _run_locked(config: RunConfig, entry, grid, out: Path) -> int:
 
     config.to_file(out / "run_config.txt")
     t_start = time.time()
-    hjb_cfg = HjbSolverConfig(picard_inner_iters=config.picard_inner_iters)
-    fx_cfg = FixedPointConfig(theta=config.theta, tol=config.tol,
-                              max_iters=config.max_iters)
     try:
         u, m, report = solve_mfg(
-            entry.problem, grid, fx_cfg, hjb_cfg,
+            entry.problem, grid, *solver,
             initial_state=state0,
             on_iteration=lambda st: write_checkpoint(ckpt, grid, st))
     except Exception as e:  # solver-level failure: report and exit 3

@@ -2,14 +2,13 @@
 
 Per-face fluxes combine explicit advection with implicit diffusion; zero-flux
 boundaries make the quadrature mass telescope to round-off. The advective flux
-is either sign-upwinded or exponentially fitted (Scharfetter-Gummel weights,
-second order at small mesh Peclet, upwind in the limit); both are conservative
-and positivity-safe under the advective CFL dt <= h / max|b|.
+is exponentially fitted (Scharfetter-Gummel weights, second order at small mesh
+Peclet, upwind in the limit): conservative and positivity-safe under the
+advective CFL dt <= h / max|b|. Each step is renormalized to unit mass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from .core import (Grid, LineSystem, MeasureFlow, MeasureView, ProblemSpec,
                    StepCoefficients, _first_diff, discretize_initial_density)
 
-__all__ = ["FpSolverConfig", "FpError", "solve_fp"]
+__all__ = ["FpError", "solve_fp"]
 
 NEGATIVITY_TOL = 1e-12  # a density below -NEGATIVITY_TOL fails the solve
 MASS_DRIFT_TOL = 1e-6   # as does a larger pre-renormalization mass drift
@@ -25,19 +24,6 @@ MASS_DRIFT_TOL = 1e-6   # as does a larger pre-renormalization mass drift
 
 class FpError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class FpSolverConfig:
-    flux_scheme: str = "exponential"  # "exponential" | "upwind"
-    renormalize_each_step: bool = True
-    inner_sweeps: int = 1             # coefficient re-evaluation for self-coupled runs
-
-    def __post_init__(self):
-        if self.flux_scheme not in ("exponential", "upwind"):
-            raise ValueError(f"unknown flux scheme {self.flux_scheme!r}")
-        if self.inner_sweeps < 1:
-            raise ValueError("inner_sweeps must be >= 1")
 
 
 def _bernoulli_weight(z: np.ndarray) -> np.ndarray:
@@ -51,16 +37,14 @@ def _bernoulli_weight(z: np.ndarray) -> np.ndarray:
 
 
 def _advective_face_flux(m: np.ndarray, v: np.ndarray, a_face: np.ndarray,
-                         h: float, scheme: str) -> np.ndarray:
-    """Explicit advective flux at interior faces for densities m along the last
-    axis.
+                         h: float) -> np.ndarray:
+    """Explicit fitted advective flux at interior faces for densities m along
+    the last axis.
 
     v is the effective face drift (drift minus the derivative of the diffusion
-    coefficient when the scheme transforms the flux). Returns flux of shape
-    m.shape with the last axis shortened by one.
+    coefficient). Returns flux of shape m.shape with the last axis shortened by
+    one.
     """
-    if scheme == "upwind":
-        return np.where(v > 0, v * m[..., :-1], v * m[..., 1:])
     z = v * h / a_face
     bm = _bernoulli_weight(-z)
     bp = _bernoulli_weight(z)
@@ -68,39 +52,30 @@ def _advective_face_flux(m: np.ndarray, v: np.ndarray, a_face: np.ndarray,
     return (a_face / h) * ((bm - 1.0) * m[..., :-1] - (bp - 1.0) * m[..., 1:])
 
 
-def _diffusion_band(a: np.ndarray, h: float, dt: float, scheme: str) -> np.ndarray:
+def _diffusion_band(a: np.ndarray, h: float, dt: float) -> np.ndarray:
     """The tridiagonal band of the implicit zero-flux diffusion on every grid
-    line (line axis last).
-
-    The diffusive flux through each face weighs the densities on its two
-    sides: a_face on both for the fitted flux, the nodal a for the flux form
-    of the second derivative of (a m).
-    """
-    if scheme == "exponential":
-        left = right = 0.5 * (a[..., 1:] + a[..., :-1])
-    else:
-        left, right = a[..., :-1], a[..., 1:]
+    line (line axis last): the diffusive flux through each face weighs the
+    densities on both its sides by the face value of a."""
+    face = 0.5 * (a[..., 1:] + a[..., :-1])
     r = dt / h ** 2
     band = np.zeros((3,) + a.shape)
-    band[0, ..., 1:] = -r * right        # superdiagonal
+    band[0, ..., 1:] = -r * face         # superdiagonal
     band[1] = 1.0                        # diagonal
-    band[1, ..., :-1] += r * left
-    band[1, ..., 1:] += r * right
-    band[2, ..., :-1] = -r * left        # subdiagonal
+    band[1, ..., :-1] += r * face
+    band[1, ..., 1:] += r * face
+    band[2, ..., :-1] = -r * face        # subdiagonal
     return band
 
 
 def _axis_step(lines: LineSystem, m: np.ndarray, b: np.ndarray, a: np.ndarray,
-               h: float, dt: float, scheme: str, axis: int,
+               h: float, dt: float, axis: int,
                cross_rhs: Optional[np.ndarray] = None) -> np.ndarray:
     """One conservative sub-step along one axis, for every grid line at once."""
     m, b, a = (v.swapaxes(axis, -1) for v in (m, b, a))
-    v_face = 0.5 * (b[..., 1:] + b[..., :-1])
     a_face = 0.5 * (a[..., 1:] + a[..., :-1])
-    if scheme == "exponential":
-        # the fitted flux transports against a d(m)/dx, so the drift absorbs a_x
-        v_face = v_face - (a[..., 1:] - a[..., :-1]) / h
-    f_adv = _advective_face_flux(m, v_face, a_face, h, scheme)
+    # the fitted flux transports against a d(m)/dx, so the drift absorbs a_x
+    v_face = 0.5 * (b[..., 1:] + b[..., :-1]) - (a[..., 1:] - a[..., :-1]) / h
+    f_adv = _advective_face_flux(m, v_face, a_face, h)
     rhs = m.copy()
     rhs[..., :-1] -= dt / h * f_adv
     rhs[..., 1:] += dt / h * f_adv
@@ -111,14 +86,13 @@ def _axis_step(lines: LineSystem, m: np.ndarray, b: np.ndarray, a: np.ndarray,
 
 def solve_fp(problem: ProblemSpec, grid: Grid,
              mu_flow: Optional[MeasureFlow],
-             policy: Optional[np.ndarray],
-             config: FpSolverConfig = FpSolverConfig()) -> MeasureFlow:
-    """March m forward from the discretized initial density.
+             policy: Optional[np.ndarray]) -> MeasureFlow:
+    """March m forward from the discretized initial density, one sweep per
+    step, renormalizing each level to unit mass.
 
-    mu_flow freezes the measure argument of the coefficients (one sweep per
-    step); passing None runs the self-coupled form with coefficients evaluated
-    at the current step's density (explicit lag, config.inner_sweeps
-    fixed-point sweeps per step).
+    mu_flow freezes the measure argument of the coefficients; passing None runs
+    the self-coupled form with coefficients evaluated at the current step's
+    density (explicit lag).
     policy: None (uncontrolled) or an array of per-node controls indexed by
     time level.
     """
@@ -126,35 +100,23 @@ def solve_fp(problem: ProblemSpec, grid: Grid,
     densities[0], _ = discretize_initial_density(problem, grid)
     coords = grid.coords()
     dt = grid.dt
-    lines = [LineSystem(_diffusion_band, grid.h[d], dt, config.flux_scheme)
-             for d in range(grid.dim)]
+    lines = [LineSystem(_diffusion_band, grid.h[d], dt) for d in range(grid.dim)]
     mass_drift = np.zeros(grid.nt + 1)
     min_density = np.zeros(grid.nt + 1)
     min_density[0] = densities[0].min()
 
-    # a frozen flow fixes the coefficients, so every further sweep would
-    # recompute the same step
-    sweeps = config.inner_sweeps if mu_flow is None else 1
     for k in range(grid.nt):
-        t = grid.time(k)
         m_k = densities[k]
+        view = MeasureView(m_k, grid) if mu_flow is None else mu_flow.view(k)
+        coef = StepCoefficients(problem, grid.time(k), coords, view)
+        b = coef.drift(None if policy is None else policy[k])
+        # the explicit mixed term enters the first axis sub-step only
+        cross = None if coef.a12 is None else _cross_divergence(m_k, coef.a12, grid)
         m_next = m_k
-        for sweep in range(sweeps):
-            if mu_flow is not None:
-                view = mu_flow.view(k)
-            elif sweep == 0:
-                view = MeasureView(m_k, grid)
-            else:
-                view = MeasureView(m_next / (m_next.sum() * grid.cell_volume), grid)
-            coef = StepCoefficients(problem, t, coords, view)
-            b = coef.drift(None if policy is None else policy[k])
-            # the explicit mixed term enters the first axis sub-step only
-            cross = None if coef.a12 is None else _cross_divergence(m_k, coef.a12, grid)
-            m_next = m_k
-            for d in range(grid.dim):
-                m_next = _axis_step(lines[d], m_next, b[d], coef.diag_a[d],
-                                    grid.h[d], dt, config.flux_scheme, d, cross)
-                cross = None
+        for d in range(grid.dim):
+            m_next = _axis_step(lines[d], m_next, b[d], coef.diag_a[d],
+                                grid.h[d], dt, d, cross)
+            cross = None
 
         mass = m_next.sum() * grid.cell_volume
         drift = abs(mass - 1.0)
@@ -176,9 +138,7 @@ def solve_fp(problem: ProblemSpec, grid: Grid,
                           f"time index {k + 1}")
         if lowest < 0:
             m_next = np.maximum(m_next, 0.0)
-        if config.renormalize_each_step:
-            m_next = m_next / (m_next.sum() * grid.cell_volume)
-        densities[k + 1] = m_next
+        densities[k + 1] = m_next / (m_next.sum() * grid.cell_volume)
 
     return MeasureFlow(densities, grid, mass_drift=mass_drift,
                        min_density=min_density)

@@ -189,7 +189,7 @@ def check_assumptions(problem: ProblemSpec, grid: Grid, n_samples: int = 200,
     qs = []
     for i in range(n_samples):
         view = views[i % len(views)]
-        sig = np.asarray(problem.diffusion_sigma(ts[i], xs[i] if n == 1 else xs[i], view), dtype=float)
+        sig = np.asarray(problem.diffusion_sigma(ts[i], xs[i], view), dtype=float)
         if n == 1:
             qs.append(0.5 * float(sig) ** 2)
         else:

@@ -25,6 +25,8 @@ from .hamiltonian import PhiEvaluator, minimize_H
 
 __all__ = ["HjbSolverConfig", "HjbError", "CFLAdvisory", "solve_hjb"]
 
+LINEAR_SOLVER_TOL = 1e-10  # relative residual a line solve must meet
+
 
 class HjbError(RuntimeError):
     pass
@@ -37,7 +39,6 @@ class CFLAdvisory(UserWarning):
 @dataclass(frozen=True)
 class HjbSolverConfig:
     picard_inner_iters: int = 2
-    linear_solver_tol: float = 1e-10
 
     def __post_init__(self):
         if self.picard_inner_iters < 1:
@@ -119,8 +120,7 @@ def _banded_matvec(band: np.ndarray, bw: int, x: np.ndarray) -> np.ndarray:
 
 
 def solve_hjb(problem: ProblemSpec, grid: Grid, mu_flow: MeasureFlow,
-              config: HjbSolverConfig = HjbSolverConfig(),
-              evaluator: PhiEvaluator | None = None) -> ValueField:
+              config: HjbSolverConfig = HjbSolverConfig()) -> ValueField:
     """March u backward from u(T) = g(., mu(T)) under the frozen flow mu.
 
     Per step: lag the control through phi(t, x, Du) starting from the gradient at
@@ -132,8 +132,7 @@ def solve_hjb(problem: ProblemSpec, grid: Grid, mu_flow: MeasureFlow,
     """
     if mu_flow.densities.shape != (grid.nt + 1,) + grid.shape:
         raise ValueError("measure flow shape does not match the grid")
-    if evaluator is None:
-        evaluator = PhiEvaluator.for_problem(problem)
+    evaluator = PhiEvaluator.for_problem(problem)
     coords = grid.coords()
     dt, h = grid.dt, grid.h
     lines = [LineSystem(_diffusion_band, h[d], dt) for d in range(grid.dim)]
@@ -169,7 +168,7 @@ def solve_hjb(problem: ProblemSpec, grid: Grid, mu_flow: MeasureFlow,
             u_new = u_old + dt * src
             for d in range(grid.dim):
                 u_new = _implicit_diffusion_solve(lines[d], coef.diag_a[d], u_new,
-                                                  config.linear_solver_tol, axis=d)
+                                                  LINEAR_SOLVER_TOL, axis=d)
             if np.any(np.isnan(u_new)):
                 bad = np.argwhere(np.isnan(u_new))[0]
                 raise HjbError(f"NaN in HJB solution at time index {k}, node {tuple(bad)}")

@@ -22,7 +22,7 @@ import numpy as np
 from .core import (Grid, MeasureFlow, ProblemSpec, StepCoefficients, ValueField,
                    _components, _first_diff, _mixed_diff,
                    discretize_initial_density)
-from .fp import FpSolverConfig, solve_fp
+from .fp import solve_fp
 from .hamiltonian import PhiEvaluator, minimize_H
 from .hjb import HjbSolverConfig, solve_hjb
 from .measure import FlowRegularityReport, flow_distance, flow_regularity
@@ -43,7 +43,6 @@ class FixedPointConfig:
     theta: float = 0.5          # damping used once the map residual stops contracting
     tol: float = 1e-4           # stopping threshold on sup_t d1(mu_k(t), Phi(mu_k)(t))
     max_iters: int = 100
-    initial_guess: str = "m0"   # "m0" (constant-in-time) | "uncontrolled"
 
     def __post_init__(self):
         if not (0.0 < self.theta <= 1.0):
@@ -52,8 +51,6 @@ class FixedPointConfig:
             raise ValueError("tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.initial_guess not in ("m0", "uncontrolled"):
-            raise ValueError(f"unknown initial guess {self.initial_guess!r}")
 
 
 @dataclass
@@ -85,12 +82,10 @@ class IterationState:
     residual_history: list
 
 
-def feedback_policy(problem: ProblemSpec, grid: Grid, u: ValueField,
-                    evaluator: Optional[PhiEvaluator] = None) -> np.ndarray:
+def feedback_policy(problem: ProblemSpec, grid: Grid, u: ValueField) -> np.ndarray:
     """The closed-loop control field: the Hamiltonian minimizer evaluated at the
     stored gradient, per time level and node."""
-    if evaluator is None:
-        evaluator = PhiEvaluator.for_problem(problem)
+    evaluator = PhiEvaluator.for_problem(problem)
     coords = grid.coords()
     shape = (grid.nt + 1,) + grid.shape + ((2,) if grid.dim == 2 else ())
     out = np.empty(shape)
@@ -100,23 +95,18 @@ def feedback_policy(problem: ProblemSpec, grid: Grid, u: ValueField,
 
 
 def apply_phi(problem: ProblemSpec, grid: Grid, mu: MeasureFlow,
-              hjb_config: HjbSolverConfig = HjbSolverConfig(),
-              fp_config: FpSolverConfig = FpSolverConfig(),
-              evaluator: Optional[PhiEvaluator] = None):
+              hjb_config: HjbSolverConfig = HjbSolverConfig()):
     """One application of the map: solve the backward equation under mu, extract
     the feedback policy, push m0 forward under it. Returns (u, m)."""
-    if evaluator is None:
-        evaluator = PhiEvaluator.for_problem(problem)
-    u = solve_hjb(problem, grid, mu, hjb_config, evaluator)
-    policy = feedback_policy(problem, grid, u, evaluator)
-    m = solve_fp(problem, grid, mu, policy, fp_config)
+    u = solve_hjb(problem, grid, mu, hjb_config)
+    policy = feedback_policy(problem, grid, u)
+    m = solve_fp(problem, grid, mu, policy)
     return u, m
 
 
 def solve_mfg(problem: ProblemSpec, grid: Grid,
               config: FixedPointConfig = FixedPointConfig(),
               hjb_config: HjbSolverConfig = HjbSolverConfig(),
-              fp_config: FpSolverConfig = FpSolverConfig(),
               initial_state: Optional[IterationState] = None,
               on_iteration=None):
     """Picard iteration on the measure flow: full steps while the map residual
@@ -124,10 +114,11 @@ def solve_mfg(problem: ProblemSpec, grid: Grid,
 
     Non-convergence within max_iters returns the last map output with
     converged=False (existence is known, convergence of the iteration is not).
-    on_iteration(state) is called after every outer step for checkpointing;
-    initial_state resumes from such a state bit-for-bit.
+    The iteration starts from the constant-in-time flow of m0, or from
+    initial_state with any start flow. on_iteration(state) is called after
+    every outer step for checkpointing; initial_state resumes from such a
+    state bit-for-bit.
     """
-    evaluator = PhiEvaluator.for_problem(problem)
     report = FixedPointReport()
 
     if initial_state is not None:
@@ -136,17 +127,14 @@ def solve_mfg(problem: ProblemSpec, grid: Grid,
         start = initial_state.iteration
     else:
         m0, _ = discretize_initial_density(problem, grid)
-        if config.initial_guess == "uncontrolled":
-            mu = solve_fp(problem, grid, None, None, fp_config)
-        else:
-            mu = MeasureFlow.constant_in_time(m0, grid)
+        mu = MeasureFlow.constant_in_time(m0, grid)
         start = 0
 
     u = m = None
     converged = False
     it = start
     for it in range(start + 1, config.max_iters + 1):
-        u, m = apply_phi(problem, grid, mu, hjb_config, fp_config, evaluator)
+        u, m = apply_phi(problem, grid, mu, hjb_config)
         r = flow_distance(mu, m, grid)
         history = report.residual_history
         history.append(r)
@@ -165,18 +153,17 @@ def solve_mfg(problem: ProblemSpec, grid: Grid,
     report.iterations_used = it
     report.converged = converged
     if u is None:  # resumed from a state that was already converged
-        u, m = apply_phi(problem, grid, mu, hjb_config, fp_config, evaluator)
+        u, m = apply_phi(problem, grid, mu, hjb_config)
     report.final_flow_regularity = flow_regularity(m, grid)
-    report.pde_residuals = pde_residual(problem, grid, u, m, evaluator=evaluator)
+    report.pde_residuals = pde_residual(problem, grid, u, m)
     return u, m, report
 
 
 def pde_residual(problem: ProblemSpec, grid: Grid, u: ValueField, m: MeasureFlow,
-                 margin: int = 10, evaluator: Optional[PhiEvaluator] = None):
+                 margin: int = 10):
     """Centered finite-difference residuals of the coupled system evaluated on
     the computed pair, maxed over interior nodes and time levels 1..nt-1."""
-    if evaluator is None:
-        evaluator = PhiEvaluator.for_problem(problem)
+    evaluator = PhiEvaluator.for_problem(problem)
     coords = grid.coords()
     dt, h = grid.dt, grid.h
     uv, mv = u.values, m.densities

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from mfgkit.catalog import get_entry
-from mfgkit.core import build_grid, diffusion_coefficients
-from mfgkit.fp import FpSolverConfig
+from mfgkit.core import (MeasureFlow, build_grid, diffusion_coefficients,
+                         discretize_initial_density)
 from mfgkit.hjb import HjbSolverConfig
-from mfgkit.mfg import FixedPointConfig, solve_mfg
+from mfgkit.mfg import FixedPointConfig, IterationState, solve_mfg
 
 
 class SolveCache:
@@ -20,17 +20,24 @@ class SolveCache:
         self._cache = {}
 
     def get(self, name: str, refine: int = 1, theta: float = None):
-        """(entry, grid, u, m, report) for a converged catalog solve."""
+        """(entry, grid, u, m, report) for a converged catalog solve; with a
+        theta, one that takes theta-damped steps from its first step on."""
         key = (name, refine, theta)
         if key not in self._cache:
             entry = get_entry(name)
             grid = entry.grid if refine == 1 else entry.grid.refine(refine)
-            fx = entry.fixed_point
+            fx, start = entry.fixed_point, None
             if theta is not None:
                 fx = FixedPointConfig(theta=theta, tol=fx.tol,
                                       max_iters=fx.max_iters)
+                # the flow of m0 under a residual history that ends in a
+                # non-decrease, so the step rule damps from the first step
+                m0, _ = discretize_initial_density(entry.problem, grid)
+                start = IterationState(
+                    0, MeasureFlow.constant_in_time(m0, grid).densities,
+                    [np.inf, np.inf])
             u, m, report = solve_mfg(entry.problem, grid, fx,
-                                     HjbSolverConfig(), FpSolverConfig())
+                                     HjbSolverConfig(), initial_state=start)
             self._cache[key] = (entry, grid, u, m, report)
         return self._cache[key]
 

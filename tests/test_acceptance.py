@@ -13,7 +13,7 @@ import pytest
 from mfgkit.catalog import get_entry, heat_check_problem
 from mfgkit.core import build_grid, discretize_initial_density
 from mfgkit.cost import evaluate_cost, expected_initial_value, verify_optimality
-from mfgkit.fp import FpSolverConfig, solve_fp
+from mfgkit.fp import solve_fp
 from mfgkit.hjb import HjbSolverConfig, solve_hjb
 from mfgkit.measure import d1_atoms, d1_grid, d1_lp, flow_distance
 from mfgkit.mfg import FixedPointConfig, feedback_policy, solve_mfg
@@ -112,7 +112,7 @@ def test_criterion_05_sde_fp_duality(solved):
 
 
 def test_criterion_06_fixed_point_convergence(solved):
-    _, grid, _, m_half, rep = solved.get("example5-weak")
+    _, grid, _, _, rep = solved.get("example5-weak")
     ok = rep.converged and rep.iterations_used <= 50
     detail = f"example5-weak converged in {rep.iterations_used} iterations"
     for name in ("decoupled-hopfcole", "lq-riccati"):
@@ -120,10 +120,15 @@ def test_criterion_06_fixed_point_convergence(solved):
         ok &= r.converged and r.iterations_used == 2 and r.residual_history[1] <= 1e-12
         detail += (f"; {name}: {r.iterations_used} iters, "
                    f"second residual {r.residual_history[1]:.1e}")
+    # both from one start whose history damps every step: theta 1.0 takes the
+    # full steps, theta 0.5 half steps along a different residual history
+    _, _, _, m_half, rep_half = solved.get("example5-weak", theta=0.5)
     _, _, _, m_one, rep_one = solved.get("example5-weak", theta=1.0)
     gap = flow_distance(m_half, m_one, grid)
-    ok &= rep_one.converged and gap <= 1e-3
-    detail += f"; theta 1.0 vs 0.5 limit distance {gap:.1e} (tol 1e-3)"
+    ok &= (rep_half.converged and rep_one.converged and gap <= 1e-3
+           and rep_half.residual_history != rep_one.residual_history)
+    detail += (f"; theta 1.0 vs 0.5 limit distance {gap:.1e} (tol 1e-3), "
+               f"{rep_one.iterations_used} vs {rep_half.iterations_used} steps")
     _report(6, "fixed-point convergence", ok, detail)
 
 

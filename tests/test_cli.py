@@ -67,7 +67,12 @@ def test_unparsable_run_config_on_resume_is_config_error(tmp_path):
 
 @pytest.mark.parametrize("flags", [["--seed", "-1"],
                                    ["--seed", str(2 ** 64)],
-                                   ["--assumption-samples", "0"]])
+                                   ["--assumption-samples", "0"],
+                                   ["--theta", "0"],
+                                   ["--theta", "1.5"],
+                                   ["--tol", "0"],
+                                   ["--max-iters", "0"],
+                                   ["--picard-inner-iters", "0"]])
 def test_out_of_range_verification_value_is_config_error_without_artifacts(
         tmp_path, flags):
     out = tmp_path / "o"

@@ -7,7 +7,7 @@ from scipy.linalg import solve_banded
 from mfgkit.core import LineSystem, MeasureFlow, MeasureView, ProblemSpec, build_grid, \
     discretize_initial_density
 from mfgkit.catalog import gaussian_density, heat_check_problem
-from mfgkit.fp import FpError, FpSolverConfig, _axis_step, _diffusion_band, solve_fp
+from mfgkit.fp import FpError, _axis_step, _diffusion_band, solve_fp
 from mfgkit.hjb import solve_hjb, HjbSolverConfig
 from mfgkit.measure import d1_grid
 from mfgkit.oracle import heat_flow_density
@@ -29,10 +29,10 @@ def _problem(**kw):
     return ProblemSpec(**base)
 
 
-@pytest.mark.parametrize("scheme", ["exponential", "upwind"])
+@pytest.mark.parametrize("scheme", ["exponential"])
 def test_heat_kernel_agreement(scheme):
     problem, grid = heat_check_problem()
-    flow = solve_fp(problem, grid, None, None, FpSolverConfig(flux_scheme=scheme))
+    flow = solve_fp(problem, grid, None, None)
     ref = heat_flow_density(0.0, 0.25, np.sqrt(2.0), grid)
     worst = max(d1_grid(flow.densities[k], ref.densities[k], grid)
                 for k in range(0, grid.nt + 1, 5))
@@ -49,11 +49,11 @@ def test_constant_drift_first_moment():
     assert mean_T == pytest.approx(0.9, abs=1e-3)
 
 
-@pytest.mark.parametrize("scheme", ["exponential", "upwind"])
+@pytest.mark.parametrize("scheme", ["exponential"])
 def test_mass_conserved_to_round_off(scheme):
     p = _problem(drift_b0=lambda t, x, m: np.sin(x))
     g = build_grid(1, -6.0, 6.0, 161, 1.0, 200)
-    flow = solve_fp(p, g, None, None, FpSolverConfig(flux_scheme=scheme))
+    flow = solve_fp(p, g, None, None)
     assert flow.mass_drift.max() <= 1e-8
     flow.validate()
 
@@ -87,7 +87,7 @@ def test_frozen_vs_self_coupled_paths():
 def test_mean_coupled_drift_runs_and_conserves():
     p = _problem(drift_b0=lambda t, x, view: 0.5 * np.tanh(view.mean - x))
     g = build_grid(1, -6.0, 6.0, 121, 1.0, 100)
-    flow = solve_fp(p, g, None, None, FpSolverConfig(inner_sweeps=2))
+    flow = solve_fp(p, g, None, None)
     assert flow.mass_drift.max() <= 1e-8
     assert flow.min_density.min() >= -1e-12
 
@@ -206,48 +206,38 @@ def test_2d_cross_term_conserves_mass_and_positivity():
     assert flow.min_density.min() >= -1e-9  # cross term is explicit
 
 
-@pytest.mark.parametrize("axis,scheme", [(0, "upwind"), (1, "upwind"),
-                                         (0, "exponential"), (1, "exponential")],
-                         ids=["0", "1", "exponential-0", "exponential-1"])
-def test_2d_stacked_sweep_matches_per_line_solve(axis, scheme, varying_diffusion):
-    # zero drift: with the upwind flux the sub-step is the implicit zero-flux
-    # diffusion (I - dt D_xx(a .)) m_new = m along each line of the axis; the
-    # exponential flux diffuses with the face value a_face and carries the
-    # drift -a_x as an explicit fitted flux
+@pytest.mark.parametrize("axis", [0, 1], ids=["exponential-0", "exponential-1"])
+def test_2d_stacked_sweep_matches_per_line_solve(axis, varying_diffusion):
+    # zero drift: the fitted flux diffuses with the face value a_face and
+    # carries the drift -a_x as an explicit fitted flux along each line
     g, diag_a = varying_diffusion
     x = g.coords()
     a, h, dt = diag_a[axis], g.h[axis], g.dt
     m = np.exp(-((x - 0.3) ** 2).sum(-1))
-    out = _axis_step(LineSystem(_diffusion_band, h, dt, scheme), m, np.zeros_like(m), a,
-                     h, dt, scheme, axis)
+    out = _axis_step(LineSystem(_diffusion_band, h, dt), m, np.zeros_like(m), a,
+                     h, dt, axis)
     ref = np.empty_like(m)
     r = dt / h ** 2
     for j in range(g.nx):
         line = (slice(None), j) if axis == 0 else (j, slice(None))
         al, rhs = a[line], m[line].copy()
         ab = np.zeros((3, g.nx))
-        if scheme == "upwind":
-            ab[0, 1:] = -r * al[1:]
-            ab[1] = 1.0 + 2.0 * r * al
-            ab[1, [0, -1]] = 1.0 + r * al[[0, -1]]
-            ab[2, :-1] = -r * al[:-1]
-        else:
-            a_face = 0.5 * (al[1:] + al[:-1])
-            z = -(al[1:] - al[:-1]) / a_face  # face Peclet number of the drift -a_x
-            with np.errstate(invalid="ignore"):
-                bm, bp = (np.where(s == 0, 1.0, s / np.expm1(s)) for s in (-z, z))
-            flux = a_face / h * ((bm - 1.0) * rhs[:-1] - (bp - 1.0) * rhs[1:])
-            rhs[:-1] -= dt / h * flux
-            rhs[1:] += dt / h * flux
-            ab[0, 1:] = ab[2, :-1] = -r * a_face
-            ab[1] = 1.0
-            ab[1, :-1] += r * a_face
-            ab[1, 1:] += r * a_face
+        a_face = 0.5 * (al[1:] + al[:-1])
+        z = -(al[1:] - al[:-1]) / a_face  # face Peclet number of the drift -a_x
+        with np.errstate(invalid="ignore"):
+            bm, bp = (np.where(s == 0, 1.0, s / np.expm1(s)) for s in (-z, z))
+        flux = a_face / h * ((bm - 1.0) * rhs[:-1] - (bp - 1.0) * rhs[1:])
+        rhs[:-1] -= dt / h * flux
+        rhs[1:] += dt / h * flux
+        ab[0, 1:] = ab[2, :-1] = -r * a_face
+        ab[1] = 1.0
+        ab[1, :-1] += r * a_face
+        ab[1, 1:] += r * a_face
         ref[line] = solve_banded((1, 1), ab, rhs)
     np.testing.assert_allclose(out, ref, rtol=1e-13, atol=1e-15)
 
 
-@pytest.mark.parametrize("scheme", ["upwind", "exponential"])
+@pytest.mark.parametrize("scheme", ["exponential"])
 @pytest.mark.parametrize("dim,varying", [(1, False), (1, True), (2, False), (2, True)],
                          ids=["1d-constant", "1d-varying", "2d-constant", "2d-varying"])
 def test_factored_lines_equal_solve_banded(dim, varying, scheme, varying_diffusion):
@@ -262,12 +252,12 @@ def test_factored_lines_equal_solve_banded(dim, varying, scheme, varying_diffusi
     x = g.coords().reshape(g.shape + (dim,))
     for axis, a in enumerate(diag_a):
         h, dt = g.h[axis], g.dt
-        lines = LineSystem(_diffusion_band, h, dt, scheme)
+        lines = LineSystem(_diffusion_band, h, dt)
         a = a.swapaxes(axis, -1)
         for rhs in (np.exp(-(x ** 2).sum(-1)), 1.0 + np.cos(3.0 * x[..., 0]) ** 2):
             rhs = rhs.swapaxes(axis, -1)
             out = lines.solve(a, rhs)
-            band = _diffusion_band(a, h, dt, scheme).reshape(3, -1)
+            band = _diffusion_band(a, h, dt).reshape(3, -1)
             ref = solve_banded((1, 1), band, rhs.ravel()).reshape(rhs.shape)
             assert np.array_equal(out, ref)
 
@@ -310,21 +300,22 @@ def test_solvers_factor_once_per_axis_per_diffusion(solver, dim, t_dependent, mo
 
 
 def test_renormalization_flag_and_drift_reporting():
+    # every level is renormalized; the mass drift reported is the one before
+    # renormalization, which the conservative fluxes keep at round-off
     p = _problem(drift_b0=lambda t, x, m: 0.3 * np.cos(x))
     g = build_grid(1, -6.0, 6.0, 121, 1.0, 100)
-    flow = solve_fp(p, g, None, None, FpSolverConfig(renormalize_each_step=False))
-    flow.validate(mass_tol=1e-6)  # conservative fluxes keep mass without help
+    flow = solve_fp(p, g, None, None)
+    flow.validate()
     assert flow.mass_drift.max() <= 1e-10
 
 
 def test_frozen_flow_runs_one_sweep(monkeypatch):
-    # a frozen flow fixes the coefficients: more sweeps would recompute the
-    # same step, so solve_fp runs one and builds one StepCoefficients per step
+    # one sweep per step: solve_fp builds one StepCoefficients per step, from
+    # the frozen flow's view or, self-coupled, from the current density
     from mfgkit import fp
     p = _problem(drift_b0=lambda t, x, view: 0.5 * np.tanh(view.mean - x))
     g = build_grid(1, -6.0, 6.0, 61, 1.0, 40)
     mu = solve_fp(p, g, None, None)
-    one = solve_fp(p, g, mu, None, FpSolverConfig(inner_sweeps=1))
     built = []
 
     class Counted(fp.StepCoefficients):
@@ -333,13 +324,13 @@ def test_frozen_flow_runs_one_sweep(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(fp, "StepCoefficients", Counted)
-    three = solve_fp(p, g, mu, None, FpSolverConfig(inner_sweeps=3))
-    assert np.array_equal(three.densities, one.densities)
+    frozen = solve_fp(p, g, mu, None)
     assert built == [g.time(k) for k in range(g.nt)]
-    # the self-coupled form still runs every sweep
     built.clear()
-    solve_fp(p, g, None, None, FpSolverConfig(inner_sweeps=3))
-    assert len(built) == 3 * g.nt
+    solve_fp(p, g, None, None)
+    assert built == [g.time(k) for k in range(g.nt)]
+    # frozen at the self-coupled run's own flow, the march repeats its views
+    assert np.array_equal(frozen.densities, mu.densities)
 
 
 def _correlated_2d(sigma12):
@@ -360,14 +351,13 @@ def _correlated_2d(sigma12):
 
 
 def test_mixed_flux_negativity_names_the_mixed_term():
-    # 21^2 x 20 on [-3, 3]^2 with the upwind flux: the explicit mixed-term
-    # flux of the correlated diffusion drives tail densities below
-    # -NEGATIVITY_TOL; without the correlation the same march stays positive,
-    # so the advective CFL bound is not the cause
+    # 21^2 x 20 on [-3, 3]^2: the explicit mixed-term flux of the correlated
+    # diffusion drives tail densities below -NEGATIVITY_TOL; without the
+    # correlation the same march stays positive, so the advective CFL bound
+    # is not the cause
     g = build_grid(2, -3.0, 3.0, 21, 0.25, 20)
-    upwind = FpSolverConfig(flux_scheme="upwind")
     with pytest.raises(FpError, match="mixed-term flux") as err:
-        solve_fp(_correlated_2d(0.3), g, None, None, upwind)
+        solve_fp(_correlated_2d(0.3), g, None, None)
     assert "CFL" not in str(err.value)
-    flow = solve_fp(_correlated_2d(0.0), g, None, None, upwind)
+    flow = solve_fp(_correlated_2d(0.0), g, None, None)
     assert flow.min_density.min() >= 0.0

@@ -5,7 +5,7 @@ from scipy.linalg import solve_banded
 from mfgkit.core import (LineSystem, MeasureFlow, ProblemSpec, build_grid,
                          discretize_initial_density)
 from mfgkit.catalog import capped_quadratic, gaussian_density, get_entry
-from mfgkit.hjb import (CFLAdvisory, HjbError, HjbSolverConfig, _diffusion_band,
+from mfgkit.hjb import (CFLAdvisory, HjbError, _diffusion_band,
                         _implicit_diffusion_solve, solve_hjb)
 from mfgkit.oracle import hopf_cole_value, lq_riccati_value
 
@@ -246,10 +246,12 @@ def test_factored_lines_equal_solve_banded(dim, varying, varying_diffusion):
             assert np.array_equal(out, ref)
 
 
-def test_linear_solve_residual_guard_raises():
+def test_linear_solve_residual_guard_raises(monkeypatch):
     # a tolerance below round-off cannot be met by any line's residual
+    from mfgkit import hjb
+    monkeypatch.setattr(hjb, "LINEAR_SOLVER_TOL", 1e-30)
     G = capped_quadratic(25.0)
     p = _problem(terminal_g=lambda x, m: G(x))
     g = build_grid(1, -6.0, 6.0, 61, 1.0, 10)
     with pytest.raises(HjbError, match="residual"):
-        solve_hjb(p, g, _mu(p, g), HjbSolverConfig(linear_solver_tol=1e-30))
+        solve_hjb(p, g, _mu(p, g))

@@ -78,16 +78,44 @@ def test_weakly_coupled_converges_and_residuals_decrease(solved):
 
 
 def test_damping_independence_of_the_limit():
+    # both runs start from one state whose residual history ends in a
+    # non-decrease, so every step is damped and the two reach the limit along
+    # different residual histories
+    from mfgkit.mfg import IterationState
     e = get_entry("example5-weak")
     g = _small_grid(e)
     fx = e.fixed_point
-    out = {}
+    m0, _ = discretize_initial_density(e.problem, g)
+    start = IterationState(0, MeasureFlow.constant_in_time(m0, g).densities,
+                           [np.inf, np.inf])
+    out, histories = {}, {}
     for theta in (0.5, 1.0):
         cfg = FixedPointConfig(theta=theta, tol=fx.tol, max_iters=fx.max_iters)
-        _, m, rep = solve_mfg(e.problem, g, cfg)
+        _, m, rep = solve_mfg(e.problem, g, cfg, initial_state=start)
         assert rep.converged
-        out[theta] = m
+        out[theta], histories[theta] = m, rep.residual_history
+    assert histories[0.5] != histories[1.0]
     assert flow_distance(out[0.5], out[1.0], g) <= 10 * fx.tol
+
+
+def test_solver_signatures_and_config_fields():
+    # every tuning value a solve takes, by name: a new option needs a
+    # deliberate edit here
+    import inspect
+    from dataclasses import fields
+    from mfgkit.hjb import HjbSolverConfig
+
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+    assert params(solve_fp) == ["problem", "grid", "mu_flow", "policy"]
+    assert params(solve_hjb) == ["problem", "grid", "mu_flow", "config"]
+    assert params(apply_phi) == ["problem", "grid", "mu", "hjb_config"]
+    assert params(feedback_policy) == ["problem", "grid", "u"]
+    assert params(pde_residual) == ["problem", "grid", "u", "m", "margin"]
+    assert params(solve_mfg) == ["problem", "grid", "config", "hjb_config",
+                                 "initial_state", "on_iteration"]
+    assert [f.name for f in fields(FixedPointConfig)] == ["theta", "tol", "max_iters"]
+    assert [f.name for f in fields(HjbSolverConfig)] == ["picard_inner_iters"]
 
 
 def test_iteration_deterministic():
@@ -236,13 +264,13 @@ def test_example5_reaches_tol_within_six_outer_iterations(solved):
 
 
 def test_uncontrolled_initial_guess_reaches_same_fixed_point():
+    from mfgkit.mfg import IterationState
     e = get_entry("example5-weak")
     g = _small_grid(e, nx=81, nt=60)
     base = FixedPointConfig(theta=0.5, tol=1e-5, max_iters=50)
-    alt = FixedPointConfig(theta=0.5, tol=1e-5, max_iters=50,
-                           initial_guess="uncontrolled")
+    uncontrolled = IterationState(0, solve_fp(e.problem, g, None, None).densities, [])
     _, m1, r1 = solve_mfg(e.problem, g, base)
-    _, m2, r2 = solve_mfg(e.problem, g, alt)
+    _, m2, r2 = solve_mfg(e.problem, g, base, initial_state=uncontrolled)
     assert r1.converged and r2.converged
     assert flow_distance(m1, m2, g) <= 10 * base.tol
 
@@ -333,13 +361,10 @@ def test_pinned_example5_solve():
 
 
 def test_pinned_2d_correlated_solve():
-    # correlated, x-dependent sigma with a mean-coupled drift and cost, and the
-    # upwind flux, whose diffusive band weighs the two sides of a face
-    # differently: literal values pin the mixed term of the HJB step and of
-    # the residual, and the orientation of the FP band
+    # correlated, x-dependent sigma with a mean-coupled drift and cost:
+    # literal values pin the mixed term of the HJB step and of the residual,
+    # and the fitted FP flux with its face-averaged diffusion band
     from mfgkit.core import ProblemSpec
-    from mfgkit.fp import FpSolverConfig
-    from mfgkit.hjb import HjbSolverConfig
 
     def sigma(t, x, m):
         sig = np.zeros(x.shape[:-1] + (2, 2))
@@ -356,12 +381,11 @@ def test_pinned_2d_correlated_solve():
         initial_density=lambda x: np.exp(-((x + 0.3) ** 2).sum(-1) / 2),
         closed_form_phi=lambda t, x, q: -q, gamma1=0.5, gamma2=3.0)
     g = build_grid(2, -3.0, 3.0, 21, 0.5, 20)
-    u, m, rep = solve_mfg(p, g, FixedPointConfig(max_iters=2), HjbSolverConfig(),
-                          FpSolverConfig(flux_scheme="upwind"))
+    u, m, rep = solve_mfg(p, g, FixedPointConfig(max_iters=2))
     assert _fingerprint(u, m, rep, (8, 12)) == {
-        "u": [0.30063152849182884, 0.2127929973655018],
-        "m": [0.09293965102560982, 0.08625136592009346],
-        "row_sums": [358.47299850684806, 335.69557149529726,
-                     6.256265422042299, 6.203389244545858],
-        "rho": [0.18090587134772199, 0.002224688583736295],
-        "pde": [0.00040159925076875547, 0.002825522355146576]}
+        "u": [0.30056485525873833, 0.2127281112797053],
+        "m": [0.09469068341015258, 0.08910019267490045],
+        "row_sums": [358.45795314943666, 335.68445540773723,
+                     6.259509997667985, 6.20465333098144],
+        "rho": [0.16433781201643596, 0.002544357138084799],
+        "pde": [0.00038064944584120797, 0.008267334252354097]}

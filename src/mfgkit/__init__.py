@@ -20,7 +20,7 @@ from .mfg import (FixedPointConfig, FixedPointReport, apply_phi,
                   feedback_policy, pde_residual, solve_mfg)
 from .oracle import (OracleSelfCheckError, heat_flow_density, hopf_cole_value,
                      lq_riccati_value)
-from .particle import ParticleEnsemble, compare_law, simulate
+from .particle import ParticleEnsemble, compare_law, law_check, simulate
 from .cost import (CostEstimate, OptimalityReport, evaluate_cost,
                    expected_initial_value, verify_optimality)
 

@@ -67,6 +67,8 @@ class RunConfig:
         if (self.n_particles < 1 or self.n_perturbations < 0
                 or self.assumption_samples < 1):
             raise ValueError("verification sizes must be positive")
+        if not self.duality_tol > 0:  # NaN too
+            raise ValueError(f"duality_tol must be positive, got {self.duality_tol}")
         if not 0 <= self.seed < 2 ** 64:  # the seed keys uint64 Philox streams
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
@@ -228,7 +230,7 @@ def _run_locked(config: RunConfig, entry, grid, solver, out: Path) -> int:
     import numpy as np
     from .hamiltonian import check_assumptions
     from .mfg import feedback_policy, solve_mfg
-    from .particle import simulate, compare_law
+    from .particle import law_check, simulate
     from .cost import verify_optimality, expected_initial_value
 
     state0 = None
@@ -299,15 +301,13 @@ def _run_locked(config: RunConfig, entry, grid, solver, out: Path) -> int:
                                     config.seed, policy=policy)
             profile, leak, max_abs = (opt.d1_profile, opt.boundary_leak,
                                       opt.max_abs_position)
-        if config.dump_ensemble or not entry.controlled:
-            ens = simulate(entry.problem, grid, m, policy, config.n_particles,
-                           config.seed)
-            if config.dump_ensemble:
-                np.save(out / "ensemble.npy", ens.positions)
-            if not entry.controlled:
-                profile = compare_law(ens, m, grid)
-                leak, max_abs = ens.boundary_leak, ens.max_abs_position
-            del ens
+        else:
+            profile, leak, max_abs = law_check(entry.problem, grid, m, None,
+                                               config.n_particles, config.seed)
+        if config.dump_ensemble:  # the one march that stores the paths
+            np.save(out / "ensemble.npy",
+                    simulate(entry.problem, grid, m, policy, config.n_particles,
+                             config.seed).positions)
         summary["particle"] = {
             "n": config.n_particles, "seed": config.seed,
             "max_d1": float(profile.max()),

@@ -268,13 +268,14 @@ class MeasureFlow:
     def __post_init__(self):
         self.densities.flags.writeable = False
 
-    def validate(self, mass_tol: float = MASS_TOL, neg_tol: float = 0.0) -> None:
-        if np.min(self.densities) < -neg_tol:
+    def validate(self) -> None:
+        """ValueError on a negative density or a level mass off 1 by > MASS_TOL."""
+        if np.min(self.densities) < 0:
             raise ValueError(f"negative density {np.min(self.densities):.3e}")
         mass = self.densities.sum(axis=tuple(range(1, self.densities.ndim)))
         mass = mass * self.grid.cell_volume
         worst = np.max(np.abs(mass - 1.0))
-        if worst > mass_tol:
+        if worst > MASS_TOL:
             raise ValueError(f"mass deviates from 1 by {worst:.3e}")
 
     def view(self, k: int) -> MeasureView:

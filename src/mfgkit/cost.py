@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Grid, MeasureFlow, ProblemSpec, ValueField
-from .particle import _law_d1, _march, _single
+from .particle import _law_observer, _march, _single
 
 __all__ = [
     "CostEstimate",
@@ -24,6 +24,10 @@ __all__ = [
     "expected_initial_value",
     "verify_optimality",
 ]
+
+# the value identity's allowance for the time and space discretization of the
+# solved pair, on top of three standard errors of the feedback cost
+DISCRETIZATION_ALLOWANCE = 2e-2
 
 
 @dataclass(frozen=True)
@@ -92,8 +96,9 @@ class OptimalityReport:
     value_check_passed: bool = False
     perturbations: list = field(default_factory=list)
     all_perturbations_passed: bool = False
-    # the feedback paths' law check, which the CLI reports under `particle`:
-    # d1 to the flow per time level, boundary leak, sup |X|
+    # the feedback paths' law check, by the observer of `particle.law_check`;
+    # the CLI reports it under `particle`: d1 to the flow per time level,
+    # boundary leak, sup |X|
     d1_profile: np.ndarray = None
     boundary_leak: float = np.nan
     max_abs_position: float = np.nan
@@ -147,7 +152,6 @@ def _sinusoid_fields(grid: Grid, dim: int, count: int,
 def verify_optimality(problem: ProblemSpec, grid: Grid, u: ValueField,
                       m_flow: MeasureFlow, n_perturbations: int, n_paths: int,
                       seed: int, epsilons=(0.1, 0.3),
-                      discretization_allowance: float = 2e-2,
                       policy: Optional[np.ndarray] = None) -> OptimalityReport:
     """Statistical check of the verification theorem on a solved pair (u, m).
 
@@ -175,11 +179,7 @@ def verify_optimality(problem: ProblemSpec, grid: Grid, u: ValueField,
                                        for j, eps in members])
 
     report = OptimalityReport()
-    report.d1_profile = np.empty(grid.nt + 1)
-
-    def law(k, x):
-        report.d1_profile[k] = _law_d1(x[:n_paths], m_flow.densities[k], grid)
-
+    report.d1_profile, law = _law_observer(m_flow, grid, n_paths)
     cost, leak, max_abs = _march(problem, grid, m_flow, controls,
                                  1 + len(members), n_paths, seed, law)
     report.boundary_leak = float(leak[0])
@@ -188,7 +188,7 @@ def verify_optimality(problem: ProblemSpec, grid: Grid, u: ValueField,
     report.feedback_cost = fb
     report.expected_value = expected_initial_value(u, m_flow.densities[0], grid)
     report.value_gap = abs(fb.mean - report.expected_value)
-    report.value_tolerance = 3.0 * fb.std_error + discretization_allowance
+    report.value_tolerance = 3.0 * fb.std_error + DISCRETIZATION_ALLOWANCE
     report.value_check_passed = report.value_gap <= report.value_tolerance
 
     ok = True

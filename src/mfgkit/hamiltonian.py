@@ -136,19 +136,16 @@ class AssumptionReport:
 
 
 def _sample_views(grid: Grid, rng: np.random.Generator, count: int) -> list[MeasureView]:
+    """count Gaussian measures of one width, centred in the box's middle half."""
+    lo, hi = grid.x_min, grid.x_max
     views = []
     for _ in range(count):
-        c = [rng.uniform(0.5 * grid.x_min[d] + 0.5 * grid.x_max[d] - 0.25 * (grid.x_max[d] - grid.x_min[d]),
-                         0.5 * grid.x_min[d] + 0.5 * grid.x_max[d] + 0.25 * (grid.x_max[d] - grid.x_min[d]))
+        c = [rng.uniform(0.5 * lo[d] + 0.5 * hi[d] - 0.25 * (hi[d] - lo[d]),
+                         0.5 * lo[d] + 0.5 * hi[d] + 0.25 * (hi[d] - lo[d]))
              for d in range(grid.dim)]
-        s = rng.uniform(0.05, 0.25) * (grid.x_max[0] - grid.x_min[0])
-        if grid.dim == 1:
-            z = grid.axis(0) - c[0]
-            dens = np.exp(-z * z / (2 * s * s))
-        else:
-            z1 = grid.axis(0) - c[0]
-            z2 = grid.axis(1) - c[1]
-            dens = np.exp(-z1 * z1 / (2 * s * s))[:, None] * np.exp(-z2 * z2 / (2 * s * s))[None, :]
+        s = rng.uniform(0.05, 0.25) * (hi[0] - lo[0])
+        g = [np.exp(-(grid.axis(d) - c[d]) ** 2 / (2 * s * s)) for d in range(grid.dim)]
+        dens = g[0] if grid.dim == 1 else g[0][:, None] * g[1][None, :]
         views.append(MeasureView(dens / (dens.sum() * grid.cell_volume), grid))
     return views
 
@@ -160,168 +157,142 @@ def check_assumptions(problem: ProblemSpec, grid: Grid, n_samples: int = 200,
     Draws random (t, x, m-slice, alpha, p, xi) tuples and verifies the ellipticity
     bracket, growth bounds, and finite-difference Lipschitz estimates against the
     declared constants. Margins >= 0 mean the sampled inequality held with slack.
+    One pass over the samples runs every sampled check; the difference
+    quotients (B4, B5, B7) probe the first 64 samples.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.Generator(np.random.Philox(key=np.uint64([seed, 0xA55])))
     n, L = problem.dim, problem.lipschitz
-    report = AssumptionReport(n_samples=n_samples, seed=seed)
     views = _sample_views(grid, rng, min(8, n_samples))
-
-    def rand_x(m):
-        pts = np.column_stack([rng.uniform(grid.x_min[d], grid.x_max[d], m)
-                               for d in range(n)])
-        return pts[:, 0] if n == 1 else pts
-
     ts = rng.uniform(0.0, problem.horizon, n_samples)
     alphas = rng.normal(0.0, 3.0, (n_samples, n))
     alphas[:: max(1, n_samples // 10)] *= 4.0  # probe the growth regime
     ps = rng.normal(0.0, 3.0, (n_samples, n))
-    xs = rand_x(n_samples)
+    xs = np.column_stack([rng.uniform(grid.x_min[d], grid.x_max[d], n_samples)
+                          for d in range(n)])
+    # the B2 directions, drawn before every B7 perturbation
+    xis = rng.normal(size=(n_samples, 2)) if n == 2 else None
+    if n == 1:  # 1D points, controls and costates carry no coordinate axis
+        xs, alphas, ps = xs[:, 0], alphas[:, 0], ps[:, 0]
     fd = lambda v: 1e-4 * (1.0 + np.abs(v))  # central-difference probe step
+    norm = np.abs if n == 1 else np.linalg.norm
+    e1 = 1.0 if n == 1 else np.array([1.0, 0.0])  # the difference direction
+    evaluator = (PhiEvaluator.for_problem(problem)
+                 if problem.closed_form_phi is not None else None)
 
-    # (B1) split structure: enforced by construction of ProblemSpec
-    report.checks["B1"] = AssumptionCheck(
-        "B1 drift/cost split", True, True,
-        detail="b and f are only evaluated through the b0+b1 / f0+f1 split")
-
-    # (B2) ellipticity bracket for a = sigma sigma^T / 2
-    qs = []
+    n_fd = min(n_samples, 64)
+    qs, b3s, quots, gv, gq, pq, growth = [], [], [], [], [], [], []
+    worst_detail, argmin_ok = "", True
     for i in range(n_samples):
-        view = views[i % len(views)]
-        sig = np.asarray(problem.diffusion_sigma(ts[i], xs[i], view), dtype=float)
+        t, x, al, view = ts[i], xs[i], alphas[i], views[i % len(views)]
+        amag = norm(al)
+        sig = np.asarray(problem.diffusion_sigma(t, x, view), dtype=float)
+        # (B2) ellipticity bracket for a = sigma sigma^T / 2
         if n == 1:
+            a = 0.5 * sig ** 2
             qs.append(0.5 * float(sig) ** 2)
         else:
             a = 0.5 * sig @ sig.T
-            xi = rng.normal(size=2)
-            xi /= np.linalg.norm(xi)
+            xi = xis[i] / np.linalg.norm(xis[i])
             qs.append(float(xi @ a @ xi))
-    qs = np.array(qs)
-    m_lo = float(np.min(qs - problem.gamma1))
-    m_hi = float(np.min(problem.gamma2 - qs))
-    report.checks["B2"] = AssumptionCheck(
-        "B2 uniform ellipticity", True, min(m_lo, m_hi) >= -1e-12,
-        margin=min(m_lo, m_hi),
-        detail=f"rayleigh quotient in [{qs.min():.6g}, {qs.max():.6g}] "
-               f"vs [{problem.gamma1:.6g}, {problem.gamma2:.6g}]")
-
-    # (B3) growth: |f| <= L(1+|a|^2), |b| <= L(1+|a|), |a_ij| <= L
-    margins = []
-    worst_detail = ""
-    for i in range(n_samples):
-        view = views[i % len(views)]
-        x = xs[i]
-        al = alphas[i, 0] if n == 1 else alphas[i]
-        amag = np.abs(al) if n == 1 else np.linalg.norm(al)
-        fval = problem.running_f0(ts[i], x, view) + problem.running_f1(ts[i], x, al)
-        bval = problem.drift_b0(ts[i], x, view) + problem.drift_b1(ts[i], x, al)
-        bmag = np.abs(bval) if n == 1 else np.linalg.norm(bval)
-        sig = np.asarray(problem.diffusion_sigma(ts[i], x, view), dtype=float)
-        aij = 0.5 * sig ** 2 if n == 1 else 0.5 * sig @ sig.T
-        trip = (L * (1 + amag ** 2) - abs(float(fval)),
-                L * (1 + amag) - float(bmag),
-                L - float(np.max(np.abs(aij))))
-        m = min(trip)
-        margins.append(m)
-        if m == min(margins):
-            worst_detail = (f"worst at t={ts[i]:.3f}, |alpha|={amag:.3f}: "
+        # (B3) growth: |f| <= L(1+|a|^2), |b| <= L(1+|a|), |a_ij| <= L
+        f = problem.running_f0(t, x, view) + problem.running_f1(t, x, al)
+        b = problem.drift_b0(t, x, view) + problem.drift_b1(t, x, al)
+        trip = (L * (1 + amag ** 2) - abs(float(f)),
+                L * (1 + amag) - float(norm(b)),
+                L - float(np.max(np.abs(a))))
+        b3s.append(min(trip))
+        if b3s[-1] == min(b3s):  # the last sample at the running minimum
+            worst_detail = (f"worst at t={t:.3f}, |alpha|={amag:.3f}: "
                             f"f/b/a margins {trip[0]:.3g}/{trip[1]:.3g}/{trip[2]:.3g}")
-    b3 = float(np.min(margins))
-    report.checks["B3"] = AssumptionCheck("B3 growth bounds", True, b3 >= -1e-12,
-                                          margin=b3, detail=worst_detail)
-
-    # (B4) Lipschitz in x and alpha by central differences
-    quots = []
-    n_fd = min(n_samples, 64)
-    for i in range(n_fd):
-        view = views[i % len(views)]
-        x = xs[i]
-        al = alphas[i, 0] if n == 1 else alphas[i]
-        amag = np.abs(al) if n == 1 else np.linalg.norm(al)
-        hx = fd(x if n == 1 else np.linalg.norm(x))
-        ex = 1.0 if n == 1 else np.array([1.0, 0.0])
-        for fn, scale in (
-            (lambda z: problem.drift_b0(ts[i], z, view) + problem.drift_b1(ts[i], z, al), 1.0),
-            (lambda z: problem.running_f0(ts[i], z, view) + problem.running_f1(ts[i], z, al), 1.0),
-            (lambda z: np.max(np.abs(problem.diffusion_sigma(ts[i], z, view))), 1.0),
-            (lambda z: problem.terminal_g(z, view), 1.0),
+        if i >= n_fd:
+            continue
+        # (B4) Lipschitz in x and alpha by central differences
+        hx = fd(norm(x))
+        for fn in (
+            lambda z: problem.drift_b0(t, z, view) + problem.drift_b1(t, z, al),
+            lambda z: problem.running_f0(t, z, view) + problem.running_f1(t, z, al),
+            lambda z: np.max(np.abs(problem.diffusion_sigma(t, z, view))),
         ):
-            d = (np.asarray(fn(x + hx * ex), dtype=float)
-                 - np.asarray(fn(x - hx * ex), dtype=float))
-            quots.append(float(np.max(np.abs(d))) / (2 * hx * scale))
+            d = (np.asarray(fn(x + hx * e1), dtype=float)
+                 - np.asarray(fn(x - hx * e1), dtype=float))
+            quots.append(float(np.max(np.abs(d))) / (2 * hx))
+        dg = abs(float(problem.terminal_g(x + hx * e1, view))
+                 - float(problem.terminal_g(x - hx * e1, view))) / (2 * hx)
         ha = fd(amag)
-        ea = 1.0 if n == 1 else np.array([1.0, 0.0])
-        db = (np.asarray(problem.drift_b1(ts[i], x, al + ha * ea), dtype=float)
-              - np.asarray(problem.drift_b1(ts[i], x, al - ha * ea), dtype=float))
-        quots.append(float(np.max(np.abs(db))) / (2 * ha))
-        df = (problem.running_f1(ts[i], x, al + ha * ea)
-              - problem.running_f1(ts[i], x, al - ha * ea))
-        quots.append(abs(float(df)) / (2 * ha) / (1.0 + 2.0 * amag))
-    b4 = L - float(np.max(quots))
-    report.checks["B4"] = AssumptionCheck(
-        "B4 Lipschitz coefficients", True, b4 >= -1e-9, margin=b4,
-        detail=f"worst sampled difference quotient {np.max(quots):.6g} vs L={L:.6g}")
-
-    # (B5) terminal data bounded with bounded gradient
-    gq, gv = [], []
-    for i in range(n_fd):
-        view = views[i % len(views)]
-        x = xs[i]
-        hx = fd(x if n == 1 else np.linalg.norm(x))
-        ex = 1.0 if n == 1 else np.array([1.0, 0.0])
+        db = (np.asarray(problem.drift_b1(t, x, al + ha * e1), dtype=float)
+              - np.asarray(problem.drift_b1(t, x, al - ha * e1), dtype=float))
+        df = problem.running_f1(t, x, al + ha * e1) - problem.running_f1(t, x, al - ha * e1)
+        quots += [dg, float(np.max(np.abs(db))) / (2 * ha),
+                  abs(float(df)) / (2 * ha) / (1.0 + 2.0 * amag)]
+        # (B5) terminal data bounded with bounded gradient
         gv.append(abs(float(problem.terminal_g(x, view))))
-        gq.append(abs(float(problem.terminal_g(x + hx * ex, view))
-                      - float(problem.terminal_g(x - hx * ex, view))) / (2 * hx))
+        gq.append(dg)
+        if evaluator is None:
+            continue
+        # (B7) minimizer regularity; its argmin property spot-checked by perturbation
+        p = ps[i]
+        pmag = norm(p)
+        hp = fd(pmag)
+        phi0 = np.asarray(minimize_H(problem, evaluator, t, x, p), dtype=float)
+        dphi = (np.asarray(minimize_H(problem, evaluator, t, x, p + hp * e1))
+                - np.asarray(minimize_H(problem, evaluator, t, x, p - hp * e1)))
+        pq.append(float(np.max(np.abs(dphi))) / (2 * hp))
+        growth.append(float(np.max(np.abs(phi0))) / (1.0 + pmag))
+        h0 = evaluate_H(problem, t, x, view, phi0, p)
+        pert = rng.normal(0.0, 0.5, phi0.shape) if n == 2 else rng.normal(0.0, 0.5)
+        h1 = evaluate_H(problem, t, x, view, problem.control_space.clip(phi0 + pert), p)
+        if h1 < h0 - 1e-10:
+            argmin_ok = False
+
+    qs = np.array(qs)
+    b2 = min(float(np.min(qs - problem.gamma1)), float(np.min(problem.gamma2 - qs)))
+    b3 = float(np.min(b3s))
+    b4 = L - float(np.max(quots))
     b5 = L - max(max(gv), max(gq))
-    report.checks["B5"] = AssumptionCheck(
-        "B5 terminal data regularity", True, b5 >= -1e-9, margin=b5,
-        detail=f"max |g| {max(gv):.4g}, max |Dg| {max(gq):.4g} vs L={L:.4g}")
+    checks = {
+        # (B1) split structure: enforced by construction of ProblemSpec
+        "B1": AssumptionCheck(
+            "B1 drift/cost split", True, True,
+            detail="b and f are only evaluated through the b0+b1 / f0+f1 split"),
+        "B2": AssumptionCheck(
+            "B2 uniform ellipticity", True, b2 >= -1e-12, margin=b2,
+            detail=f"rayleigh quotient in [{qs.min():.6g}, {qs.max():.6g}] "
+                   f"vs [{problem.gamma1:.6g}, {problem.gamma2:.6g}]"),
+        "B3": AssumptionCheck("B3 growth bounds", True, b3 >= -1e-12,
+                              margin=b3, detail=worst_detail),
+        "B4": AssumptionCheck(
+            "B4 Lipschitz coefficients", True, b4 >= -1e-9, margin=b4,
+            detail=f"worst sampled difference quotient {np.max(quots):.6g} vs L={L:.6g}"),
+        "B5": AssumptionCheck(
+            "B5 terminal data regularity", True, b5 >= -1e-9, margin=b5,
+            detail=f"max |g| {max(gv):.4g}, max |Dg| {max(gq):.4g} vs L={L:.4g}"),
+    }
 
     # (B6) initial density: nonnegative Hoelder density with finite second moment
     try:
         m0, leak = discretize_initial_density(problem, grid)
         sm = MeasureView(m0, grid).second_moment
-        ok = leak < 1e-6 and np.isfinite(sm)
-        report.checks["B6"] = AssumptionCheck(
-            "B6 initial density", True, ok, margin=1e-6 - leak,
+        checks["B6"] = AssumptionCheck(
+            "B6 initial density", True, leak < 1e-6 and np.isfinite(sm),
+            margin=1e-6 - leak,
             detail=f"box mass leak {leak:.3e}, second moment {sm:.4g}")
     except ValueError as e:
-        report.checks["B6"] = AssumptionCheck("B6 initial density", True, False,
-                                              detail=str(e))
+        checks["B6"] = AssumptionCheck("B6 initial density", True, False,
+                                       detail=str(e))
 
-    # (B7) minimizing control regularity; unverifiable for grid-search instances
-    if problem.closed_form_phi is None:
-        report.checks["B7"] = AssumptionCheck(
+    # (B7) unverifiable for grid-search instances
+    if evaluator is None:
+        checks["B7"] = AssumptionCheck(
             "B7 minimizer regularity", False, True,
             detail="assumption (B7) unchecked: grid_search mode has no "
                    "differentiable minimizer to probe")
     else:
-        evaluator = PhiEvaluator.for_problem(problem)
-        pq, growth, argmin_ok = [], [], True
-        for i in range(n_fd):
-            x = xs[i]
-            pvec = ps[i, 0] if n == 1 else ps[i]
-            pmag = np.abs(pvec) if n == 1 else np.linalg.norm(pvec)
-            hp = fd(pmag)
-            ep = 1.0 if n == 1 else np.array([1.0, 0.0])
-            phi0 = np.asarray(minimize_H(problem, evaluator, ts[i], x, pvec), dtype=float)
-            dphi = (np.asarray(minimize_H(problem, evaluator, ts[i], x, pvec + hp * ep))
-                    - np.asarray(minimize_H(problem, evaluator, ts[i], x, pvec - hp * ep)))
-            pq.append(float(np.max(np.abs(dphi))) / (2 * hp))
-            growth.append(float(np.max(np.abs(phi0))) / (1.0 + pmag))
-            # spot-check the argmin property of the closed form
-            view = views[i % len(views)]
-            h0 = evaluate_H(problem, ts[i], x, view, phi0, pvec)
-            pert = rng.normal(0.0, 0.5, phi0.shape) if n == 2 else rng.normal(0.0, 0.5)
-            h1 = evaluate_H(problem, ts[i], x, view,
-                            problem.control_space.clip(phi0 + pert), pvec)
-            if h1 < h0 - 1e-10:
-                argmin_ok = False
         b7 = L - max(max(pq), max(growth))
-        report.checks["B7"] = AssumptionCheck(
+        checks["B7"] = AssumptionCheck(
             "B7 minimizer regularity", True, b7 >= -1e-9 and argmin_ok, margin=b7,
             detail=f"phi/p difference quotient {max(pq):.9g}, growth ratio "
                    f"{max(growth):.4g} vs L={L:.4g}; argmin spot-check "
                    f"{'passed' if argmin_ok else 'FAILED'}")
-    return report
+    return AssumptionReport(checks=checks, n_samples=n_samples, seed=seed)

@@ -47,7 +47,7 @@ class FixedPointConfig:
     def __post_init__(self):
         if not (0.0 < self.theta <= 1.0):
             raise ValueError("damping theta must lie in (0, 1]")
-        if self.tol <= 0:
+        if not self.tol > 0:  # NaN too
             raise ValueError("tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")

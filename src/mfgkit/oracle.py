@@ -20,6 +20,9 @@ __all__ = [
 ]
 
 
+AUX_REFINE = 4  # the Hopf-Cole quadrature lattice refines the solver grid this often
+
+
 class OracleSelfCheckError(RuntimeError):
     """An oracle failed its own numerical validation; results are not trustworthy."""
 
@@ -29,11 +32,11 @@ def _heat_kernel(s: float, z: np.ndarray) -> np.ndarray:
     return np.exp(-z * z / (4.0 * s)) / np.sqrt(4.0 * np.pi * s)
 
 
-def hopf_cole_value(G, grid: Grid, aux_refine: int = 4) -> ValueField:
+def hopf_cole_value(G, grid: Grid) -> ValueField:
     """Exact solution of u_t + u_xx - |u_x|^2/2 = 0, u(T,.) = G via u = -2 ln w.
 
     w(t,x) = int K(T-t, x-y) exp(-G(y)/2) dy with K the heat kernel of w_t = w_xx,
-    by trapezoid quadrature on an auxiliary grid aux_refine times finer than the
+    by trapezoid quadrature on an auxiliary grid AUX_REFINE times finer than the
     solver grid, extended past the box so the kernel tail is negligible. 1D only;
     G must be bounded on the extended line (cap growth for integrability).
     """
@@ -44,11 +47,11 @@ def hopf_cole_value(G, grid: Grid, aux_refine: int = 4) -> ValueField:
         raise ValueError("hopf_cole_value is 1D")
     T = grid.horizon
     x = grid.axis(0)
-    h_aux = grid.h[0] / aux_refine
+    h_aux = grid.h[0] / AUX_REFINE
     pad = 8.0 * np.sqrt(2.0 * T)
     n_pad = int(np.ceil(pad / h_aux))
     y = np.concatenate([grid.x_min[0] - h_aux * np.arange(n_pad, 0, -1),
-                        grid.x_min[0] + h_aux * np.arange(grid.nx * aux_refine - aux_refine + 1),
+                        grid.x_min[0] + h_aux * np.arange((grid.nx - 1) * AUX_REFINE + 1),
                         grid.x_max[0] + h_aux * np.arange(1, n_pad + 1)])
     Gy = np.asarray(G(y), dtype=float)
     if not np.all(np.isfinite(Gy)):
@@ -79,7 +82,7 @@ def hopf_cole_value(G, grid: Grid, aux_refine: int = 4) -> ValueField:
     du = np.empty_like(values)
     values[grid.nt], du[grid.nt] = u_and_du(T, x)
     m = np.arange(-n_pad, n_pad + 1) * h_aux
-    sel = n_pad + aux_refine * np.arange(grid.nx)
+    sel = n_pad + AUX_REFINE * np.arange(grid.nx)
     for k in range(grid.nt):
         s = T - grid.time(k)
         kern = _heat_kernel(s, m)

@@ -1,6 +1,7 @@
 """Euler-Maruyama simulation of the controlled SDE against a frozen measure flow;
 the same march adds up each path's control cost, for one policy or a stack of
-them under common random numbers.
+them under common random numbers, and compares the paths' law with the flow as
+it goes.
 
 Randomness comes from counter-based Philox streams keyed (seed, step), with the
 in-stream counter enumerating particles, so ensembles are bit-identical for a
@@ -19,7 +20,8 @@ import numpy as np
 from .core import Grid, MeasureFlow, ProblemSpec, _interpolate
 from .measure import d1_grid, histogram_density
 
-__all__ = ["ParticleEnsemble", "simulate", "compare_law", "sample_initial"]
+__all__ = ["ParticleEnsemble", "simulate", "compare_law", "law_check",
+           "sample_initial"]
 
 _INIT_STREAM = 0xFFFFFFFF  # step key reserved for initial sampling
 
@@ -182,6 +184,28 @@ def _law_d1(points: np.ndarray, density: np.ndarray, grid: Grid) -> float:
     """d1 between the histogram of the points and a grid density."""
     emp, _ = histogram_density(points, grid)
     return d1_grid(emp, density, grid)
+
+
+def _law_observer(m_flow: MeasureFlow, grid: Grid, n: int):
+    """(profile, observe): an observer for `_march` that stores at profile[k]
+    the d1 between the first member's n points at level k and the flow."""
+    profile = np.empty(grid.nt + 1)
+
+    def observe(k, x):
+        profile[k] = _law_d1(x[:n], m_flow.densities[k], grid)
+    return profile, observe
+
+
+def law_check(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow,
+              policy_or_none: Optional[np.ndarray], n: int,
+              seed: int) -> tuple[np.ndarray, float, float]:
+    """The law of n paths against the flow, compared level by level as the
+    march reaches it, storing no path: (d1 profile, boundary leak, sup |X|),
+    bit for bit those of `compare_law` and `simulate` on the same arguments."""
+    profile, observe = _law_observer(m_flow, grid, n)
+    _, leak, max_abs = _march(problem, grid, m_flow, _single(policy_or_none),
+                              1, n, seed, observe)
+    return profile, float(leak[0]), float(max_abs[0])
 
 
 def compare_law(ensemble: ParticleEnsemble, m_flow: MeasureFlow,

@@ -18,7 +18,7 @@ from mfgkit.hjb import HjbSolverConfig, solve_hjb
 from mfgkit.measure import d1_atoms, d1_grid, d1_lp, flow_distance
 from mfgkit.mfg import FixedPointConfig, feedback_policy, solve_mfg
 from mfgkit.oracle import heat_flow_density
-from mfgkit.particle import compare_law, simulate
+from mfgkit.particle import law_check
 
 ALL_CATALOG = ("decoupled-hopfcole", "lq-riccati", "example5-weak",
                "uncontrolled-fp")
@@ -96,12 +96,12 @@ def test_criterion_05_sde_fp_duality(solved):
     for name in ("uncontrolled-fp", "example5-weak"):
         entry, grid, u, m, _ = solved.get(name)
         policy = feedback_policy(entry.problem, grid, u) if entry.controlled else None
-        ens = simulate(entry.problem, grid, m, policy, 100_000, seed=101)
-        worst = float(compare_law(ens, m, grid).max())
+        profile, _, _ = law_check(entry.problem, grid, m, policy, 100_000, seed=101)
+        worst = float(profile.max())
         ds = []
         for n in (1_000, 10_000, 100_000):
-            e_n = simulate(entry.problem, grid, m, policy, n, seed=202)
-            ds.append(float(compare_law(e_n, m, grid).max()))
+            profile, _, _ = law_check(entry.problem, grid, m, policy, n, seed=202)
+            ds.append(float(profile.max()))
         slope = float(np.polyfit(np.log([1e3, 1e4, 1e5]), np.log(ds), 1)[0])
         ok &= worst <= 5e-2 and -0.65 <= slope <= -0.35
         details.append(f"{name}: max d1 {worst:.2e}, slope {slope:.2f}")

@@ -71,6 +71,9 @@ def test_unparsable_run_config_on_resume_is_config_error(tmp_path):
                                    ["--theta", "0"],
                                    ["--theta", "1.5"],
                                    ["--tol", "0"],
+                                   ["--tol", "nan"],
+                                   ["--duality-tol", "0"],
+                                   ["--duality-tol", "nan"],
                                    ["--max-iters", "0"],
                                    ["--picard-inner-iters", "0"]])
 def test_out_of_range_verification_value_is_config_error_without_artifacts(
@@ -212,6 +215,25 @@ def test_dump_ensemble_flag(tmp_path):
     assert code == EXIT_OK
     ens = np.load(out / "ensemble.npy")
     assert ens.shape == (51, 500)
+
+
+def test_verify_stores_no_path_for_a_control_free_entry(tmp_path):
+    # the law of a control-free entry's paths is checked as the march reaches
+    # each level, so the run never holds an (nt+1) x n position array
+    import tracemalloc
+    n, nt = 10_000, 200
+    argv = ["verify", "--problem", "uncontrolled-fp", "--nx", "81", "--nt", str(nt),
+            "--n-particles", str(n), "--n-perturbations", "1",
+            "--assumption-samples", "32", "--duality-tol", "0.15"]
+    assert main(argv + ["--out", str(tmp_path / "warm")]) == EXIT_OK  # warm caches
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--out", str(tmp_path / "v")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak < n * (nt + 1) * 8 / 4
 
 
 def test_summary_reports_oracle_error(tmp_path):

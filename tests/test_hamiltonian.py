@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mfgkit.core import ControlSpace, MeasureView, ProblemSpec, build_grid
-from mfgkit.catalog import gaussian_density, get_entry
+from mfgkit.catalog import capped_quadratic, gaussian_density, get_entry
 from mfgkit.hamiltonian import (PhiEvaluator, check_assumptions, evaluate_H,
                                 minimize_H)
 
@@ -184,6 +184,65 @@ def test_check_assumptions_deterministic():
     top = [check_assumptions(e.problem, e.grid, n_samples=64, seed=2 ** 64 - j)
            for j in (1, 2)]
     assert top[0].to_dict()["checks"] != top[1].to_dict()["checks"]
+
+
+def _separable_hopf_cole_2d():
+    G1, G2 = capped_quadratic(8.0), capped_quadratic(5.0)
+    return ProblemSpec(
+        dim=2, horizon=0.5,
+        drift_b0=lambda t, x, m: np.zeros_like(x),
+        drift_b1=lambda t, x, a: a,
+        diffusion_sigma=lambda t, x, m: np.sqrt(2.0) * np.eye(2),
+        running_f0=lambda t, x, m: np.zeros(x.shape[:-1]),
+        running_f1=lambda t, x, a: 0.5 * (a ** 2).sum(axis=-1),
+        terminal_g=lambda x, m: G1(x[..., 0]) + G2(x[..., 1]),
+        initial_density=lambda x: np.exp(-(x ** 2).sum(-1) / 0.5) / (0.5 * np.pi),
+        closed_form_phi=lambda t, x, p_: -p_,
+        gamma1=1.0, gamma2=1.0, lipschitz=15.0)
+
+
+_CHECK_NAMES = ("B1 drift/cost split", "B2 uniform ellipticity", "B3 growth bounds",
+                "B4 Lipschitz coefficients", "B5 terminal data regularity",
+                "B6 initial density", "B7 minimizer regularity")
+_PINNED_CHECKS = {  # (margin, detail) of B1 to B7 at 64 samples, seed 5
+    "example5-weak": [
+        (None, "b and f are only evaluated through the b0+b1 / f0+f1 split"),
+        (-2.220446049250313e-16, "rayleigh quotient in [1, 1] vs [1, 1]"),
+        (25.0, "worst at t=0.687, |alpha|=3.473: f/b/a margins 333/113/25"),
+        (22.064669722989326, "worst sampled difference quotient 3.93533 vs L=26"),
+        (10.609594015353757, "max |g| 15.39, max |Dg| 3.935 vs L=26"),
+        (1e-06, "box mass leak 0.000e+00, second moment 0.5"),
+        (24.999999999999368, "phi/p difference quotient 1, growth ratio 0.8683 "
+                             "vs L=26; argmin spot-check passed")],
+    "separable-2d": [
+        (None, "b and f are only evaluated through the b0+b1 / f0+f1 split"),
+        (-4.440892098500626e-16, "rayleigh quotient in [1, 1] vs [1, 1]"),
+        (14.0, "worst at t=0.057, |alpha|=2.162: f/b/a margins 82.8/45.3/14"),
+        (12.774123870538437, "worst sampled difference quotient 2.22588 vs L=15"),
+        (2.4416186408717913, "max |g| 12.56, max |Dg| 2.226 vs L=15"),
+        (9.999999997779553e-07, "box mass leak 2.220e-16, second moment 0.5"),
+        (13.99999999999952, "phi/p difference quotient 1, growth ratio 0.8542 "
+                            "vs L=15; argmin spot-check passed")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_CHECKS))
+def test_check_assumptions_pinned_report(case):
+    # literal margins and details pin the draws and their order (the 2D B2
+    # directions included) and every per-check reduction; the B3 detail names
+    # the last sample that reaches the running minimum
+    if case == "example5-weak":
+        e = get_entry(case)
+        problem, grid = e.problem, e.grid
+    else:
+        problem, grid = _separable_hopf_cole_2d(), build_grid(2, -6.0, 6.0, 61, 0.5, 100)
+    checks = {f"B{j + 1}": {"name": name, "checked": True, "passed": True,
+                            "margin": margin, "detail": detail}
+              for j, (name, (margin, detail))
+              in enumerate(zip(_CHECK_NAMES, _PINNED_CHECKS[case]))}
+    report = check_assumptions(problem, grid, n_samples=64, seed=5)
+    assert report.to_dict() == {"n_samples": 64, "seed": 5, "all_passed": True,
+                                "checks": checks}
 
 
 def test_minimize_closed_form_requested_but_absent():

@@ -6,7 +6,8 @@ from mfgkit.catalog import gaussian_density, get_entry
 from mfgkit.measure import d1_atoms, histogram_density
 from mfgkit.mfg import feedback_policy
 from mfgkit.oracle import lq_riccati_value
-from mfgkit.particle import _march, compare_law, sample_initial, simulate
+from mfgkit.particle import (_march, compare_law, law_check, sample_initial,
+                             simulate)
 
 
 def _problem(**kw):
@@ -261,6 +262,24 @@ def test_stacked_march_members_equal_separate_marches(dim):
         assert max_abs[j] == ens.max_abs_position
         assert np.array_equal(np.stack([x[j * n:(j + 1) * n] for x in seen]),
                               ens.positions)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_law_check_equals_compare_law_of_stored_paths(dim):
+    # the streamed law check gives the stored paths' d1 profile, leak and
+    # sup |X| bit for bit: control-free in 1D, under a policy in 2D
+    if dim == 1:
+        problem, policy = get_entry("uncontrolled-fp").problem, None
+        g = build_grid(1, -8.0, 8.0, 161, 1.0, 50)
+    else:
+        problem, g = _correlated_2d(), build_grid(2, -4.0, 4.0, 21, 0.5, 20)
+        policy = np.stack([-(1.0 - t) * g.coords() for t in g.times])
+    flow = _flow(problem, g)
+    profile, leak, max_abs = law_check(problem, g, flow, policy, 300, seed=13)
+    ens = simulate(problem, g, flow, policy, 300, seed=13)
+    assert np.array_equal(profile, compare_law(ens, flow, g))
+    assert leak == ens.boundary_leak
+    assert max_abs == ens.max_abs_position
 
 
 def test_non_finite_positions_fail_cleanly():

@@ -82,6 +82,8 @@ class RunConfig:
 _BOOL_KEYS, _INT_KEYS, _FLOAT_KEYS = (
     tuple(f.name for f in fields(RunConfig) if type(f.default) is t)
     for t in (bool, int, float))
+_BOOL_WORDS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+               **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
 def parse_config_file(path: str) -> dict:
@@ -101,7 +103,9 @@ def parse_config_file(path: str) -> dict:
         if key not in known:
             raise ValueError(f"{path}:{ln}: unknown key {key!r}")
         if key in _BOOL_KEYS:
-            out[key] = val.lower() in ("1", "true", "yes", "on")
+            if val.lower() not in _BOOL_WORDS:
+                raise ValueError(f"{path}:{ln}: {key} must be a boolean, got {val!r}")
+            out[key] = _BOOL_WORDS[val.lower()]
         elif key in _INT_KEYS:
             out[key] = int(val)
         elif key in _FLOAT_KEYS:
@@ -334,7 +338,7 @@ def _run_locked(config: RunConfig, entry, grid, solver, out: Path) -> int:
     summary["all_checks_passed"] = all(checks.values())
     summary["runtime_seconds"] = time.time() - t_start
     with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, default=_json_default)
+        json.dump(summary, fh, indent=2)
         fh.write("\n")
 
     if not report.converged:
@@ -346,19 +350,6 @@ def _run_locked(config: RunConfig, entry, grid, solver, out: Path) -> int:
         print(f"verification failed: {', '.join(failed)}", file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK
-
-
-def _json_default(obj):
-    import numpy as np
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def _apply_threads_env() -> None:

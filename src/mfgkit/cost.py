@@ -197,7 +197,7 @@ def verify_optimality(problem: ProblemSpec, grid: Grid, u: ValueField,
         gap = ce.mean - fb.mean
         paired = _std_error(total - cost[0])
         combined = np.hypot(ce.std_error, fb.std_error)
-        passed = gap >= -3.0 * min(paired, combined)
+        passed = bool(gap >= -3.0 * min(paired, combined))
         ok &= passed
         report.perturbations.append(PerturbationResult(
             epsilon=eps, direction=j, cost=ce, gap=gap,

@@ -275,7 +275,7 @@ def check_assumptions(problem: ProblemSpec, grid: Grid, n_samples: int = 200,
         m0, leak = discretize_initial_density(problem, grid)
         sm = MeasureView(m0, grid).second_moment
         checks["B6"] = AssumptionCheck(
-            "B6 initial density", True, leak < 1e-6 and np.isfinite(sm),
+            "B6 initial density", True, bool(leak < 1e-6 and np.isfinite(sm)),
             margin=1e-6 - leak,
             detail=f"box mass leak {leak:.3e}, second moment {sm:.4g}")
     except ValueError as e:

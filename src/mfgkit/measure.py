@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .core import Grid, MeasureFlow, _second_moments
 
@@ -97,6 +95,10 @@ def d1_lp(x1, w1, x2, w2) -> float:
     Oracle path for small supports (<= 400 atoms each); x may be (k,) in 1D or
     (k, 2) in 2D.
     """
+    # imported here: scipy.optimize and scipy.sparse are slow to import and
+    # nothing else needs them
+    from scipy import sparse
+    from scipy.optimize import linprog
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
     x2 = np.atleast_1d(np.asarray(x2, dtype=float))
     w1 = np.asarray(w1, dtype=float)

@@ -42,7 +42,7 @@ __all__ = [
 class FixedPointConfig:
     theta: float = 0.5          # damping used once the map residual stops contracting
     tol: float = 1e-4           # stopping threshold on sup_t d1(mu_k(t), Phi(mu_k)(t))
-    max_iters: int = 100
+    max_iters: int = 50
 
     def __post_init__(self):
         if not (0.0 < self.theta <= 1.0):
@@ -163,7 +163,7 @@ def pde_residual(problem: ProblemSpec, grid: Grid, u: ValueField, m: MeasureFlow
                  margin: int = 10):
     """Centered finite-difference residuals of the coupled system evaluated on
     the computed pair, maxed over interior nodes and time levels 1..nt-1."""
-    evaluator = PhiEvaluator.for_problem(problem)
+    policy = feedback_policy(problem, grid, u)
     coords = grid.coords()
     dt, h = grid.dt, grid.h
     uv, mv = u.values, m.densities
@@ -171,10 +171,8 @@ def pde_residual(problem: ProblemSpec, grid: Grid, u: ValueField, m: MeasureFlow
     fp_worst = 0.0
     inner = (slice(margin, -margin),) * grid.dim
     for k in range(1, grid.nt):
-        t = grid.time(k)
-        alpha = minimize_H(problem, evaluator, t, coords, u.du[k])
-        coef = StepCoefficients(problem, t, coords, m.view(k))
-        bs, dus = coef.drift(alpha), _components(u.du[k], grid.shape)
+        coef = StepCoefficients(problem, grid.time(k), coords, m.view(k))
+        bs, dus = coef.drift(policy[k]), _components(u.du[k], grid.shape)
         u_t = (uv[k + 1] - uv[k - 1]) / (2 * dt)
         m_t = (mv[k + 1] - mv[k - 1]) / (2 * dt)
         axes = range(grid.dim)
@@ -185,7 +183,7 @@ def pde_residual(problem: ProblemSpec, grid: Grid, u: ValueField, m: MeasureFlow
         if coef.a12 is not None:
             diff = diff + 2 * coef.a12 * _mixed_diff(uv[k], h)
             q = q + 2 * _mixed_diff(coef.a12 * mv[k], h)
-        r_hjb = u_t + adv + diff + coef.cost(alpha)
+        r_hjb = u_t + adv + diff + coef.cost(policy[k])
         r_fp = m_t - q + div_bm
         hjb_worst = max(hjb_worst, float(np.max(np.abs(r_hjb[inner]))))
         fp_worst = max(fp_worst, float(np.max(np.abs(r_fp[inner]))))

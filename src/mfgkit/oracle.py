@@ -8,7 +8,6 @@ OracleSelfCheckError. None of these share numerical kernels with the solvers.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import Grid, MeasureFlow, ValueField
 
@@ -134,6 +133,8 @@ def lq_riccati_value(c: float, grid: Grid) -> ValueField:
     The closed form is cross-checked against an independent ODE integration of
     the coefficient system before use.
     """
+    # imported here: scipy.integrate, like scipy.signal above, is slow to import
+    from scipy.integrate import solve_ivp
     if grid.dim != 1:
         raise ValueError("lq_riccati_value is 1D")
     if c <= 0:

@@ -104,10 +104,50 @@ def test_config_file_rejects_unknown_keys(tmp_path):
 def test_config_file_parses_types(tmp_path):
     f = tmp_path / "cfg.txt"
     f.write_text("# a comment\nproblem = example5-weak\nnx = 81\n"
-                 "theta = 0.7\nverify = false\n")
+                 "theta = 0.7\nverify = false\ndump_ensemble = ON\n")
     d = parse_config_file(str(f))
     assert d == {"problem": "example5-weak", "nx": 81, "theta": 0.7,
-                 "verify": False}
+                 "verify": False, "dump_ensemble": True}
+
+
+@pytest.mark.parametrize("line", ["verify = flase", "dump_ensemble = maybe"])
+def test_invalid_boolean_in_config_file_is_config_error_without_artifacts(
+        tmp_path, line):
+    # a misspelt boolean once read as False and silently skipped verification
+    f = tmp_path / "cfg.txt"
+    f.write_text(f"problem = lq-riccati\n{line}\n")
+    out = tmp_path / "o"
+    assert main(["verify", "--config", str(f), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_run_config_defaults_are_the_solver_defaults():
+    # cli.py cannot import the solvers at module level (MFGKIT_THREADS must
+    # reach BLAS before numpy loads), so RunConfig restates their defaults
+    from mfgkit.catalog import list_catalog
+    from mfgkit.hjb import HjbSolverConfig
+    from mfgkit.mfg import FixedPointConfig
+    run_cfg, fx = RunConfig(), FixedPointConfig()
+    assert ((run_cfg.theta, run_cfg.tol, run_cfg.max_iters)
+            == (fx.theta, fx.tol, fx.max_iters))
+    assert run_cfg.picard_inner_iters == HjbSolverConfig().picard_inner_iters
+    assert all(entry.fixed_point == fx for entry in list_catalog())
+
+
+def test_reports_serialize_as_plain_json():
+    # summary.json is written by a plain json.dump: no numpy scalar may reach it
+    from mfgkit.catalog import get_entry
+    from mfgkit.cost import verify_optimality
+    from mfgkit.hamiltonian import check_assumptions
+    from mfgkit.mfg import solve_mfg
+    entry = get_entry("example5-weak")
+    grid = build_grid(1, -6.0, 6.0, 81, 1.0, 60)
+    u, m, report = solve_mfg(entry.problem, grid, entry.fixed_point)
+    reports = (report,
+               check_assumptions(entry.problem, grid, n_samples=16, seed=0),
+               verify_optimality(entry.problem, grid, u, m, 2, 500, 0))
+    for r in reports:
+        assert json.loads(json.dumps(r.to_dict())) == r.to_dict()
 
 
 def test_solve_writes_artifacts_and_roundtrips(tmp_path):

@@ -94,13 +94,16 @@ def test_heat_flow_rejects_bad_variance_and_small_box():
 
 
 def test_cli_import_leaves_signal_and_stats_unloaded():
-    # scipy.signal is only needed inside hopf_cole_value; importing it at
-    # module load slowed every CLI start-up
+    # each slow scipy submodule is imported inside the one function that needs
+    # it (hopf_cole_value, lq_riccati_value, d1_lp); importing them at module
+    # load slowed every CLI start-up
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, mfgkit.cli, mfgkit.oracle; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    slow = ("scipy.signal", "scipy.stats", "scipy.optimize", "scipy.sparse",
+            "scipy.integrate")
+    code = ("import sys, mfgkit.cli, mfgkit.catalog, mfgkit.oracle; "
+            f"print(sorted(m for m in {slow!r} if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -234,7 +234,7 @@ def _run_locked(config: RunConfig, entry, grid, solver, out: Path) -> int:
     import numpy as np
     from .hamiltonian import check_assumptions
     from .mfg import feedback_policy, solve_mfg
-    from .particle import law_check, simulate
+    from .particle import compare_law, law_check, simulate
     from .cost import verify_optimality, expected_initial_value
 
     state0 = None
@@ -296,22 +296,23 @@ def _run_locked(config: RunConfig, entry, grid, solver, out: Path) -> int:
         checks["hjb_oracle"] = err <= entry.oracle_tol
 
     if config.verify:
-        # a controlled entry's feedback paths are marched once, by
-        # verify_optimality, which also compares their law with the flow
         policy = feedback_policy(entry.problem, grid, u) if entry.controlled else None
-        if entry.controlled:
+        if entry.controlled:  # one march checks the feedback's law and cost
             opt = verify_optimality(entry.problem, grid, u, m,
                                     config.n_perturbations, config.n_particles,
                                     config.seed, policy=policy)
             profile, leak, max_abs = (opt.d1_profile, opt.boundary_leak,
                                       opt.max_abs_position)
-        else:
+        if config.dump_ensemble:  # the one march that stores the paths
+            ens = simulate(entry.problem, grid, m, policy, config.n_particles,
+                           config.seed)
+            np.save(out / "ensemble.npy", ens.positions)
+            if not entry.controlled:  # law_check's numbers, bit for bit
+                profile, leak, max_abs = (compare_law(ens, m, grid),
+                                          ens.boundary_leak, ens.max_abs_position)
+        elif not entry.controlled:
             profile, leak, max_abs = law_check(entry.problem, grid, m, None,
                                                config.n_particles, config.seed)
-        if config.dump_ensemble:  # the one march that stores the paths
-            np.save(out / "ensemble.npy",
-                    simulate(entry.problem, grid, m, policy, config.n_particles,
-                             config.seed).positions)
         summary["particle"] = {
             "n": config.n_particles, "seed": config.seed,
             "max_d1": float(profile.max()),

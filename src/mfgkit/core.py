@@ -233,8 +233,8 @@ class MeasureView:
 class ValueField:
     """Value function u[k] and its spatial gradient du[k] on the grid.
 
-    du has shape (nt+1, nx) in 1D and (nt+1, nx, nx, 2) in 2D, and always equals
-    the central/one-sided finite difference of values.
+    du has shape (nt+1, nx) in 1D and (nt+1, nx, nx, 2) in 2D: the central/
+    one-sided finite difference of values from a solver, exact from an oracle.
     """
 
     values: np.ndarray
@@ -290,6 +290,11 @@ class MeasureFlow:
     def constant_in_time(density: np.ndarray, grid: Grid) -> "MeasureFlow":
         d = np.broadcast_to(density, (grid.nt + 1,) + density.shape).copy()
         return MeasureFlow(d, grid)
+
+
+def _stream(seed: int, tag: int) -> np.random.Generator:
+    """The Philox stream keyed (seed, tag), tag a time step or a stream name."""
+    return np.random.Generator(np.random.Philox(key=np.uint64([seed, tag])))
 
 
 def discretize_initial_density(problem: ProblemSpec, grid: Grid):
@@ -476,13 +481,13 @@ def interpolate_field(field_values: np.ndarray, grid: Grid, x) -> np.ndarray:
 def _interpolate(table: np.ndarray, grid: Grid, pts: np.ndarray,
                  base: Optional[np.ndarray] = None) -> np.ndarray:
     """The interpolation kernel: table is (components, fields * nodes), a stack
-    of node fields; pts is (N, dim); base is None for one field, else each
-    point's offset field * n_nodes into the stack. Returns (components, N)."""
+    of node fields; pts is (..., dim); base is None for one field, else the
+    points' offsets field * n_nodes into the stack. Returns (components, ...)."""
     dim, nx = grid.dim, grid.nx
     # the cell lookup: flat index of the lower corner and per-axis weights
     flat, weights, h = None, [], grid.h
     for d in range(dim):
-        s = np.clip((pts[:, d] - grid.x_min[d]) / h[d], 0.0, nx - 1.0)
+        s = np.clip((pts[..., d] - grid.x_min[d]) / h[d], 0.0, nx - 1.0)
         i = np.minimum(s.astype(int), nx - 2)
         f = s - i
         flat = i if flat is None else flat * nx + i

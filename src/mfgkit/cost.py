@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Grid, MeasureFlow, ProblemSpec, ValueField
+from .core import Grid, MeasureFlow, ProblemSpec, ValueField, _stream
 from .particle import _law_observer, _march, _single
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
 # the value identity's allowance for the time and space discretization of the
 # solved pair, on top of three standard errors of the feedback cost
 DISCRETIZATION_ALLOWANCE = 2e-2
+EPSILONS = (0.1, 0.3)  # the perturbation sizes, each taken in every direction
 
 
 @dataclass(frozen=True)
@@ -151,27 +152,25 @@ def _sinusoid_fields(grid: Grid, dim: int, count: int,
 
 def verify_optimality(problem: ProblemSpec, grid: Grid, u: ValueField,
                       m_flow: MeasureFlow, n_perturbations: int, n_paths: int,
-                      seed: int, epsilons=(0.1, 0.3),
-                      policy: Optional[np.ndarray] = None) -> OptimalityReport:
+                      seed: int, policy: Optional[np.ndarray] = None) -> OptimalityReport:
     """Statistical check of the verification theorem on a solved pair (u, m).
 
     (i) the feedback cost matches the quadrature of u(0,.) against m0 within
     3 standard errors plus a discretization allowance; (ii) every perturbed
-    policy costs at least the feedback cost minus 3 standard errors of the
-    gap: the smaller of the paired-difference error and the hypot of the two
-    standard errors. The feedback and every perturbed policy are marched
-    together, against the same frozen flow and noise; the report also holds
-    the feedback paths' law check against the flow.
+    policy, each direction at each size in EPSILONS, costs at least the
+    feedback cost minus 3 standard errors of the gap: the smaller of the
+    paired-difference error and the hypot of the two standard errors. The
+    feedback and every perturbed policy are marched together, against the
+    same frozen flow and noise; the report also holds the feedback paths'
+    law check against the flow.
     """
     from .mfg import feedback_policy  # deferred: mfg depends on lower layers only
 
     if policy is None:
         policy = feedback_policy(problem, grid, u)
     policy = np.asarray(policy, dtype=float)
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0x5EED],
-                                                            dtype=np.uint64)))
-    etas = _sinusoid_fields(grid, problem.dim, n_perturbations, rng)
-    members = [(j, eps) for j in range(len(etas)) for eps in epsilons]
+    etas = _sinusoid_fields(grid, problem.dim, n_perturbations, _stream(seed, 0x5EED))
+    members = [(j, eps) for j in range(len(etas)) for eps in EPSILONS]
     clip = problem.control_space.clip
 
     def controls(k):  # the feedback, then each perturbed policy, at level k
@@ -179,7 +178,7 @@ def verify_optimality(problem: ProblemSpec, grid: Grid, u: ValueField,
                                        for j, eps in members])
 
     report = OptimalityReport()
-    report.d1_profile, law = _law_observer(m_flow, grid, n_paths)
+    report.d1_profile, law = _law_observer(m_flow, grid)
     cost, leak, max_abs = _march(problem, grid, m_flow, controls,
                                  1 + len(members), n_paths, seed, law)
     report.boundary_leak = float(leak[0])

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Grid, MeasureView, ProblemSpec, discretize_initial_density
+from .core import Grid, MeasureView, ProblemSpec, _stream, discretize_initial_density
 
 __all__ = [
     "PhiEvaluator",
@@ -162,7 +162,7 @@ def check_assumptions(problem: ProblemSpec, grid: Grid, n_samples: int = 200,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64([seed, 0xA55])))
+    rng = _stream(seed, 0xA55)
     n, L = problem.dim, problem.lipschitz
     views = _sample_views(grid, rng, min(8, n_samples))
     ts = rng.uniform(0.0, problem.horizon, n_samples)

@@ -52,26 +52,19 @@ def _advective_term(u: np.ndarray, b: np.ndarray, a: np.ndarray, h: float,
     Upwinding follows the sign of b as it enters u_t + <Du, b> + ... = 0 marched
     backward: b > 0 couples to the forward neighbor (monotone explicit update).
     The weight on the upwind difference grows from 0 at mesh Peclet number
-    |b| h / a <= 2 to 1 as it tends to infinity. Boundary nodes use the
-    second-order one-sided difference.
+    |b| h / a <= 2 to 1 as it tends to infinity. Only interior nodes are
+    computed; the wall entries stay zero, as the implicit diffusion solve
+    discards the wall rows and its closure sets the wall nodes.
     """
-    u, b, a = (v.swapaxes(axis, -1) for v in (u, b, a))
-    fwd = np.empty_like(u)
-    bwd = np.empty_like(u)
-    fwd[..., :-1] = (u[..., 1:] - u[..., :-1]) / h
-    bwd[..., 1:] = fwd[..., :-1]
-    fwd[..., -1] = (3.0 * u[..., -1] - 4.0 * u[..., -2] + u[..., -3]) / (2.0 * h)
-    bwd[..., -1] = fwd[..., -1]
-    bwd[..., 0] = (-3.0 * u[..., 0] + 4.0 * u[..., 1] - u[..., 2]) / (2.0 * h)
-    fwd[..., 0] = bwd[..., 0]
-    upw = np.where(b > 0, fwd, bwd)
-    cen = np.empty_like(u)
-    cen[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2 * h)
-    cen[..., 0] = fwd[..., 0]
-    cen[..., -1] = bwd[..., -1]
+    u = u.swapaxes(axis, -1)
+    b, a = (v.swapaxes(axis, -1)[..., 1:-1] for v in (b, a))
+    diff = (u[..., 1:] - u[..., :-1]) / h  # node i's forward, node i+1's backward
+    upw = np.where(b > 0, diff[..., 1:], diff[..., :-1])
+    cen = (u[..., 2:] - u[..., :-2]) / (2 * h)
     pe = np.abs(b) * h / np.maximum(a, 1e-300)
     w = np.clip(1.0 - 2.0 / np.maximum(pe, 1e-300), 0.0, 1.0)
-    out = b * ((1.0 - w) * cen + w * upw)
+    out = np.zeros(u.shape)
+    out[..., 1:-1] = b * ((1.0 - w) * cen + w * upw)
     return out.swapaxes(axis, -1)
 
 

@@ -152,7 +152,7 @@ def solve_mfg(problem: ProblemSpec, grid: Grid,
 
     report.iterations_used = it
     report.converged = converged
-    if u is None:  # resumed from a state that was already converged
+    if u is None:  # resumed with no step left: the map of the stored flow
         u, m = apply_phi(problem, grid, mu, hjb_config)
     report.final_flow_regularity = flow_regularity(m, grid)
     report.pde_residuals = pde_residual(problem, grid, u, m)
@@ -192,8 +192,6 @@ def pde_residual(problem: ProblemSpec, grid: Grid, u: ValueField, m: MeasureFlow
 
 def _second_diff(v: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     v = v.swapaxes(axis, -1)
-    out = np.zeros_like(v)
+    out = np.zeros_like(v)  # the walls stay zero: the residuals read interior nodes
     out[..., 1:-1] = (v[..., 2:] - 2 * v[..., 1:-1] + v[..., :-2]) / h ** 2
-    out[..., 0] = out[..., 1]
-    out[..., -1] = out[..., -2]
     return out.swapaxes(axis, -1)

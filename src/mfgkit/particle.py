@@ -17,18 +17,13 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Grid, MeasureFlow, ProblemSpec, _interpolate
+from .core import Grid, MeasureFlow, ProblemSpec, _interpolate, _stream
 from .measure import d1_grid, histogram_density
 
 __all__ = ["ParticleEnsemble", "simulate", "compare_law", "law_check",
            "sample_initial"]
 
 _INIT_STREAM = 0xFFFFFFFF  # step key reserved for initial sampling
-
-
-def _stream(seed: int, step: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, step],
-                                                             dtype=np.uint64)))
 
 
 @dataclass(frozen=True)
@@ -79,25 +74,28 @@ def _march(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow, controls,
     frozen flow; each path's left-endpoint running cost (f0 + f1) * dt and
     terminal cost are summed as it goes.
 
-    Every member starts from the same initial draw and sees the same Philox
-    block (seed, k) at step k (common random numbers). The problem callbacks
-    and the measure view are evaluated once per step on the members' points
-    laid end to end, member-major: (members * n,) in 1D, (members * n, 2) in
-    2D. Each member's numbers equal those of a march of that member alone.
+    The points carry a leading member axis: (members, n) in 1D, (members, n, 2)
+    in 2D. Every member starts from the same initial draw and sees the same
+    Philox block (seed, k) at step k (common random numbers), broadcast over
+    the member axis. The problem callbacks and the measure view are evaluated
+    once per step on all members' points. Each member's numbers equal those of
+    a march of that member alone.
 
     controls: None for the uncontrolled dynamics (f1 then does not enter), else
     k -> the members' per-node controls at time level k, stacked on a leading
-    axis. observe(k, x), if given, sees the stacked points at every level.
+    axis. observe(k, x), if given, sees the stacked points at every level;
+    member j's points are x[j].
     Returns (cost, boundary_leak, max_abs_position), with a leading member axis.
     """
     if n < 1:
         raise ValueError("need at least one particle")
     dim, dt = problem.dim, grid.dt
     x0 = sample_initial(m_flow.densities[0], grid, n, _stream(seed, _INIT_STREAM))
-    x = np.concatenate([x0] * members)
-    # each point's offset to its member's field in the stacked controls
-    base = np.repeat(np.arange(members) * grid.n_nodes, n) if members > 1 else None
-    cost = np.zeros(members * n)
+    x = np.stack([x0] * members)
+    point_axes = tuple(range(1, x.ndim))  # every axis but the member axis
+    # each member's offset to its field in the stacked controls
+    base = (np.arange(members) * grid.n_nodes)[:, None]
+    cost = np.zeros((members, n))
     clamped = np.zeros(members, dtype=np.int64)
     lo, hi = np.array(grid.x_min), np.array(grid.x_max)
     sqdt = np.sqrt(dt)
@@ -105,7 +103,7 @@ def _march(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow, controls,
 
     def reached(k, x):  # every time level: the running sup |X|, then observe
         nonlocal max_abs
-        max_abs = np.maximum(max_abs, np.abs(x).reshape(members, -1).max(axis=1))
+        max_abs = np.maximum(max_abs, np.abs(x).max(axis=point_axes))
         if not np.all(np.isfinite(max_abs)):
             raise ValueError("ensemble contains non-finite positions")
         if observe is not None:
@@ -120,20 +118,20 @@ def _march(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow, controls,
         if controls is not None:
             fields = controls(k)
             table = fields.reshape(members * grid.n_nodes, -1).T
-            alpha = _interpolate(table, grid, x.reshape(-1, dim), base)
-            alpha = alpha.T.reshape(x.shape[:1] + fields.shape[1 + dim:])
+            # 1D points gain the coordinate axis the kernel reads
+            alpha = _interpolate(table, grid, x if dim > 1 else x[..., None], base)
+            alpha = np.moveaxis(alpha, 0, -1).reshape(x.shape[:2] + fields.shape[1 + dim:])
             b = b + problem.drift_b1(t, x, alpha)
             f = f + problem.running_f1(t, x, alpha)
         cost += np.broadcast_to(f, cost.shape) * dt
         sig = np.asarray(problem.diffusion_sigma(t, x, view), dtype=float)
         z = _stream(seed, k).standard_normal(x0.shape)
-        z = np.concatenate([z] * members) if members > 1 else z
         # 1D sigma drops its matrix axes, as 1D points drop their coordinate axis
         noise = (sig * sqdt * z if dim == 1
                  else np.einsum("...ij,...j->...i", sig * sqdt, z))
         moved = x + np.broadcast_to(b, x.shape) * dt + noise
         x = np.clip(moved, lo, hi)
-        clamped += np.count_nonzero((x != moved).reshape(members, -1), axis=1)
+        clamped += np.count_nonzero(x != moved, axis=point_axes)
         reached(k + 1, x)
     cost += np.broadcast_to(problem.terminal_g(x, m_flow.view(grid.nt)), cost.shape)
 
@@ -142,7 +140,7 @@ def _march(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow, controls,
         warnings.warn(f"boundary leak fraction {leak.max():.2e} exceeds 1e-3; "
                       "the truncation box is too small for this dynamics",
                       UserWarning, stacklevel=3)
-    return cost.reshape(members, n), leak, max_abs
+    return cost, leak, max_abs
 
 
 def simulate(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow,
@@ -156,13 +154,10 @@ def simulate(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow,
     else per-node feedback controls indexed by time level, interpolated at the
     particle positions.
     """
-    positions = None
+    positions = np.empty((grid.nt + 1, n) + ((2,) if grid.dim == 2 else ()))
 
     def store(k, x):
-        nonlocal positions
-        if positions is None:
-            positions = np.empty((grid.nt + 1,) + x.shape)
-        positions[k] = x
+        positions[k] = x[0]
 
     cost, leak, max_abs = _march(problem, grid, m_flow, _single(policy_or_none),
                                  1, n, seed, store)
@@ -186,13 +181,13 @@ def _law_d1(points: np.ndarray, density: np.ndarray, grid: Grid) -> float:
     return d1_grid(emp, density, grid)
 
 
-def _law_observer(m_flow: MeasureFlow, grid: Grid, n: int):
+def _law_observer(m_flow: MeasureFlow, grid: Grid):
     """(profile, observe): an observer for `_march` that stores at profile[k]
-    the d1 between the first member's n points at level k and the flow."""
+    the d1 between the first member's points at level k and the flow."""
     profile = np.empty(grid.nt + 1)
 
     def observe(k, x):
-        profile[k] = _law_d1(x[:n], m_flow.densities[k], grid)
+        profile[k] = _law_d1(x[0], m_flow.densities[k], grid)
     return profile, observe
 
 
@@ -202,7 +197,7 @@ def law_check(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow,
     """The law of n paths against the flow, compared level by level as the
     march reaches it, storing no path: (d1 profile, boundary leak, sup |X|),
     bit for bit those of `compare_law` and `simulate` on the same arguments."""
-    profile, observe = _law_observer(m_flow, grid, n)
+    profile, observe = _law_observer(m_flow, grid)
     _, leak, max_abs = _march(problem, grid, m_flow, _single(policy_or_none),
                               1, n, seed, observe)
     return profile, float(leak[0]), float(max_abs[0])

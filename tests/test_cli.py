@@ -5,9 +5,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mfgkit.cli import (EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, RunConfig, _build,
-                        _make_parser, main, parse_config_file, read_checkpoint,
-                        read_field_csv, run, write_checkpoint)
+from mfgkit.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VERIFY, RunConfig,
+                        _build, _make_parser, main, parse_config_file,
+                        read_checkpoint, read_field_csv, run, write_checkpoint)
 from mfgkit.core import build_grid
 from mfgkit.mfg import IterationState
 
@@ -368,10 +368,14 @@ def test_run_commands_keep_their_flag_set():
         assert {o for a in actions for o in a.option_strings} == expected
 
 
-@pytest.mark.parametrize("problem", ["lq-riccati", "uncontrolled-fp"])
-def test_verify_marches_once(tmp_path, monkeypatch, problem):
+@pytest.mark.parametrize("problem, dump", [
+    pytest.param(problem, dump, id=problem + ("-dump" if dump else ""))
+    for dump in (False, True) for problem in ("lq-riccati", "uncontrolled-fp")])
+def test_verify_marches_once(tmp_path, monkeypatch, problem, dump):
     # a controlled entry's law check and optimality check share one stacked
-    # march; a control-free entry marches its ensemble once for the law check
+    # march, and a stored ensemble is a second march of the feedback paths; a
+    # control-free entry marches its ensemble once for the law check, stored
+    # or not
     from mfgkit import cost, particle
     marches = []
     march = particle._march
@@ -383,8 +387,51 @@ def test_verify_marches_once(tmp_path, monkeypatch, problem):
     monkeypatch.setattr(particle, "_march", counted)
     monkeypatch.setattr(cost, "_march", counted)
     out = tmp_path / "v"
-    main(["verify", "--problem", problem, "--out", str(out)] + SMALL)
-    assert marches == ([3] if problem == "lq-riccati" else [1])
+    main(["verify", "--problem", problem, "--out", str(out)] + SMALL
+         + (["--dump-ensemble"] if dump else []))
+    if problem == "lq-riccati":
+        assert marches == ([3, 1] if dump else [3])
+    else:
+        assert marches == [1]
+    assert (out / "ensemble.npy").exists() == dump
     checks = json.loads((out / "summary.json").read_text())["checks"]
     assert checks["sde_fp_duality"]
     assert checks.get("optimality", True)
+
+
+def test_solver_exception_exits_3_without_summary(tmp_path, monkeypatch, capsys):
+    import mfgkit.mfg
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(mfgkit.mfg, "solve_mfg", failing)
+    out = tmp_path / "fail"
+    assert main(["verify", "--out", str(out)] + TINY) == EXIT_SOLVER
+    assert "solver failure" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+def test_threads_override_leaves_artifacts_unchanged(tmp_path):
+    # the artifacts do not depend on MFGKIT_THREADS; the summary records it
+    import os
+    import subprocess
+    import sys
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        subprocess.run([sys.executable, "-m", "mfgkit.cli", "verify",
+                        "--problem", "example5-weak", "--nx", "61", "--nt", "40",
+                        "--out", str(out)] + SMALL[4:],  # SMALL's sizes, not its grid
+                       env=dict(env, MFGKIT_THREADS=threads), check=True)
+        outs.append(out)
+    for name in ("u_field.csv", "m_flow.csv", "residuals.csv", "checkpoint.bin"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    s1, s2 = (json.loads((o / "summary.json").read_text()) for o in outs)
+    assert (s1.pop("threads_override"), s2.pop("threads_override")) == ("1", "2")
+    s1.pop("runtime_seconds"), s2.pop("runtime_seconds")
+    assert s1 == s2

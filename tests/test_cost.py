@@ -129,12 +129,13 @@ def test_lq_cost_matches_expected_initial_value(solved):
     assert abs(est.mean - expect) <= 3 * est.std_error + 2e-2
 
 
-def test_zero_perturbation_is_exact_equality(solved):
+def test_zero_perturbation_is_exact_equality(solved, monkeypatch):
+    from mfgkit import cost
     e, g, u, m, _ = solved.get("lq-riccati")
     pol = feedback_policy(e.problem, g, u)
+    monkeypatch.setattr(cost, "EPSILONS", (0.0,))
     rep = verify_optimality(e.problem, g, u, m, n_perturbations=1,
-                            n_paths=2000, seed=11, epsilons=(0.0,),
-                            policy=pol)
+                            n_paths=2000, seed=11, policy=pol)
     assert rep.perturbations[0].gap == 0.0
     assert rep.perturbations[0].cost.mean == rep.feedback_cost.mean
 
@@ -209,7 +210,7 @@ def test_one_stacked_march_equals_separate_evaluations(dim):
     flow, n, seed = _flow(problem, g), 400, 29
     policy = feedback_policy(problem, g, u)
     rep = verify_optimality(problem, g, u, flow, n_perturbations=2, n_paths=n,
-                            seed=seed, epsilons=(0.1, 0.3), policy=policy)
+                            seed=seed, policy=policy)
     assert rep.feedback_cost == evaluate_cost(problem, g, flow, policy, n, seed)
     ens = simulate(problem, g, flow, policy, n, seed)
     assert np.array_equal(rep.d1_profile, compare_law(ens, flow, g))

@@ -114,6 +114,32 @@ def test_minimize_tie_break_lexicographic():
     assert out[0] == -2.0
 
 
+def test_minimize_grid_search_2d_is_the_nearest_lattice_point(rng):
+    # <p, a> + |a|^2 / 2 separates by coordinate: the 2D grid search returns
+    # the lattice point nearest to -p on each axis, clamped to the box, and a
+    # tie between two lattice points goes to the lower one
+    cs = ControlSpace.box([-2.0, -2.0], [2.0, 2.0], 9)  # spacing 0.5
+    p = ProblemSpec(
+        dim=2, horizon=1.0,
+        drift_b0=lambda t, x, m: np.zeros_like(x),
+        drift_b1=lambda t, x, a: a,
+        diffusion_sigma=lambda t, x, m: np.sqrt(2.0) * np.eye(2),
+        running_f0=lambda t, x, m: np.zeros(x.shape[:-1]),
+        running_f1=lambda t, x, a: 0.5 * (a ** 2).sum(axis=-1),
+        terminal_g=lambda x, m: np.zeros(x.shape[:-1]),
+        initial_density=lambda x: np.exp(-(x ** 2).sum(-1)),
+        control_space=cs)
+    ev = PhiEvaluator.for_problem(p)
+    assert ev.mode == "grid_search"
+    ties = np.array([[-0.75, 0.25], [0.25, -1.25], [-0.75, -0.75]])
+    pv = np.concatenate([ties, rng.uniform(-3.0, 3.0, (40, 2))])
+    out = minimize_H(p, ev, 0.3, rng.uniform(-4.0, 4.0, pv.shape), pv)
+    lattice = cs.axes()[0]
+    nearest = lattice[np.argmin(np.abs(lattice - (-pv)[..., None]), axis=-1)]
+    assert np.array_equal(out, nearest)
+    assert out[:3].tolist() == [[0.5, -0.5], [-0.5, 1.0], [0.5, 0.5]]
+
+
 def test_argmin_invariant_to_f0_shifts(view, rng):
     p1 = _quadratic_problem()
     p2 = _quadratic_problem(running_f0=lambda t, x, m: 3.0 + np.sin(x))

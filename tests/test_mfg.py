@@ -207,6 +207,34 @@ def test_resume_state_continues_identically():
     assert np.array_equal(m_res.densities, m_full.densities)
 
 
+def test_resume_with_no_step_left_returns_the_map_of_the_stored_flow(monkeypatch):
+    # resumed at max_iters, the iteration takes no step: the stored history
+    # stands, and (u, m) is the one map application to the stored flow
+    from mfgkit import mfg
+    from mfgkit.mfg import IterationState
+    e = get_entry("example5-weak")
+    g = _small_grid(e, nx=81, nt=60)
+    cfg = FixedPointConfig(max_iters=2)
+    states = []
+    solve_mfg(e.problem, g, cfg, on_iteration=states.append)
+    st = states[-1]
+    assert st.iteration == cfg.max_iters
+    calls, later = [], []
+    apply = mfg.apply_phi
+    monkeypatch.setattr(mfg, "apply_phi",
+                        lambda *args: calls.append(args) or apply(*args))
+    resumed = IterationState(iteration=st.iteration, mu=st.mu.copy(),
+                             residual_history=list(st.residual_history))
+    u, m, rep = solve_mfg(e.problem, g, cfg, initial_state=resumed,
+                          on_iteration=later.append)
+    assert len(calls) == 1 and later == []
+    assert rep.residual_history == st.residual_history
+    assert rep.iterations_used == st.iteration and not rep.converged
+    u_ref, m_ref = apply(e.problem, g, MeasureFlow(st.mu.copy(), g))
+    assert np.array_equal(u.values, u_ref.values)
+    assert np.array_equal(m.densities, m_ref.densities)
+
+
 def test_converged_flow_is_within_tol_of_the_flow_u_was_solved_against():
     e = get_entry("example5-weak")
     g = _small_grid(e, nx=81, nt=60)

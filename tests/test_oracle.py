@@ -67,6 +67,26 @@ def test_riccati_rejects_nonpositive_curvature():
         lq_riccati_value(-0.5, g)
 
 
+@pytest.mark.parametrize("c, nt", [(0.5, 20), (5.0, 100)])
+@pytest.mark.parametrize("factor", [1.0 + 1e-8, np.nan])
+def test_riccati_self_check_rejects_a_perturbed_closed_form(monkeypatch, c, nt,
+                                                            factor):
+    # the RK4 integration the closed form is checked against resolves a
+    # relative error of 1e-8 in a(t), and a NaN fails the check too
+    from mfgkit import oracle
+    g = build_grid(1, -3.0, 3.0, 61, 1.0, nt)
+    lq_riccati_value(c, g)
+    exact = oracle._riccati_coeffs
+
+    def perturbed(*args):
+        a, d = exact(*args)
+        return a * factor, d
+
+    monkeypatch.setattr(oracle, "_riccati_coeffs", perturbed)
+    with pytest.raises(OracleSelfCheckError, match="deviates from ODE"):
+        lq_riccati_value(c, g)
+
+
 def test_heat_flow_initial_and_frozen():
     g = build_grid(1, -8.0, 8.0, 161, 0.5, 10)
     flow = heat_flow_density(0.0, 0.25, np.sqrt(2.0), g)
@@ -102,8 +122,11 @@ def test_cli_import_leaves_signal_and_stats_unloaded():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     slow = ("scipy.signal", "scipy.stats", "scipy.optimize", "scipy.sparse",
             "scipy.integrate")
-    code = ("import sys, mfgkit.cli, mfgkit.catalog, mfgkit.oracle; "
-            f"print(sorted(m for m in {slow!r} if m in sys.modules))")
+    loaded = f"print(sorted(m for m in {slow!r} if m in sys.modules))"
+    # the Riccati oracle's self-check integrates its ODE without scipy
+    code = ("import sys, mfgkit.cli, mfgkit.catalog, mfgkit.oracle; " + loaded
+            + "; from mfgkit.core import build_grid; mfgkit.oracle.lq_riccati_value("
+            "0.5, build_grid(1, -6.0, 6.0, 61, 1.0, 20)); " + loaded)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "[]"]

@@ -237,7 +237,7 @@ def _correlated_2d():
 def test_stacked_march_members_equal_separate_marches(dim):
     # one march of several stacked policies: each member's costs, boundary
     # leak and sup |X| equal those of simulate on that policy alone, and the
-    # observer sees the members' points end to end, member-major
+    # observer sees member j's points at x[j]
     if dim == 1:
         e = get_entry("lq-riccati")
         problem, g = e.problem, build_grid(1, -6.0, 6.0, 61, 1.0, 20)
@@ -260,8 +260,7 @@ def test_stacked_march_members_equal_separate_marches(dim):
         assert np.array_equal(cost[j], ens.cost)
         assert leak[j] == ens.boundary_leak
         assert max_abs[j] == ens.max_abs_position
-        assert np.array_equal(np.stack([x[j * n:(j + 1) * n] for x in seen]),
-                              ens.positions)
+        assert np.array_equal(np.stack([x[j] for x in seen]), ens.positions)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

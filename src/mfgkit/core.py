@@ -7,7 +7,10 @@ Shape conventions (n = spatial dimension, 1 or 2):
     gradients likewise; sigma returns (..., 2, 2).
 Scalar outputs (costs, densities) always have shape (...,).
 
-All containers are immutable after construction; problem functions must be pure.
+All containers are immutable after construction; problem functions must be pure
+and pointwise in x: the value at a point depends on that point alone (and on t,
+the measure view and the control there), never on the other points passed. The
+particle march calls them once per block of paths, on any subset of points.
 """
 
 from __future__ import annotations
@@ -83,6 +86,9 @@ class ProblemSpec:
     Drift and running cost are only ever evaluated through the split
     b = drift_b0(t,x,m) + drift_b1(t,x,a) and f = running_f0(t,x,m) + running_f1(t,x,a);
     the measure argument is a MeasureView (density slice plus summary statistics).
+    Every callback is pointwise in x: `particle._march` calls it once per block
+    of paths, on any subset of the points, and each point's value must not
+    depend on which other points share the call.
     """
 
     dim: int
@@ -383,8 +389,13 @@ def _first_diff(v: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
 
 
 def _mixed_diff(v: np.ndarray, h: tuple) -> np.ndarray:
-    """d2 v / dx1 dx2, centered (one-sided at the rim)."""
-    return _first_diff(_first_diff(v, h[0], axis=0), h[1], axis=1)
+    """d2 v / dx1 dx2 by central differences on interior nodes. The rim stays
+    zero: the HJB wall closure discards those rows and the PDE residuals read
+    interior nodes only."""
+    out = np.zeros(v.shape)
+    dv = (v[2:] - v[:-2]) / (2.0 * h[0])  # d/dx1 on interior rows
+    out[1:-1, 1:-1] = (dv[:, 2:] - dv[:, :-2]) / (2.0 * h[1])
+    return out
 
 
 _GBTRF, _GBTRS, _GTTRF, _GTTRS = get_lapack_funcs(

@@ -122,18 +122,22 @@ class OptimalityReport:
 
 
 def _sinusoid_fields(grid: Grid, dim: int, count: int,
-                     rng: np.random.Generator) -> list[np.ndarray]:
+                     rng: np.random.Generator) -> list[tuple]:
     """Smooth unit-amplitude perturbation directions: tensor-product sinusoids
     in (t, x) with random integer frequencies and phases. Each control
     component is a product of sines over the axes, the spatial phase on the
-    first axis only, times a sine in t."""
+    first axis only, times a sine in t.
+
+    Each direction is kept as (spatial, time): spatial has the control
+    field's shape, the grid's shape (plus a component axis in 2D), and time
+    is (nt+1,) (plus a component axis in 2D); the direction at level k is
+    spatial * time[k]."""
     T = grid.horizon if grid.horizon > 0 else 1.0
-    t = grid.times.reshape((-1,) + (1,) * dim)
-    xs = [grid.axis(a).reshape((1,) + tuple(-1 if b == a else 1 for b in range(dim)))
+    xs = [grid.axis(a).reshape(tuple(-1 if b == a else 1 for b in range(dim)))
           for a in range(dim)]
     fields = []
     for _ in range(count):
-        comps = []
+        spatial, time = [], []
         for _d in range(dim):
             kx = rng.integers(1, 4)
             kt = rng.integers(1, 4)
@@ -144,9 +148,11 @@ def _sinusoid_fields(grid: Grid, dim: int, count: int,
                 arg = kx * np.pi * (x - grid.x_min[a]) / (grid.x_max[a] - grid.x_min[a])
                 s = np.sin(arg + ph_x) if a == 0 else np.sin(arg)
                 eta = s if eta is None else eta * s
-            comps.append(eta * np.sin(kt * np.pi * t / T + ph_t))
+            spatial.append(eta)
+            time.append(np.sin(kt * np.pi * grid.times / T + ph_t))
         # 1D controls carry no component axis
-        fields.append(comps[0] if dim == 1 else np.stack(comps, axis=-1))
+        fields.append((spatial[0], time[0]) if dim == 1 else
+                      (np.stack(spatial, axis=-1), np.stack(time, axis=-1)))
     return fields
 
 
@@ -174,7 +180,8 @@ def verify_optimality(problem: ProblemSpec, grid: Grid, u: ValueField,
     clip = problem.control_space.clip
 
     def controls(k):  # the feedback, then each perturbed policy, at level k
-        return np.stack([policy[k]] + [clip(policy[k] + eps * etas[j][k])
+        dirs = [spatial * time[k] for spatial, time in etas]
+        return np.stack([policy[k]] + [clip(policy[k] + eps * dirs[j])
                                        for j, eps in members])
 
     report = OptimalityReport()

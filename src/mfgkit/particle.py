@@ -24,6 +24,9 @@ __all__ = ["ParticleEnsemble", "simulate", "compare_law", "law_check",
            "sample_initial"]
 
 _INIT_STREAM = 0xFFFFFFFF  # step key reserved for initial sampling
+# member-paths a march step moves at once: enough to amortize the per-block
+# dispatch, few enough that the block's temporaries stay in cache
+BLOCK_POINTS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -77,14 +80,19 @@ def _march(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow, controls,
     The points carry a leading member axis: (members, n) in 1D, (members, n, 2)
     in 2D. Every member starts from the same initial draw and sees the same
     Philox block (seed, k) at step k (common random numbers), broadcast over
-    the member axis. The problem callbacks and the measure view are evaluated
-    once per step on all members' points. Each member's numbers equal those of
-    a march of that member alone.
+    the member axis. Each step builds the measure view, the stacked controls
+    and the normals once, then moves the points in blocks of path columns,
+    about BLOCK_POINTS member-paths each, so the step's temporaries stay
+    cache-sized whatever n is. The problem callbacks are called once per block
+    on that block's points, which is why they must be pointwise in x. Each
+    path's arithmetic is elementwise, so each member's numbers equal those of
+    a march of that member alone, in one block or many.
 
     controls: None for the uncontrolled dynamics (f1 then does not enter), else
     k -> the members' per-node controls at time level k, stacked on a leading
-    axis. observe(k, x), if given, sees the stacked points at every level;
-    member j's points are x[j].
+    axis. observe(k, x), if given, sees all the stacked points at every level;
+    member j's points are x[j]. x is moved in place, so an observer that keeps
+    it must copy it.
     Returns (cost, boundary_leak, max_abs_position), with a leading member axis.
     """
     if n < 1:
@@ -100,6 +108,8 @@ def _march(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow, controls,
     lo, hi = np.array(grid.x_min), np.array(grid.x_max)
     sqdt = np.sqrt(dt)
     max_abs = np.zeros(members)
+    cols = max(1, BLOCK_POINTS // members)
+    blocks = [slice(s, s + cols) for s in range(0, n, cols)]
 
     def reached(k, x):  # every time level: the running sup |X|, then observe
         nonlocal max_abs
@@ -113,27 +123,34 @@ def _march(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow, controls,
     for k in range(grid.nt):
         t = grid.time(k)
         view = m_flow.view(k)
-        b = problem.drift_b0(t, x, view)
-        f = problem.running_f0(t, x, view)
         if controls is not None:
             fields = controls(k)
             table = fields.reshape(members * grid.n_nodes, -1).T
-            # 1D points gain the coordinate axis the kernel reads
-            alpha = _interpolate(table, grid, x if dim > 1 else x[..., None], base)
-            alpha = np.moveaxis(alpha, 0, -1).reshape(x.shape[:2] + fields.shape[1 + dim:])
-            b = b + problem.drift_b1(t, x, alpha)
-            f = f + problem.running_f1(t, x, alpha)
-        cost += np.broadcast_to(f, cost.shape) * dt
-        sig = np.asarray(problem.diffusion_sigma(t, x, view), dtype=float)
         z = _stream(seed, k).standard_normal(x0.shape)
-        # 1D sigma drops its matrix axes, as 1D points drop their coordinate axis
-        noise = (sig * sqdt * z if dim == 1
-                 else np.einsum("...ij,...j->...i", sig * sqdt, z))
-        moved = x + np.broadcast_to(b, x.shape) * dt + noise
-        x = np.clip(moved, lo, hi)
-        clamped += np.count_nonzero(x != moved, axis=point_axes)
+        for blk in blocks:
+            xb, cb = x[:, blk], cost[:, blk]  # views: the block updates x and cost
+            b = problem.drift_b0(t, xb, view)
+            f = problem.running_f0(t, xb, view)
+            if controls is not None:
+                # 1D points gain the coordinate axis the kernel reads
+                alpha = _interpolate(table, grid, xb if dim > 1 else xb[..., None], base)
+                alpha = np.moveaxis(alpha, 0, -1).reshape(
+                    xb.shape[:2] + fields.shape[1 + dim:])
+                b = b + problem.drift_b1(t, xb, alpha)
+                f = f + problem.running_f1(t, xb, alpha)
+            cb += np.broadcast_to(f, cb.shape) * dt
+            sig = np.asarray(problem.diffusion_sigma(t, xb, view), dtype=float)
+            # 1D sigma drops its matrix axes, as 1D points drop their coordinate axis
+            noise = (sig * sqdt * z[blk] if dim == 1
+                     else np.einsum("...ij,...j->...i", sig * sqdt, z[blk]))
+            moved = xb + np.broadcast_to(b, xb.shape) * dt + noise
+            np.clip(moved, lo, hi, out=xb)
+            clamped += np.count_nonzero(xb != moved, axis=point_axes)
         reached(k + 1, x)
-    cost += np.broadcast_to(problem.terminal_g(x, m_flow.view(grid.nt)), cost.shape)
+    view = m_flow.view(grid.nt)
+    for blk in blocks:
+        cb = cost[:, blk]
+        cb += np.broadcast_to(problem.terminal_g(x[:, blk], view), cb.shape)
 
     leak = clamped / (n * grid.nt * dim)
     if leak.max() > 1e-3:

@@ -412,6 +412,24 @@ def test_solver_exception_exits_3_without_summary(tmp_path, monkeypatch, capsys)
     assert not (out / "summary.json").exists()
 
 
+def test_cli_import_leaves_numpy_unloaded():
+    # the package loads its modules, and so numpy, on first use: the CLI can
+    # export MFGKIT_THREADS before BLAS reads its thread count
+    import os
+    import subprocess
+    import sys
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, mfgkit.cli; print('numpy' in sys.modules); "
+            "from mfgkit import solve_mfg, __version__; import mfgkit; "
+            "print(solve_mfg.__module__, mfgkit.core.__name__, "
+            "[n for n in mfgkit.__all__ if not hasattr(mfgkit, n)])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split("\n")[:2] == ["False", "mfgkit.mfg mfgkit.core []"]
+
+
 def test_threads_override_leaves_artifacts_unchanged(tmp_path):
     # the artifacts do not depend on MFGKIT_THREADS; the summary records it
     import os

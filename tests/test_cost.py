@@ -165,7 +165,11 @@ def test_sinusoid_fields_match_written_out_formulas():
         fields = _sinusoid_fields(g, g.dim, 3, np.random.default_rng(8))
         rng = np.random.default_rng(8)
         T = g.horizon
-        for eta in fields:
+        for spatial, time in fields:
+            comp = (2,) if g.dim == 2 else ()
+            assert spatial.shape == g.shape + comp
+            assert time.shape == (g.nt + 1,) + comp
+            eta = np.stack([spatial * time[k] for k in range(g.nt + 1)])
             comps = []
             for _ in range(g.dim):
                 kx, kt = rng.integers(1, 4), rng.integers(1, 4)
@@ -183,7 +187,6 @@ def test_sinusoid_fields_match_written_out_formulas():
                                  * np.sin(kx * np.pi * (x2 - g.x_min[1]) / s2)
                                  * np.sin(kt * np.pi * t / T + ph_t))
             ref = comps[0] if g.dim == 1 else np.stack(comps, axis=-1)
-            assert eta.shape == (g.nt + 1,) + g.shape + ((2,) if g.dim == 2 else ())
             assert np.array_equal(eta, ref)
 
 
@@ -218,7 +221,8 @@ def test_one_stacked_march_equals_separate_evaluations(dim):
     assert rep.max_abs_position == ens.max_abs_position
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0x5EED],
                                                             dtype=np.uint64)))
-    etas = _sinusoid_fields(g, g.dim, 2, rng)
+    etas = [np.stack([spatial * time[k] for k in range(g.nt + 1)])
+            for spatial, time in _sinusoid_fields(g, g.dim, 2, rng)]
     assert len(rep.perturbations) == 4
     for pr in rep.perturbations:
         pert = problem.control_space.clip(policy + pr.epsilon * etas[pr.direction])
@@ -245,3 +249,38 @@ def test_evaluate_cost_stores_no_path():
     finally:
         tracemalloc.stop()
     assert peak < n * (g.nt + 1) * 8 / 4
+
+
+def _verify_peak(nx, nt, n, n_perturbations):
+    """tracemalloc peak of a warm verify_optimality on lq-riccati, the policy
+    passed in."""
+    import tracemalloc
+    e = get_entry("lq-riccati")
+    g = build_grid(1, -6.0, 6.0, nx, 1.0, nt)
+    u = lq_riccati_value(0.5, g)
+    policy = feedback_policy(e.problem, g, u)
+    flow = _flow(e.problem, g)
+    args = (e.problem, g, u, flow, n_perturbations, n, 3, policy)
+    verify_optimality(*args)  # warm caches
+    tracemalloc.start()
+    try:
+        verify_optimality(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_verify_builds_directions_one_level_at_a_time():
+    # the perturbation directions are built per level, never for every level
+    nx, nt, n_perturbations = 241, 1001, 5
+    peak = _verify_peak(nx, nt, 500, n_perturbations)
+    assert peak < n_perturbations * (nt + 1) * nx * 8 / 4
+
+
+def test_verify_memory_is_bounded_in_the_path_count():
+    # the march holds the stacked points and costs; its per-step temporaries
+    # are block-sized, not (members, n)-sized
+    n, n_perturbations = 50_000, 5
+    peak = _verify_peak(61, 20, n, n_perturbations)
+    assert peak < 6 * (1 + 2 * n_perturbations) * n * 8

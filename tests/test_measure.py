@@ -279,3 +279,61 @@ def test_flow_functions_reject_invalid_1d_flows(defect):
         flow_distance(good, bad, g)
     with pytest.raises(ValueError):
         flow_regularity(bad, g)
+
+
+def _catalog_flow(name):
+    from mfgkit.catalog import get_entry
+    from mfgkit.mfg import solve_mfg
+    e = get_entry(name)
+    g = build_grid(1, e.grid.x_min, e.grid.x_max, 61, e.grid.horizon, 40)
+    _, m, _ = solve_mfg(e.problem, g)
+    return g, m
+
+
+def _random_flow():
+    # independent random levels: no smoothness in time for the bound to use
+    g = build_grid(1, -3.0, 3.0, 41, 1.0, 40)
+    dens = np.random.default_rng(5).random((g.nt + 1,) + g.shape) ** 4
+    return g, MeasureFlow(dens / (dens.sum(axis=1, keepdims=True) * g.h[0]), g)
+
+
+def _late_jump_flow():
+    # still, then a jump over two levels near the end: the sup sits in a late
+    # level, so every level before it must be bounded soundly
+    g = build_grid(1, -3.0, 3.0, 41, 1.0, 40)
+    centers = np.clip((np.arange(g.nt + 1) - 29) * 0.5, 0.0, 1.0)
+    dens = np.exp(-(g.axis(0)[None, :] - centers[:, None]) ** 2 / 0.5)
+    return g, MeasureFlow(dens / (dens.sum(axis=1, keepdims=True) * g.h[0]), g)
+
+
+@pytest.mark.parametrize("case", ["decoupled-hopfcole", "lq-riccati",
+                                  "example5-weak", "uncontrolled-fp", "heat-2d",
+                                  "random", "late-jump"])
+def test_flow_regularity_pruning_keeps_the_all_pairs_sup(case, monkeypatch):
+    # the triangle-inequality pruning skips levels but not the sup: every
+    # pair >= 2 dt apart, written out one by one, gives the same bits
+    import mfgkit.measure as measure
+    if case == "heat-2d":
+        g, flow, _ = _heat_flows(2, 31, 30)
+    elif case == "random":
+        g, flow = _random_flow()
+    elif case == "late-jump":
+        g, flow = _late_jump_flow()
+    else:
+        g, flow = _catalog_flow(case)
+    cdfs = measure._marginal_cdfs(flow.densities, g)
+    worst = 0.0
+    for k in range(g.nt + 1):
+        for j in range(k + 2, g.nt + 1):
+            d = max(float(np.sum(np.abs(f[j] - f[k])) * h) for f, h in zip(cdfs, g.h))
+            worst = max(worst, d / np.sqrt((j - k) * g.dt))
+    rows = []
+    kernel = measure._d1
+    monkeypatch.setattr(measure, "_d1", lambda diffs, grid: rows.append(
+        diffs[0].shape[0]) or kernel(diffs, grid))
+    assert flow_regularity(flow, g).holder_half_seminorm == worst
+    assert worst > 0
+    # the consecutive distances, then one call per level not skipped
+    assert rows[0] == g.nt and len(rows) - 1 <= g.nt - 1
+    if case not in ("random", "late-jump"):  # smooth: most levels skipped
+        assert len(rows) - 1 < g.nt // 4

@@ -292,3 +292,41 @@ def test_non_finite_positions_fail_cleanly():
         simulate(p, g, flow, None, 50, seed=1)
     with pytest.raises(ValueError, match="non-finite positions"):
         evaluate_cost(p, g, flow, policy, 50, seed=1)
+
+
+@pytest.mark.parametrize("case", ["1d-stack", "1d-uncontrolled", "2d-stack"])
+def test_blocked_march_equals_one_block(case, monkeypatch):
+    # uneven path-column blocks (3 paths of 11 members, the last block 1 path)
+    # give every output of a one-block march bit for bit: costs, leak, sup |X|,
+    # the law observer's profile and the points seen at every level
+    import mfgkit.particle as particle
+    from mfgkit.particle import _law_observer
+    if case == "2d-stack":
+        problem, g = _correlated_2d(), build_grid(2, -4.0, 4.0, 21, 0.5, 20)
+        base = np.stack([-(1.0 - t) * g.coords() for t in g.times])
+    else:
+        e = get_entry("lq-riccati" if case == "1d-stack" else "uncontrolled-fp")
+        problem, g = e.problem, build_grid(1, -6.0, 6.0, 61, 1.0, 20)
+        base = feedback_policy(problem, g, lq_riccati_value(0.5, g))
+    members = 1 if case == "1d-uncontrolled" else 11
+    rng = np.random.default_rng(37)
+    policies = [base] + [base + 0.3 * rng.standard_normal(base.shape)
+                         for _ in range(members - 1)]
+    controls = (None if case == "1d-uncontrolled"
+                else lambda k: np.stack([p[k] for p in policies]))
+    flow, n = _flow(problem, g), 40
+
+    def march(block_points):
+        monkeypatch.setattr(particle, "BLOCK_POINTS", block_points)
+        profile, law = _law_observer(flow, g)
+        seen = []
+
+        def observe(k, x):
+            law(k, x)
+            seen.append(x.copy())
+        return _march(problem, g, flow, controls, members, n, 19, observe) + (
+            profile, np.stack(seen))
+
+    blocked, whole = march(3 * members), march(members * n)
+    for a, b in zip(blocked, whole):
+        assert np.array_equal(a, b)

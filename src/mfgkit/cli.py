@@ -17,6 +17,7 @@ import os
 import struct
 import sys
 import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -60,8 +61,8 @@ class RunConfig:
             raise ValueError("no problem selected")
         if not self.out_dir:
             raise ValueError("no output directory given")
-        if self.nx and self.nx < 3:
-            raise ValueError(f"nx must be >= 3, got {self.nx}")
+        if self.nx and self.nx < 5:  # the two HJB wall closures need five nodes
+            raise ValueError(f"nx must be >= 5, got {self.nx}")
         if self.nt and self.nt < 1:
             raise ValueError(f"nt must be >= 1, got {self.nt}")
         if (self.n_particles < 1 or self.n_perturbations < 0
@@ -75,7 +76,23 @@ class RunConfig:
     def to_file(self, path: Path) -> None:
         lines = [f"{f.name} = {getattr(self, f.name)}" for f in fields(self)
                  if f.name != "resume"]
-        path.write_text("\n".join(lines) + "\n")
+        with _replacing(path) as fh:
+            fh.write("\n".join(lines) + "\n")
+
+
+@contextmanager
+def _replacing(path: Path, mode: str = "w"):
+    """A file opened beside path that replaces it once the block ends; an
+    error in the block removes it, so path holds the old file or none, never
+    part of one. The directory's lock keeps the name to one writer."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # typed keys by their defaults' types (`type(...) is`, since a bool is an int)
@@ -125,7 +142,7 @@ def _grid_hash(grid) -> int:
 def write_checkpoint(path: Path, grid, state) -> None:
     """Versioned little-endian snapshot of the outer-iteration state."""
     res = list(state.residual_history)
-    with open(path, "wb") as fh:
+    with _replacing(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<Q", _grid_hash(grid)))
@@ -171,7 +188,7 @@ def _write_field_csv(path: Path, grid, values) -> None:
     # each node's row after its time column, coordinates formatted once; the
     # only % directive left is the value's
     tails = ["".join(",%.17g" % c for c in xs) + ",%.17g\n" for xs in coords]
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         fh.write(header)
         for k in range(grid.nt + 1):
             lead = "%.17g" % grid.time(k)
@@ -233,8 +250,8 @@ def run(config: RunConfig) -> int:
 def _run_locked(config: RunConfig, entry, grid, solver, out: Path) -> int:
     import numpy as np
     from .hamiltonian import check_assumptions
-    from .mfg import feedback_policy, solve_mfg
-    from .particle import compare_law, law_check, simulate
+    from .mfg import solve_mfg
+    from .particle import law_check
     from .cost import verify_optimality, expected_initial_value
 
     state0 = None
@@ -274,7 +291,7 @@ def _run_locked(config: RunConfig, entry, grid, solver, out: Path) -> int:
 
     _write_field_csv(out / "u_field.csv", grid, u.values)
     _write_field_csv(out / "m_flow.csv", grid, m.densities)
-    with open(out / "residuals.csv", "w") as fh:
+    with _replacing(out / "residuals.csv") as fh:
         fh.write("iteration,rho\n")
         for i, r in enumerate(report.residual_history, 1):
             fh.write(f"{i},{r:.17g}\n")
@@ -285,8 +302,7 @@ def _run_locked(config: RunConfig, entry, grid, solver, out: Path) -> int:
 
     if entry.oracle is not None:
         ref = entry.oracle_value(grid)
-        margin = 10
-        sl = slice(margin, -margin)
+        sl = grid.interior()
         err = float(np.max(np.abs(u.values - ref.values)[:, sl]))
         gerr = float(np.max(np.abs(u.du - ref.du)[:, sl]))
         summary["oracle"] = {"kind": entry.oracle,
@@ -296,23 +312,21 @@ def _run_locked(config: RunConfig, entry, grid, solver, out: Path) -> int:
         checks["hjb_oracle"] = err <= entry.oracle_tol
 
     if config.verify:
-        policy = feedback_policy(entry.problem, grid, u) if entry.controlled else None
-        if entry.controlled:  # one march checks the feedback's law and cost
-            opt = verify_optimality(entry.problem, grid, u, m,
-                                    config.n_perturbations, config.n_particles,
-                                    config.seed, policy=policy)
-            profile, leak, max_abs = (opt.d1_profile, opt.boundary_leak,
-                                      opt.max_abs_position)
-        if config.dump_ensemble:  # the one march that stores the paths
-            ens = simulate(entry.problem, grid, m, policy, config.n_particles,
-                           config.seed)
-            np.save(out / "ensemble.npy", ens.positions)
-            if not entry.controlled:  # law_check's numbers, bit for bit
-                profile, leak, max_abs = (compare_law(ens, m, grid),
-                                          ens.boundary_leak, ens.max_abs_position)
-        elif not entry.controlled:
-            profile, leak, max_abs = law_check(entry.problem, grid, m, None,
-                                               config.n_particles, config.seed)
+        with (_replacing(out / "ensemble.npy", "wb") if config.dump_ensemble
+              else nullcontext()) as fh:
+            if fh:  # np.save's layout: each level's contiguous x[0] in turn
+                np.lib.format.write_array_header_1_0(fh, {
+                    "descr": "<f8", "fortran_order": False,
+                    "shape": (grid.nt + 1, config.n_particles) + (2,) * (grid.dim - 1)})
+            dump = (lambda k, x: fh.write(x[0])) if fh else None
+            if entry.controlled:  # one march checks the feedback's law and cost
+                opt = verify_optimality(entry.problem, grid, u, m, config.n_perturbations,
+                                        config.n_particles, config.seed, observe=dump)
+                law = opt.d1_profile, opt.boundary_leak, opt.max_abs_position
+            else:
+                law = law_check(entry.problem, grid, m, None, config.n_particles,
+                                config.seed, observe=dump)
+        profile, leak, max_abs = law
         summary["particle"] = {
             "n": config.n_particles, "seed": config.seed,
             "max_d1": float(profile.max()),
@@ -325,10 +339,9 @@ def _run_locked(config: RunConfig, entry, grid, solver, out: Path) -> int:
             summary["optimality"] = opt.to_dict()
             checks["optimality"] = opt.all_passed
         else:
-            m0 = m.densities[0]
             summary["optimality"] = {
                 "note": "control-free instance",
-                "expected_initial_value": expected_initial_value(u, m0, grid)}
+                "expected_initial_value": expected_initial_value(u, m.densities[0], grid)}
         assum = check_assumptions(entry.problem, grid,
                                   n_samples=config.assumption_samples,
                                   seed=config.seed)
@@ -338,7 +351,7 @@ def _run_locked(config: RunConfig, entry, grid, solver, out: Path) -> int:
     summary["checks"] = checks
     summary["all_checks_passed"] = all(checks.values())
     summary["runtime_seconds"] = time.time() - t_start
-    with open(out / "summary.json", "w") as fh:
+    with _replacing(out / "summary.json") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
 

@@ -169,6 +169,13 @@ class Grid:
         x1, x2 = np.meshgrid(self.axis(0), self.axis(1), indexing="ij")
         return np.stack([x1, x2], axis=-1)
 
+    def interior(self, margin: int = 10) -> slice:
+        """The per-axis index range that the residual and oracle checks read:
+        margin nodes in from each wall, fewer on a grid too small to keep a
+        node inside (nx < 2 margin + 1)."""
+        margin = min(margin, (self.nx - 1) // 2)
+        return slice(margin, -margin)
+
     def refine(self, factor: int = 2) -> "Grid":
         """Halve h and dt (factor 2): doubles cells per axis and time steps."""
         return Grid(self.dim, self.x_min, self.x_max,

@@ -158,7 +158,8 @@ def _sinusoid_fields(grid: Grid, dim: int, count: int,
 
 def verify_optimality(problem: ProblemSpec, grid: Grid, u: ValueField,
                       m_flow: MeasureFlow, n_perturbations: int, n_paths: int,
-                      seed: int, policy: Optional[np.ndarray] = None) -> OptimalityReport:
+                      seed: int, policy: Optional[np.ndarray] = None,
+                      observe=None) -> OptimalityReport:
     """Statistical check of the verification theorem on a solved pair (u, m).
 
     (i) the feedback cost matches the quadrature of u(0,.) against m0 within
@@ -168,8 +169,8 @@ def verify_optimality(problem: ProblemSpec, grid: Grid, u: ValueField,
     paired-difference error and the hypot of the two standard errors. The
     feedback and every perturbed policy are marched together, against the
     same frozen flow and noise; the report also holds the feedback paths'
-    law check against the flow.
-    """
+    law check against the flow, after which observe(k, x), if given, sees the
+    stacked points at each level, as in `particle._march`."""
     from .mfg import feedback_policy  # deferred: mfg depends on lower layers only
 
     if policy is None:
@@ -185,7 +186,7 @@ def verify_optimality(problem: ProblemSpec, grid: Grid, u: ValueField,
                                        for j, eps in members])
 
     report = OptimalityReport()
-    report.d1_profile, law = _law_observer(m_flow, grid)
+    report.d1_profile, law = _law_observer(m_flow, grid, observe)
     cost, leak, max_abs = _march(problem, grid, m_flow, controls,
                                  1 + len(members), n_paths, seed, law)
     report.boundary_leak = float(leak[0])

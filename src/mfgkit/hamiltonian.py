@@ -110,6 +110,9 @@ class AssumptionCheck:
     margin: float = np.nan
     detail: str = ""
 
+    def __post_init__(self):  # json cannot write the numpy bool a margin test gives
+        self.passed = bool(self.passed)
+
     def to_dict(self) -> dict:
         return {"name": self.name, "checked": self.checked, "passed": self.passed,
                 "margin": None if np.isnan(self.margin) else float(self.margin),

@@ -162,14 +162,14 @@ def solve_mfg(problem: ProblemSpec, grid: Grid,
 def pde_residual(problem: ProblemSpec, grid: Grid, u: ValueField, m: MeasureFlow,
                  margin: int = 10):
     """Centered finite-difference residuals of the coupled system evaluated on
-    the computed pair, maxed over interior nodes and time levels 1..nt-1."""
+    the computed pair, maxed over `grid.interior(margin)` and levels 1..nt-1."""
     policy = feedback_policy(problem, grid, u)
     coords = grid.coords()
     dt, h = grid.dt, grid.h
     uv, mv = u.values, m.densities
     hjb_worst = 0.0
     fp_worst = 0.0
-    inner = (slice(margin, -margin),) * grid.dim
+    inner = (grid.interior(margin),) * grid.dim
     for k in range(1, grid.nt):
         coef = StepCoefficients(problem, grid.time(k), coords, m.view(k))
         bs, dus = coef.drift(policy[k]), _components(u.du[k], grid.shape)

@@ -198,23 +198,25 @@ def _law_d1(points: np.ndarray, density: np.ndarray, grid: Grid) -> float:
     return d1_grid(emp, density, grid)
 
 
-def _law_observer(m_flow: MeasureFlow, grid: Grid):
-    """(profile, observe): an observer for `_march` that stores at profile[k]
-    the d1 between the first member's points at level k and the flow."""
+def _law_observer(m_flow: MeasureFlow, grid: Grid, then=None):
+    """(profile, observe): a `_march` observer that stores at profile[k] the
+    d1 of member 0's points at level k to the flow, then calls any then(k, x)."""
     profile = np.empty(grid.nt + 1)
 
     def observe(k, x):
         profile[k] = _law_d1(x[0], m_flow.densities[k], grid)
+        if then is not None:
+            then(k, x)
     return profile, observe
 
 
 def law_check(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow,
-              policy_or_none: Optional[np.ndarray], n: int,
-              seed: int) -> tuple[np.ndarray, float, float]:
-    """The law of n paths against the flow, compared level by level as the
-    march reaches it, storing no path: (d1 profile, boundary leak, sup |X|),
-    bit for bit those of `compare_law` and `simulate` on the same arguments."""
-    profile, observe = _law_observer(m_flow, grid)
+              policy_or_none: Optional[np.ndarray], n: int, seed: int,
+              observe=None) -> tuple[np.ndarray, float, float]:
+    """The law of n paths against the flow, compared as the march reaches each
+    level, which any observe(k, x) then sees, storing no path: (d1 profile,
+    boundary leak, sup |X|), bit for bit those of `simulate` and `compare_law`."""
+    profile, observe = _law_observer(m_flow, grid, observe)
     _, leak, max_abs = _march(problem, grid, m_flow, _single(policy_or_none),
                               1, n, seed, observe)
     return profile, float(leak[0]), float(max_abs[0])

@@ -1,3 +1,4 @@
+import io
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -47,6 +48,29 @@ def test_negative_nx_is_config_error_without_artifacts(tmp_path):
     cfg = RunConfig(problem="lq-riccati", out_dir=str(out), nx=-10)
     assert run(cfg) == EXIT_CONFIG
     assert not out.exists()
+
+
+@pytest.mark.parametrize("nx", [3, 4])
+def test_nx_below_five_is_config_error_without_artifacts(tmp_path, nx):
+    # each HJB wall closure reaches four nodes: a 3-node run died indexing a
+    # fifth, and on 4 nodes the two closures are one equation (singular)
+    out = tmp_path / "o"
+    assert main(["solve", "--problem", "lq-riccati", "--nx", str(nx),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_small_grid_runs_to_a_valid_summary(tmp_path, command):
+    # below 21 nodes the residual and oracle checks keep fewer than 10 wall
+    # nodes out, instead of reducing over no node at all
+    out = tmp_path / "o"
+    code = main([command, "--problem", "lq-riccati", "--nx", "15", "--nt", "100",
+                 "--out", str(out)] + SMALL[4:])
+    assert code in (EXIT_OK, EXIT_VERIFY)
+    s = json.loads((out / "summary.json").read_text())
+    assert np.all(np.isfinite(list(s["fixed_point"]["pde_residuals"].values())))
+    assert np.isfinite(s["oracle"]["hjb_oracle_max_err"])
 
 
 def test_unparsable_config_value_is_config_error_without_artifacts(tmp_path):
@@ -135,19 +159,34 @@ def test_run_config_defaults_are_the_solver_defaults():
 
 
 def test_reports_serialize_as_plain_json():
-    # summary.json is written by a plain json.dump: no numpy scalar may reach it
+    # summary.json is written by a plain json.dump: no numpy scalar may reach
+    # it. On the small box max |Dg| exceeds max |g|, so B5's margin is a
+    # numpy float
     from mfgkit.catalog import get_entry
     from mfgkit.cost import verify_optimality
     from mfgkit.hamiltonian import check_assumptions
     from mfgkit.mfg import solve_mfg
-    entry = get_entry("example5-weak")
-    grid = build_grid(1, -6.0, 6.0, 81, 1.0, 60)
-    u, m, report = solve_mfg(entry.problem, grid, entry.fixed_point)
-    reports = (report,
-               check_assumptions(entry.problem, grid, n_samples=16, seed=0),
-               verify_optimality(entry.problem, grid, u, m, 2, 500, 0))
-    for r in reports:
-        assert json.loads(json.dumps(r.to_dict())) == r.to_dict()
+    for name, grid in (("example5-weak", build_grid(1, -6.0, 6.0, 81, 1.0, 60)),
+                       ("decoupled-hopfcole", build_grid(1, -2.0, 2.0, 41, 1.0, 20))):
+        entry = get_entry(name)
+        u, m, report = solve_mfg(entry.problem, grid, entry.fixed_point)
+        reports = (report,
+                   check_assumptions(entry.problem, grid, n_samples=16, seed=0),
+                   verify_optimality(entry.problem, grid, u, m, 2, 500, 0))
+        for r in reports:
+            assert json.loads(json.dumps(r.to_dict())) == r.to_dict()
+
+
+def test_small_box_verify_writes_a_valid_summary(tmp_path):
+    # B5 and B7 once handed json.dump a numpy bool here: exit 1 and a
+    # summary.json cut off at B5's "passed"
+    out = tmp_path / "o"
+    code = main(["verify", "--problem", "decoupled-hopfcole", "--nx", "41",
+                 "--nt", "20", "--x-min", "-2", "--x-max", "2",
+                 "--n-particles", "500", "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_VERIFY)
+    s = json.loads((out / "summary.json").read_text())
+    assert s["all_checks_passed"] == (code == EXIT_OK)
 
 
 def test_solve_writes_artifacts_and_roundtrips(tmp_path):
@@ -209,6 +248,52 @@ def test_checkpoint_roundtrip_and_grid_guard(tmp_path):
         read_checkpoint(path, other)
 
 
+class _FailsAtLevel:
+    """Field values that raise when level k is read, after the writer has
+    written the levels before it."""
+
+    def __init__(self, values, k):
+        self.values, self.k = values, k
+
+    def __getitem__(self, k):
+        if k == self.k:
+            raise RuntimeError("injected")
+        return self.values[k]
+
+
+@pytest.mark.parametrize("previous", [False, True])
+def test_interrupted_artifact_write_leaves_old_file_or_none(tmp_path, previous):
+    from mfgkit.cli import _write_field_csv
+    grid = build_grid(1, -1.0, 1.0, 11, 1.0, 6)
+    values = np.random.default_rng(3).random((7, 11))
+    path = tmp_path / "u_field.csv"
+    if previous:
+        _write_field_csv(path, grid, values)
+    before = _snapshot(tmp_path)
+    with pytest.raises(RuntimeError, match="injected"):
+        _write_field_csv(path, grid, _FailsAtLevel(values + 1.0, 4))
+    with pytest.raises(AttributeError):  # fails after the checkpoint's header
+        write_checkpoint(tmp_path / "checkpoint.bin", grid,
+                         SimpleNamespace(iteration=1, residual_history=[0.5], mu=None))
+    assert _snapshot(tmp_path) == before
+
+
+def test_interrupted_summary_write_keeps_the_previous_summary(tmp_path, monkeypatch):
+    from mfgkit import cli
+    out = tmp_path / "o"
+    assert main(["solve"] + TINY + ["--out", str(out)]) == EXIT_OK
+    before = _snapshot(out)
+
+    def failing(obj, fh, **kwargs):
+        fh.write('{"schema_version": ')
+        raise TypeError("injected")
+
+    monkeypatch.setattr(cli, "json", SimpleNamespace(dump=failing))
+    with pytest.raises(TypeError, match="injected"):
+        main(["solve"] + TINY + ["--out", str(out)])
+    assert _snapshot(out) == before
+
+
 def test_field_csv_roundtrips_in_memory_values(tmp_path):
     from mfgkit.cli import _write_field_csv
     from mfgkit.catalog import get_entry
@@ -246,25 +331,44 @@ def test_field_csv_bytes_equal_the_row_block_formula(tmp_path, dim):
     assert path.read_bytes() == expected.encode()
 
 
-def test_dump_ensemble_flag(tmp_path):
+@pytest.mark.parametrize("problem", ["lq-riccati", "uncontrolled-fp"])
+def test_dump_ensemble_flag(tmp_path, problem):
+    # the checked march streams its feedback paths to ensemble.npy: the bytes
+    # np.save writes for the paths simulate stores
+    from mfgkit.mfg import feedback_policy, solve_mfg
+    from mfgkit.particle import simulate
     out = tmp_path / "dump"
-    code = main(["verify", "--problem", "uncontrolled-fp", "--out", str(out),
-                 "--nx", "81", "--nt", "50", "--n-particles", "500",
+    code = main(["verify", "--problem", problem, "--out", str(out), "--nx", "81",
+                 "--nt", "50", "--n-particles", "500", "--n-perturbations", "1",
                  "--assumption-samples", "16", "--duality-tol", "0.5",
                  "--dump-ensemble"])
-    assert code == EXIT_OK
-    ens = np.load(out / "ensemble.npy")
-    assert ens.shape == (51, 500)
+    # lq-riccati's oracle gate fails on 81 nodes
+    assert code == (EXIT_VERIFY if problem == "lq-riccati" else EXIT_OK)
+    entry, grid = _build(RunConfig(problem=problem, nx=81, nt=50))
+    u, m, _ = solve_mfg(entry.problem, grid, entry.fixed_point)
+    policy = feedback_policy(entry.problem, grid, u) if entry.controlled else None
+    expected = io.BytesIO()
+    np.save(expected, simulate(entry.problem, grid, m, policy, 500, 0).positions)
+    assert (out / "ensemble.npy").read_bytes() == expected.getvalue()
+    assert [p.name for p in out.iterdir() if p.name.endswith(".tmp")] == []
 
 
-def test_verify_stores_no_path_for_a_control_free_entry(tmp_path):
-    # the law of a control-free entry's paths is checked as the march reaches
-    # each level, so the run never holds an (nt+1) x n position array
+@pytest.mark.parametrize("problem, dump", [
+    pytest.param(problem, dump, id=problem + ("-dump" if dump else ""))
+    for problem in ("uncontrolled-fp", "lq-riccati") for dump in (False, True)])
+def test_verify_stores_no_path(tmp_path, problem, dump):
+    # the law of the checked paths is compared, and their dump written, as
+    # the march reaches each level, so the run never holds an (nt+1) x n
+    # position array
     import tracemalloc
-    n, nt = 10_000, 200
-    argv = ["verify", "--problem", "uncontrolled-fp", "--nx", "81", "--nt", str(nt),
+    # lq-riccati's stacked march of three policies holds about 0.5 kB of
+    # block temporaries per path, whatever nt is; 400 levels put its path
+    # array well above them
+    n, nt = 10_000, 400 if problem == "lq-riccati" else 200
+    argv = ["verify", "--problem", problem, "--nx", "81", "--nt", str(nt),
             "--n-particles", str(n), "--n-perturbations", "1",
             "--assumption-samples", "32", "--duality-tol", "0.15"]
+    argv += ["--dump-ensemble"] if dump else []
     assert main(argv + ["--out", str(tmp_path / "warm")]) == EXIT_OK  # warm caches
     tracemalloc.start()
     try:
@@ -274,6 +378,62 @@ def test_verify_stores_no_path_for_a_control_free_entry(tmp_path):
         tracemalloc.stop()
     assert code == EXIT_OK
     assert peak < n * (nt + 1) * 8 / 4
+
+
+def test_dump_ensemble_adds_no_resident_copy_of_the_paths(tmp_path):
+    # the dump is written level by level with plain writes: a memory map of
+    # the file (or a stored array) would count its touched pages as resident,
+    # which tracemalloc does not see but the peak RSS does. The child reads
+    # its peak as VmHWM, not ru_maxrss: Linux carries the peak of the process
+    # that started it (this test run's) into ru_maxrss across the exec
+    import os
+    import subprocess
+    import sys
+    n, nt = 62_500, 200  # a 100.5 MB ensemble
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    peaks = []
+    for dump in ([], ["--dump-ensemble"]):
+        argv = ["verify", "--problem", "uncontrolled-fp", "--nx", "81",
+                "--nt", str(nt), "--n-particles", str(n),
+                "--assumption-samples", "16", "--duality-tol", "0.5",
+                "--out", str(tmp_path / f"o{len(dump)}")] + dump
+        code = ("from mfgkit.cli import main; "
+                f"rc = main({argv!r}); "
+                "status = open('/proc/self/status').read(); "
+                "print(rc, status.split('VmHWM:')[1].split()[0])")
+        res = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        rc, kib = map(int, res.stdout.split())
+        assert rc == EXIT_OK
+        peaks.append(kib * 1024)
+    size = (tmp_path / "o1" / "ensemble.npy").stat().st_size
+    assert size >= 100e6
+    assert peaks[1] - peaks[0] < size / 4
+
+
+def test_failed_march_leaves_no_ensemble(tmp_path, monkeypatch):
+    # a march that raises part way through leaves neither the dump nor its
+    # temporary file
+    from mfgkit import particle
+    calls = []
+    law_d1 = particle._law_d1
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) > 5:
+            raise RuntimeError("injected")
+        return law_d1(*args)
+
+    monkeypatch.setattr(particle, "_law_d1", failing)
+    out = tmp_path / "v"
+    with pytest.raises(RuntimeError, match="injected"):
+        main(["verify", "--problem", "uncontrolled-fp", "--out", str(out)]
+             + SMALL + ["--dump-ensemble"])
+    names = {p.name for p in out.iterdir()}
+    assert names == {"run_config.txt", "checkpoint.bin", "u_field.csv",
+                     "m_flow.csv", "residuals.csv"}
 
 
 def test_summary_reports_oracle_error(tmp_path):
@@ -373,9 +533,8 @@ def test_run_commands_keep_their_flag_set():
     for dump in (False, True) for problem in ("lq-riccati", "uncontrolled-fp")])
 def test_verify_marches_once(tmp_path, monkeypatch, problem, dump):
     # a controlled entry's law check and optimality check share one stacked
-    # march, and a stored ensemble is a second march of the feedback paths; a
-    # control-free entry marches its ensemble once for the law check, stored
-    # or not
+    # march, a control-free entry marches once for its law check, and a dump
+    # of the paths rides the march that runs
     from mfgkit import cost, particle
     marches = []
     march = particle._march
@@ -390,7 +549,7 @@ def test_verify_marches_once(tmp_path, monkeypatch, problem, dump):
     main(["verify", "--problem", problem, "--out", str(out)] + SMALL
          + (["--dump-ensemble"] if dump else []))
     if problem == "lq-riccati":
-        assert marches == ([3, 1] if dump else [3])
+        assert marches == [3]
     else:
         assert marches == [1]
     assert (out / "ensemble.npy").exists() == dump

@@ -252,3 +252,12 @@ def test_all_names_resolve(module):
     mod = importlib.import_module(f"mfgkit.{module}")
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_interior_keeps_ten_wall_nodes_out_where_the_grid_allows():
+    # the residual and oracle checks read these nodes; below 21 nodes the
+    # margin shrinks so that one node or more stays inside
+    for nx, margin in ((4, 1), (15, 7), (20, 9), (21, 10), (241, 10)):
+        grid = build_grid(1, -1.0, 1.0, nx, 1.0, 4)
+        assert grid.interior() == slice(margin, -margin)
+        assert np.arange(nx)[grid.interior()].size >= 1

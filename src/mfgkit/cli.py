@@ -1,9 +1,6 @@
 """Command-line driver: solve catalog problems, run the verification battery,
 and persist artifacts.
 
-Heavy imports happen inside functions so the MFGKIT_THREADS override can be
-exported to the BLAS thread-count variables before numpy loads.
-
 Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 verification
 failure (solved but one or more checks failed).
 """
@@ -17,13 +14,24 @@ import os
 import struct
 import sys
 import time
+import zlib
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
+
+# read as module attributes: tests and the benchmark replace get_entry and
+# solve_mfg in their modules
+from . import catalog, core, fp, mfg
+from .cost import expected_initial_value, verify_optimality
+from .hamiltonian import check_assumptions
+from .hjb import HjbSolverConfig
+from .particle import law_check
+
 SCHEMA_VERSION = 1
 CHECKPOINT_MAGIC = b"MFGK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # version 2 appends a CRC32 trailer; version 1 still loads
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -54,7 +62,6 @@ class RunConfig:
     assumption_samples: int = 200
     duality_tol: float = 5e-2
     dump_ensemble: bool = False
-    resume: bool = False
 
     def validate(self) -> None:
         if not self.problem:
@@ -74,8 +81,7 @@ class RunConfig:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
     def to_file(self, path: Path) -> None:
-        lines = [f"{f.name} = {getattr(self, f.name)}" for f in fields(self)
-                 if f.name != "resume"]
+        lines = [f"{f.name} = {getattr(self, f.name)}" for f in fields(self)]
         with _replacing(path) as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -140,30 +146,36 @@ def _grid_hash(grid) -> int:
 
 
 def write_checkpoint(path: Path, grid, state) -> None:
-    """Versioned little-endian snapshot of the outer-iteration state."""
-    res = list(state.residual_history)
+    """Versioned little-endian snapshot of the outer-iteration state, closed
+    by the CRC32 of every byte before it."""
+    def parts():
+        res = np.asarray(state.residual_history, dtype="<f8")
+        yield CHECKPOINT_MAGIC + struct.pack(
+            "<IQII", CHECKPOINT_VERSION, _grid_hash(grid), state.iteration, res.size)
+        yield res
+        yield struct.pack("<I", state.mu.size)
+        yield np.ascontiguousarray(state.mu, dtype="<f8")
+
+    crc = 0
     with _replacing(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<Q", _grid_hash(grid)))
-        fh.write(struct.pack("<I", state.iteration))
-        fh.write(struct.pack("<I", len(res)))
-        import numpy as np
-        fh.write(np.asarray(res, dtype="<f8").tobytes())
-        fh.write(struct.pack("<I", state.mu.size))
-        fh.write(np.ascontiguousarray(state.mu, dtype="<f8").tobytes())
+        for part in parts():
+            fh.write(part)
+            crc = zlib.crc32(part, crc)
+        fh.write(struct.pack("<I", crc))
 
 
 def read_checkpoint(path: Path, grid):
-    from .mfg import IterationState
-    import numpy as np
     raw = path.read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path} is not a checkpoint (bad magic)")
     off = 4
     try:
         (version,) = struct.unpack_from("<I", raw, off); off += 4
-        if version != CHECKPOINT_VERSION:
+        if version == 2:
+            (crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
+            if zlib.crc32(memoryview(raw)[:-4]) != crc:
+                raise ValueError("checksum mismatch (corrupt or truncated file)")
+        elif version != 1:
             raise ValueError(f"unsupported version {version}")
         (ghash,) = struct.unpack_from("<Q", raw, off); off += 8
         if ghash != _grid_hash(grid):
@@ -176,13 +188,12 @@ def read_checkpoint(path: Path, grid):
         mu = mu.reshape((grid.nt + 1,) + grid.shape).copy()
     except (struct.error, ValueError) as e:  # a short or corrupt payload too
         raise ValueError(f"checkpoint {path}: {e}") from None
-    return IterationState(iteration=iteration, mu=mu, residual_history=res)
+    return mfg.IterationState(iteration=iteration, mu=mu, residual_history=res)
 
 
 def _write_field_csv(path: Path, grid, values) -> None:
     """Long format t,x1[,x2],value with 17 significant digits, one row per
     node, nodes in C order within each time level."""
-    import numpy as np
     coords = grid.coords().reshape(grid.n_nodes, grid.dim).tolist()
     header = "t," + ",".join(f"x{d + 1}" for d in range(grid.dim)) + ",value\n"
     # each node's row after its time column, coordinates formatted once; the
@@ -197,35 +208,31 @@ def _write_field_csv(path: Path, grid, values) -> None:
 
 
 def read_field_csv(path: Path, grid):
-    import numpy as np
     vals = np.loadtxt(path, delimiter=",", skiprows=1, usecols=-1)
     return vals.reshape((grid.nt + 1,) + grid.shape)
 
 
 def _build(config: RunConfig):
-    from .catalog import get_entry
-    from .core import build_grid
-    entry = get_entry(config.problem)
+    entry = catalog.get_entry(config.problem)
     grid = entry.grid
     x_min = config.x_min if config.x_min == config.x_min else grid.x_min
     x_max = config.x_max if config.x_max == config.x_max else grid.x_max
     horizon = config.horizon if config.horizon == config.horizon else grid.horizon
     nx = config.nx or grid.nx
     nt = config.nt or grid.nt
-    grid = build_grid(grid.dim, x_min, x_max, nx, horizon, nt)
+    grid = core.build_grid(grid.dim, x_min, x_max, nx, horizon, nt)
     return entry, grid
 
 
-def run(config: RunConfig) -> int:
-    """Solve, verify, and write artifacts; see module docstring for exit codes."""
-    from .hjb import HjbSolverConfig
-    from .mfg import FixedPointConfig
+def run(config: RunConfig, resume: bool = False) -> int:
+    """Solve, verify, and write artifacts; see module docstring for exit codes.
+    With resume, the solve continues from the directory's checkpoint.bin."""
     try:
         config.validate()
         entry, grid = _build(config)
         # the solver configs range-check theta, tol and the iteration counts
-        solver = (FixedPointConfig(theta=config.theta, tol=config.tol,
-                                   max_iters=config.max_iters),
+        solver = (mfg.FixedPointConfig(theta=config.theta, tol=config.tol,
+                                       max_iters=config.max_iters),
                   HjbSolverConfig(picard_inner_iters=config.picard_inner_iters))
     except (ValueError, KeyError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
@@ -241,22 +248,17 @@ def run(config: RunConfig) -> int:
               "directory (delete the stale lock to proceed)", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return _run_locked(config, entry, grid, solver, out)
+        return _run_locked(config, entry, grid, solver, out, resume)
     finally:
         os.close(lock_fd)
         lock.unlink(missing_ok=True)
 
 
-def _run_locked(config: RunConfig, entry, grid, solver, out: Path) -> int:
-    import numpy as np
-    from .hamiltonian import check_assumptions
-    from .mfg import solve_mfg
-    from .particle import law_check
-    from .cost import verify_optimality, expected_initial_value
-
+def _run_locked(config: RunConfig, entry, grid, solver, out: Path,
+                resume: bool) -> int:
     state0 = None
     ckpt = out / "checkpoint.bin"
-    if config.resume:  # validated before anything in the directory is written
+    if resume:  # validated before anything in the directory is written
         try:
             state0 = read_checkpoint(ckpt, grid)
         except (OSError, ValueError) as e:
@@ -266,7 +268,7 @@ def _run_locked(config: RunConfig, entry, grid, solver, out: Path) -> int:
     config.to_file(out / "run_config.txt")
     t_start = time.time()
     try:
-        u, m, report = solve_mfg(
+        u, m, report = mfg.solve_mfg(
             entry.problem, grid, *solver,
             initial_state=state0,
             on_iteration=lambda st: write_checkpoint(ckpt, grid, st))
@@ -297,8 +299,8 @@ def _run_locked(config: RunConfig, entry, grid, solver, out: Path) -> int:
             fh.write(f"{i},{r:.17g}\n")
 
     checks = {"converged": report.converged,
-              "mass_conservation": float(m.mass_drift.max()) <= 1e-8,
-              "positivity": float(m.min_density.min()) >= -1e-12}
+              "mass_conservation": float(m.mass_drift.max()) <= core.MASS_TOL,
+              "positivity": float(m.min_density.min()) >= -fp.NEGATIVITY_TOL}
 
     if entry.oracle is not None:
         ref = entry.oracle_value(grid)
@@ -366,14 +368,6 @@ def _run_locked(config: RunConfig, entry, grid, solver, out: Path) -> int:
     return EXIT_OK
 
 
-def _apply_threads_env() -> None:
-    val = os.environ.get("MFGKIT_THREADS")
-    if val:
-        for key in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(key, val)
-
-
 def _make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="mfgkit",
                                  description="mean-field game solver and "
@@ -381,7 +375,7 @@ def _make_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--problem", help="catalog name or config file path")
+        p.add_argument("--problem", help="catalog name")
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--out", required=True, help="output directory")
         for key in _INT_KEYS:
@@ -402,7 +396,9 @@ def _make_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> RunConfig:
     """Stored run_config.txt (resume only), then --config, --problem and flags,
-    each overriding the last. A resume may not switch problem (ValueError)."""
+    each overriding the last. A resume may not switch problem (ValueError).
+    solve and verify set `verify` from the command; a resume keeps the
+    stored run's."""
     updates: dict = {}
     if args.command == "resume":
         rc_path = Path(args.out) / "run_config.txt"
@@ -413,11 +409,7 @@ def _config_from_args(args) -> RunConfig:
     if args.config:
         updates.update(parse_config_file(args.config))
     if args.problem:
-        # a catalog name, or a config file describing the run
-        if Path(args.problem).is_file():
-            updates.update(parse_config_file(args.problem))
-        else:
-            updates["problem"] = args.problem
+        updates["problem"] = args.problem
     for f in fields(RunConfig):
         v = getattr(args, f.name, None)
         if v is not None and f.name != "problem":
@@ -426,18 +418,17 @@ def _config_from_args(args) -> RunConfig:
         if updates.get("problem") != stored:
             raise ValueError(f"resume cannot switch problem {stored!r} to "
                              f"{updates.get('problem')!r}")
-        updates["resume"] = True
+    else:
+        updates["verify"] = args.command == "verify"
     cfg = RunConfig(**updates)
     cfg.out_dir = args.out
     return cfg
 
 
 def main(argv=None) -> int:
-    _apply_threads_env()
     args = _make_parser().parse_args(argv)
     if args.command == "catalog":
-        from .catalog import list_catalog
-        for entry in list_catalog():
+        for entry in catalog.list_catalog():
             g = entry.grid
             print(f"{entry.name:20s} dim={g.dim} box=[{g.x_min[0]:g},{g.x_max[0]:g}] "
                   f"nx={g.nx} nt={g.nt} T={g.horizon:g}  {entry.description}")
@@ -447,9 +438,7 @@ def main(argv=None) -> int:
     except ValueError as e:  # unreadable config or a problem switch: nothing written
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.command == "solve":
-        cfg.verify = False
-    return run(cfg)
+    return run(cfg, resume=args.command == "resume")
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Grid, MeasureFlow, ProblemSpec, ValueField, _stream
+from .mfg import feedback_policy
 from .particle import _law_observer, _march, _single
 
 __all__ = [
@@ -171,8 +172,6 @@ def verify_optimality(problem: ProblemSpec, grid: Grid, u: ValueField,
     same frozen flow and noise; the report also holds the feedback paths'
     law check against the flow, after which observe(k, x), if given, sees the
     stacked points at each level, as in `particle._march`."""
-    from .mfg import feedback_policy  # deferred: mfg depends on lower layers only
-
     if policy is None:
         policy = feedback_policy(problem, grid, u)
     policy = np.asarray(policy, dtype=float)

@@ -92,6 +92,14 @@ def hopf_cole_value(G, grid: Grid) -> ValueField:
             raise OracleSelfCheckError("quadrature underflow in Hopf-Cole weight")
         values[k] = g_min - 2.0 * np.log(wb)
         du[k] = -2.0 * wx[sel] / wb
+    # the returned levels against the quadrature the self-check validated
+    tol = 1e-9 * (1.0 + np.abs(values).max())
+    for k in sorted({0, grid.nt // 2, grid.nt - 1}):
+        uk, duk = u_and_du(grid.time(k), x)
+        err = max(np.abs(values[k] - uk).max(), np.abs(du[k] - duk).max())
+        if not err <= tol:  # NaN too
+            raise OracleSelfCheckError(
+                f"Hopf-Cole level {k} deviates from its quadrature by {err:.3e}")
     return ValueField(values, du, grid)
 
 

@@ -146,8 +146,7 @@ def test_invalid_boolean_in_config_file_is_config_error_without_artifacts(
 
 
 def test_run_config_defaults_are_the_solver_defaults():
-    # cli.py cannot import the solvers at module level (MFGKIT_THREADS must
-    # reach BLAS before numpy loads), so RunConfig restates their defaults
+    # RunConfig restates the solver defaults, so run_config.txt lists them
     from mfgkit.catalog import list_catalog
     from mfgkit.hjb import HjbSolverConfig
     from mfgkit.mfg import FixedPointConfig
@@ -156,6 +155,26 @@ def test_run_config_defaults_are_the_solver_defaults():
             == (fx.theta, fx.tol, fx.max_iters))
     assert run_cfg.picard_inner_iters == HjbSolverConfig().picard_inner_iters
     assert all(entry.fixed_point == fx for entry in list_catalog())
+
+
+def test_verify_command_verifies_whatever_the_config_file_says(tmp_path):
+    # `verify = false` in a config file once made `verify` a solve-only run
+    f = tmp_path / "cfg.txt"
+    f.write_text("problem = lq-riccati\nnx = 41\nnt = 200\nverify = false\n")
+    out = tmp_path / "o"
+    assert main(["verify", "--config", str(f), "--out", str(out)]
+                + SMALL[4:]) in (EXIT_OK, EXIT_VERIFY)
+    checks = json.loads((out / "summary.json").read_text())["checks"]
+    assert {"sde_fp_duality", "optimality", "assumptions"} <= set(checks)
+
+
+def test_problem_flag_takes_a_catalog_name_only(tmp_path):
+    # a config file named by --problem once replaced the catalog name
+    f = tmp_path / "example5-weak"
+    f.write_text("problem = example5-weak\nnx = 41\nnt = 20\n")
+    out = tmp_path / "o"
+    assert main(["solve", "--problem", str(f), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_reports_serialize_as_plain_json():
@@ -246,6 +265,34 @@ def test_checkpoint_roundtrip_and_grid_guard(tmp_path):
     other = build_grid(1, -6.0, 6.0, 61, 1.0, 20)
     with pytest.raises(ValueError, match="grid"):
         read_checkpoint(path, other)
+
+
+def test_every_bit_flip_fails_the_checkpoint_read(tmp_path):
+    grid = build_grid(1, -1.0, 1.0, 5, 1.0, 2)
+    st = IterationState(iteration=2, mu=np.full((3, 5), 0.5), residual_history=[0.3, 0.1])
+    path = tmp_path / "checkpoint.bin"
+    write_checkpoint(path, grid, st)
+    raw = path.read_bytes()
+    for bit in range(8 * len(raw)):
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 1 << bit % 8
+        path.write_bytes(flipped)
+        with pytest.raises(ValueError):
+            read_checkpoint(path, grid)
+
+
+def test_version_1_checkpoint_still_resumes(tmp_path):
+    # version 1 is version 2 without the CRC32 trailer
+    full, part = tmp_path / "full", tmp_path / "part"
+    assert main(["solve"] + TINY + ["--out", str(full)]) == EXIT_OK
+    assert main(["solve"] + TINY + ["--max-iters", "2", "--out", str(part)]) == EXIT_VERIFY
+    ckpt = part / "checkpoint.bin"
+    raw = ckpt.read_bytes()
+    assert raw[4:8] == (2).to_bytes(4, "little")
+    ckpt.write_bytes(raw[:4] + (1).to_bytes(4, "little") + raw[8:-4])
+    assert main(["resume", "--out", str(part), "--max-iters", "50"]) == EXIT_OK
+    for name in ("u_field.csv", "m_flow.csv", "residuals.csv"):
+        assert (full / name).read_bytes() == (part / name).read_bytes()
 
 
 class _FailsAtLevel:
@@ -468,7 +515,7 @@ def _snapshot(out):
     return {p.name: p.read_bytes() for p in out.iterdir()}
 
 
-@pytest.mark.parametrize("damage", ["grid", "truncated"])
+@pytest.mark.parametrize("damage", ["grid", "truncated", "bitflip"])
 def test_resume_rejects_bad_checkpoint_before_writing(tmp_path, damage):
     out = tmp_path / "o"
     assert main(["solve"] + TINY + ["--max-iters", "2", "--out", str(out)]) == EXIT_VERIFY
@@ -476,8 +523,12 @@ def test_resume_rejects_bad_checkpoint_before_writing(tmp_path, damage):
     argv = ["resume", "--out", str(out)]
     if damage == "grid":
         argv += ["--nt", "30"]  # checkpointed at nt = 20
-    else:
+    elif damage == "truncated":
         ckpt.write_bytes(ckpt.read_bytes()[:-8])
+    else:  # the lowest mantissa bit of the flow's last density
+        raw = bytearray(ckpt.read_bytes())
+        raw[-12] ^= 1
+        ckpt.write_bytes(raw)
     before = _snapshot(out)
     assert main(argv) == EXIT_CONFIG
     assert _snapshot(out) == before
@@ -499,6 +550,18 @@ def test_resume_layers_stored_config_then_config_file_then_flags(tmp_path):
                  "--out", str(part)]) == EXIT_OK
     for name in ("u_field.csv", "m_flow.csv", "residuals.csv"):
         assert (full / name).read_bytes() == (part / name).read_bytes()
+
+
+def test_resume_key_in_a_config_file_is_rejected(tmp_path):
+    # only the resume command resumes; `resume = yes` once made solve read
+    # the directory's checkpoint
+    out = tmp_path / "o"
+    assert main(["solve"] + TINY + ["--max-iters", "2", "--out", str(out)]) == EXIT_VERIFY
+    before = _snapshot(out)
+    f = tmp_path / "cfg.txt"
+    f.write_text("resume = yes\n")
+    assert main(["solve", "--config", str(f), "--out", str(out)] + TINY) == EXIT_CONFIG
+    assert _snapshot(out) == before
 
 
 def test_resume_rejects_bad_config_and_problem_switch_without_writing(tmp_path):
@@ -571,22 +634,60 @@ def test_solver_exception_exits_3_without_summary(tmp_path, monkeypatch, capsys)
     assert not (out / "summary.json").exists()
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # the package loads its modules, and so numpy, on first use: the CLI can
-    # export MFGKIT_THREADS before BLAS reads its thread count
+def test_package_import_exports_threads_before_blas_loads():
+    # `import mfgkit` alone, as a library caller does, pins BLAS to
+    # MFGKIT_THREADS; a thread count the caller set wins
     import os
     import subprocess
     import sys
+    code = """if True:
+        import ctypes, glob, os
+        import mfgkit
+        import numpy
+        from mfgkit import solve_mfg
+        libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)),
+                                      "numpy.libs", "*openblas*"))
+        get = libs and getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_num_threads64_", None)
+        print(os.environ["OPENBLAS_NUM_THREADS"], get() if get else "unknown",
+              solve_mfg.__module__, mfgkit.core.__name__)
+    """
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, mfgkit.cli; print('numpy' in sys.modules); "
-            "from mfgkit import solve_mfg, __version__; import mfgkit; "
-            "print(solve_mfg.__module__, mfgkit.core.__name__, "
-            "[n for n in mfgkit.__all__ if not hasattr(mfgkit, n)])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.split("\n")[:2] == ["False", "mfgkit.mfg mfgkit.core []"]
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["MFGKIT_THREADS"] = "1"
+    for blas, expected in (({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")):
+        out = subprocess.run([sys.executable, "-c", code], env=dict(env, **blas),
+                             capture_output=True, text=True, check=True)
+        variable, threads, *names = out.stdout.split()
+        assert variable == expected
+        if threads != "unknown" and os.cpu_count() >= int(expected):
+            assert threads == expected
+        assert names == ["mfgkit.mfg", "mfgkit.core"]
+
+
+def test_functions_import_only_the_slow_scipy_submodules():
+    # the package imports its modules at load, after MFGKIT_THREADS is
+    # exported; only scipy submodules slow to import, each needed by one
+    # function, load on first use
+    import ast
+    slow = {"scipy.signal", "scipy.optimize", "scipy.sparse"}
+    found = set()
+    for path in (Path(__file__).resolve().parents[1] / "src" / "mfgkit").glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Import):
+                    loaded = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    module = "." * node.level + (node.module or "")
+                    loaded = ([f"scipy.{a.name}" for a in node.names]
+                              if module == "scipy" else [module])
+                else:
+                    continue
+                found |= {f"{path.name}:{node.lineno} {m}" for m in loaded if m not in slow}
+    assert sorted(found) == []
 
 
 def test_threads_override_leaves_artifacts_unchanged(tmp_path):

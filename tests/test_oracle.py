@@ -31,6 +31,17 @@ def test_hopf_cole_self_check_runs():
     hopf_cole_value(lambda x: 8.0 * np.tanh(x * x / 16.0), g)
 
 
+def test_hopf_cole_checks_the_levels_it_returns(monkeypatch):
+    # each convolved level shifted one lattice node: the node selection off by one
+    import scipy.signal
+    convolve = scipy.signal.fftconvolve
+    monkeypatch.setattr(scipy.signal, "fftconvolve",
+                        lambda *a, **kw: np.roll(convolve(*a, **kw), 1))
+    g = build_grid(1, -6.0, 6.0, 61, 1.0, 100)
+    with pytest.raises(OracleSelfCheckError, match="level"):
+        hopf_cole_value(lambda x: 8.0 * np.tanh(x * x / 16.0), g)
+
+
 def test_hopf_cole_agrees_with_riccati_inside_box():
     # c x^2 uncapped within the box: two independent oracles, one instance
     g = build_grid(1, -6.0, 6.0, 241, 1.0, 40)

@@ -36,12 +36,12 @@ def capped_quadratic(cap: float) -> Callable:
     return G
 
 
-def _zero(t, x, m):
-    return np.zeros_like(x)
+def _zero(t, x, m):  # constants stay scalars: they broadcast to the points
+    return 0.0
 
 
 def _sqrt2_sigma(t, x, m):
-    return np.sqrt(2.0) * np.ones_like(x)
+    return np.sqrt(2.0)
 
 
 def _bump(s, s_cap=9.0):

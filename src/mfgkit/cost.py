@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import Grid, MeasureFlow, ProblemSpec, ValueField, _stream
 from .mfg import feedback_policy
-from .particle import _law_observer, _march, _single
+from .particle import _march, _single
 
 __all__ = [
     "CostEstimate",
@@ -98,9 +98,9 @@ class OptimalityReport:
     value_check_passed: bool = False
     perturbations: list = field(default_factory=list)
     all_perturbations_passed: bool = False
-    # the feedback paths' law check, by the observer of `particle.law_check`;
-    # the CLI reports it under `particle`: d1 to the flow per time level,
-    # boundary leak, sup |X|
+    # the feedback paths' law check, by the march's `law`, as in
+    # `particle.law_check`; the CLI reports it under `particle`: d1 to the
+    # flow per time level, boundary leak, sup |X|
     d1_profile: np.ndarray = None
     boundary_leak: float = np.nan
     max_abs_position: float = np.nan
@@ -170,8 +170,9 @@ def verify_optimality(problem: ProblemSpec, grid: Grid, u: ValueField,
     paired-difference error and the hypot of the two standard errors. The
     feedback and every perturbed policy are marched together, against the
     same frozen flow and noise; the report also holds the feedback paths'
-    law check against the flow, after which observe(k, x), if given, sees the
-    stacked points at each level, as in `particle._march`."""
+    law check against the flow. An observe(k, x), if given, sees the stacked
+    points at each level, as in `particle._march`, and keeps the march in one
+    process."""
     if policy is None:
         policy = feedback_policy(problem, grid, u)
     policy = np.asarray(policy, dtype=float)
@@ -184,10 +185,10 @@ def verify_optimality(problem: ProblemSpec, grid: Grid, u: ValueField,
         return np.stack([policy[k]] + [clip(policy[k] + eps * dirs[j])
                                        for j, eps in members])
 
-    report = OptimalityReport()
-    report.d1_profile, law = _law_observer(m_flow, grid, observe)
+    report = OptimalityReport(d1_profile=np.empty(grid.nt + 1))
     cost, leak, max_abs = _march(problem, grid, m_flow, controls,
-                                 1 + len(members), n_paths, seed, law)
+                                 1 + len(members), n_paths, seed, observe,
+                                 law=report.d1_profile)
     report.boundary_leak = float(leak[0])
     report.max_abs_position = float(max_abs[0])
     fb = _estimate(cost[0], seed)

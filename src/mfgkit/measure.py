@@ -209,6 +209,16 @@ def flow_regularity(flow: MeasureFlow, grid: Grid) -> FlowRegularityReport:
         max_second_moment=float(np.max(_second_moments(dens, grid))))
 
 
+def _cell_counts(points: np.ndarray, grid: Grid) -> np.ndarray:
+    """Points per node cell, (n_nodes,): points (count, dim), each counted at
+    its nearest node, those outside the box at the nearest wall node. Counts
+    add up over any split of the points."""
+    lo, h = np.array(grid.x_min), np.array(grid.h)
+    idx = np.clip(np.rint((points - lo) / h).astype(int), 0, grid.nx - 1)
+    return np.bincount(np.ravel_multi_index(tuple(idx.T), grid.shape),
+                       minlength=grid.n_nodes)
+
+
 def histogram_density(points: np.ndarray, grid: Grid):
     """Cell-counting histogram normalized to unit quadrature mass.
 
@@ -219,10 +229,6 @@ def histogram_density(points: np.ndarray, grid: Grid):
     if pts.size == 0:
         raise ValueError("histogram needs at least one point")
     pts = pts.reshape(-1, grid.dim)
-    lo, hi, h = (np.array(v) for v in (grid.x_min, grid.x_max, grid.h))
-    leak = np.any((pts < lo) | (pts > hi), axis=1)
-    idx = np.clip(np.rint((pts - lo) / h).astype(int), 0, grid.nx - 1)
-    counts = np.bincount(np.ravel_multi_index(tuple(idx.T), grid.shape),
-                         minlength=grid.n_nodes)
-    dens = counts.reshape(grid.shape) / (len(pts) * grid.cell_volume)
+    leak = np.any((pts < np.array(grid.x_min)) | (pts > np.array(grid.x_max)), axis=1)
+    dens = _cell_counts(pts, grid).reshape(grid.shape) / (len(pts) * grid.cell_volume)
     return dens, float(leak.mean())

@@ -1,24 +1,30 @@
 """Euler-Maruyama simulation of the controlled SDE against a frozen measure flow;
 the same march adds up each path's control cost, for one policy or a stack of
-them under common random numbers, and compares the paths' law with the flow as
-it goes.
+them under common random numbers, and compares the paths' law with the flow.
 
 Randomness comes from counter-based Philox streams keyed (seed, step), with the
 in-stream counter enumerating particles, so ensembles are bit-identical for a
-given seed regardless of how the work is scheduled. Measure arguments are always
-read from the frozen flow, never from the empirical ensemble.
+given seed regardless of how the work is scheduled: in blocks of paths, or in
+forked worker processes that each march a range of the paths. Measure
+arguments are always read from the frozen flow, never from the empirical
+ensemble.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import sys
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .core import Grid, MeasureFlow, ProblemSpec, _interpolate, _stream
-from .measure import d1_grid, histogram_density
+from .measure import _cell_counts, d1_grid, histogram_density
 
 __all__ = ["ParticleEnsemble", "simulate", "compare_law", "law_check",
            "sample_initial"]
@@ -27,6 +33,11 @@ _INIT_STREAM = 0xFFFFFFFF  # step key reserved for initial sampling
 # member-paths a march step moves at once: enough to amortize the per-block
 # dispatch, few enough that the block's temporaries stay in cache
 BLOCK_POINTS = 2 ** 16
+# member-path-steps from which a march splits its paths across worker
+# processes: forking and reaping a worker takes about 3 ms at 80 MB resident,
+# and each range draws every step's normals in full, while a one-process march
+# of this size takes about 0.15 s (35 ns per member-path-step; 2-core Xeon)
+FORK_WORK = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -71,8 +82,27 @@ def sample_initial(density: np.ndarray, grid: Grid, n: int,
     return x.reshape(n) if grid.dim == 1 else x  # 1D points carry no coordinate axis
 
 
+def _split(n: int, parts: int) -> list:
+    """range(n) as `parts` contiguous slices whose widths differ by at most one."""
+    edges = [n * i // parts for i in range(parts + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _process_count() -> int:
+    """The processes a large march runs in: MFGKIT_THREADS where it is a
+    positive integer, else the usable cores; one where os.fork does not exist."""
+    if not hasattr(os, "fork"):
+        return 1
+    value = os.environ.get("MFGKIT_THREADS", "").strip()
+    if value.isdigit() and int(value) > 0:
+        return int(value)
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _march(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow, controls,
-           members: int, n: int, seed: int, observe=None):
+           members: int, n: int, seed: int, observe=None, law=None):
     """One Euler-Maruyama march of a stack of policies, n paths each, under the
     frozen flow; each path's left-endpoint running cost (f0 + f1) * dt and
     terminal cost are summed as it goes.
@@ -80,53 +110,97 @@ def _march(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow, controls,
     The points carry a leading member axis: (members, n) in 1D, (members, n, 2)
     in 2D. Every member starts from the same initial draw and sees the same
     Philox block (seed, k) at step k (common random numbers), broadcast over
-    the member axis. Each step builds the measure view, the stacked controls
-    and the normals once, then moves the points in blocks of path columns,
-    about BLOCK_POINTS member-paths each, so the step's temporaries stay
-    cache-sized whatever n is. The problem callbacks are called once per block
-    on that block's points, which is why they must be pointwise in x. Each
-    path's arithmetic is elementwise, so each member's numbers equal those of
-    a march of that member alone, in one block or many.
+    the member axis. Each path's arithmetic is elementwise, so each member's
+    numbers equal those of a march of that member alone, and every output is
+    the same however the path columns are split: a march of at least
+    FORK_WORK member-path-steps runs its columns as contiguous ranges, one per
+    process (`_process_count`), the first in this process and each other in a
+    forked worker, all through every step (`_march_columns`).
 
     controls: None for the uncontrolled dynamics (f1 then does not enter), else
     k -> the members' per-node controls at time level k, stacked on a leading
-    axis. observe(k, x), if given, sees all the stacked points at every level;
-    member j's points are x[j]. x is moved in place, so an observer that keeps
-    it must copy it.
+    axis. law: None, or an (nt+1,) array the march fills with the d1 between
+    member 0's histogram at each level and the flow, from cell counts that
+    add up over the ranges. observe(k, x), if given, sees all the stacked
+    points at every level, so it keeps the march in one process; member j's
+    points are x[j]. x is moved in place, so an observer that keeps it must
+    copy it.
     Returns (cost, boundary_leak, max_abs_position), with a leading member axis.
     """
     if n < 1:
         raise ValueError("need at least one particle")
-    dim, dt = problem.dim, grid.dt
     x0 = sample_initial(m_flow.densities[0], grid, n, _stream(seed, _INIT_STREAM))
-    x = np.stack([x0] * members)
+    split = observe is None and members * n * grid.nt >= FORK_WORK
+    parts = _fork_map(
+        lambda cols: _march_columns(problem, grid, m_flow, controls, members, x0,
+                                    seed, cols, observe, law is not None),
+        _split(n, min(_process_count(), n) if split else 1))
+    cost, clamped, max_abs, counts = parts[0]
+    if len(parts) > 1:
+        cost = np.concatenate([p[0] for p in parts], axis=1)
+    for _, more_clamped, more_abs, more_counts in parts[1:]:
+        clamped += more_clamped
+        max_abs = np.maximum(max_abs, more_abs)
+        if law is not None:
+            counts += more_counts
+    if law is not None:
+        law[:] = [_law_d1(c, n, m, grid) for c, m in zip(counts, m_flow.densities)]
+    leak = clamped / (n * grid.nt * problem.dim)
+    if leak.max() > 1e-3:
+        warnings.warn(f"boundary leak fraction {leak.max():.2e} exceeds 1e-3; "
+                      "the truncation box is too small for this dynamics",
+                      UserWarning, stacklevel=3)
+    return cost, leak, max_abs
+
+
+def _march_columns(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow,
+                   controls, members: int, x0: np.ndarray, seed: int,
+                   cols: slice, observe, law_counts: bool):
+    """The march of the path columns cols, from their initial points x0[cols]
+    and their columns of every step's full Philox block. Each step builds the
+    measure view, the stacked controls and the normals once, then moves the
+    points in blocks of equal width, about BLOCK_POINTS member-paths each, so
+    the step's temporaries stay cache-sized whatever the width is. The problem
+    callbacks are called once per block on that block's points, which is why
+    they must be pointwise in x.
+    Returns (cost, clamped, max_abs, counts): per member, the columns' costs,
+    the clamped coordinate steps and sup |X|; with law_counts, member 0's
+    points per node cell at every level, (nt+1, n_nodes), else None.
+    """
+    dim, dt = problem.dim, grid.dt
+    x = np.stack([x0[cols]] * members)
+    width = x.shape[1]
     point_axes = tuple(range(1, x.ndim))  # every axis but the member axis
     # each member's offset to its field in the stacked controls
     base = (np.arange(members) * grid.n_nodes)[:, None]
-    cost = np.zeros((members, n))
+    cost = np.zeros((members, width))
     clamped = np.zeros(members, dtype=np.int64)
-    lo, hi = np.array(grid.x_min), np.array(grid.x_max)
-    sqdt = np.sqrt(dt)
     max_abs = np.zeros(members)
-    cols = max(1, BLOCK_POINTS // members)
-    blocks = [slice(s, s + cols) for s in range(0, n, cols)]
+    # a cell holds at most n points: the narrowest type that counts them
+    counts = (np.zeros((grid.nt + 1, grid.n_nodes), dtype=np.min_scalar_type(len(x0)))
+              if law_counts else None)
+    bounds = list(zip(grid.x_min, grid.x_max))
+    sqdt = np.sqrt(dt)
+    blocks = _split(width, min(width, -(-members * width // BLOCK_POINTS)))
 
-    def reached(k, x):  # every time level: the running sup |X|, then observe
+    def reached(k):  # every time level: the running sup |X|, the law, observe
         nonlocal max_abs
         max_abs = np.maximum(max_abs, np.abs(x).max(axis=point_axes))
         if not np.all(np.isfinite(max_abs)):
             raise ValueError("ensemble contains non-finite positions")
+        if law_counts:
+            counts[k] = _cell_counts(x[0].reshape(width, dim), grid)
         if observe is not None:
             observe(k, x)
 
-    reached(0, x)
+    reached(0)
     for k in range(grid.nt):
         t = grid.time(k)
         view = m_flow.view(k)
         if controls is not None:
             fields = controls(k)
             table = fields.reshape(members * grid.n_nodes, -1).T
-        z = _stream(seed, k).standard_normal(x0.shape)
+        z = _stream(seed, k).standard_normal(x0.shape)[cols]
         for blk in blocks:
             xb, cb = x[:, blk], cost[:, blk]  # views: the block updates x and cost
             b = problem.drift_b0(t, xb, view)
@@ -144,20 +218,93 @@ def _march(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow, controls,
             noise = (sig * sqdt * z[blk] if dim == 1
                      else np.einsum("...ij,...j->...i", sig * sqdt, z[blk]))
             moved = xb + np.broadcast_to(b, xb.shape) * dt + noise
-            np.clip(moved, lo, hi, out=xb)
+            if dim == 1:
+                np.clip(moved, *bounds[0], out=xb)
+            else:  # per coordinate: scalar bounds keep numpy's inner loop long
+                for d, (lo, hi) in enumerate(bounds):
+                    np.clip(moved[..., d], lo, hi, out=xb[..., d])
             clamped += np.count_nonzero(xb != moved, axis=point_axes)
-        reached(k + 1, x)
+        reached(k + 1)
     view = m_flow.view(grid.nt)
     for blk in blocks:
         cb = cost[:, blk]
         cb += np.broadcast_to(problem.terminal_g(x[:, blk], view), cb.shape)
+    return cost, clamped, max_abs, counts
 
-    leak = clamped / (n * grid.nt * dim)
-    if leak.max() > 1e-3:
-        warnings.warn(f"boundary leak fraction {leak.max():.2e} exceeds 1e-3; "
-                      "the truncation box is too small for this dynamics",
-                      UserWarning, stacklevel=3)
-    return cost, leak, max_abs
+
+def _fork_map(task, parts: list) -> list:
+    """[task(p) for p in parts]: each part but the first in a worker forked for
+    it, the first in this process meanwhile. A worker pickles its result, or
+    the exception it raised, through a pipe and ends with os._exit; a worker's
+    exception is raised here. Every worker is reaped before this returns or
+    raises, and killed first when this unwinds from an error.
+
+    Forked, not spawned: a problem's callbacks are often lambdas, which do
+    not pickle, and a fork starts in milliseconds without a fresh import.
+    OpenBLAS, whose idle threads the process may hold, stops its pool before
+    a fork and starts it anew in the child on its next call."""
+    if len(parts) > 1:  # a worker must not inherit unwritten output
+        sys.stdout.flush()
+        sys.stderr.flush()
+    workers = []  # (pid, read end of its pipe)
+    finished = False
+    try:
+        for part in parts[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:  # never returns
+                _worker(task, part, w, [r] + [fd for _, fd in workers])
+            os.close(w)
+            workers.append((pid, r))
+        results = [task(parts[0])]
+        for pid, r in workers:
+            with open(r, "rb", closefd=False) as fh:
+                try:
+                    ok, value = pickle.load(fh)
+                except EOFError:
+                    raise RuntimeError(f"march worker {pid} ended without a "
+                                       "result") from None
+            if not ok:
+                raise value
+            results.append(value)
+        finished = True
+        return results
+    finally:
+        for pid, r in workers:
+            os.close(r)
+            if not finished:
+                with suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _worker(task, part, w: int, inherited: list):
+    """A forked worker's whole life: it closes the pipe ends it inherited,
+    runs task(part), pickles (True, result) or (False, exception) to the
+    pipe's write end w and ends with os._exit, so it never returns into its
+    caller's frames, even on KeyboardInterrupt."""
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            out = True, task(part)
+        except BaseException as e:
+            out = False, e
+        try:
+            data = pickle.dumps(out, pickle.HIGHEST_PROTOCOL)
+        except Exception:  # an exception that does not pickle
+            data = pickle.dumps((False, RuntimeError(repr(out[1]))))
+        with open(w, "wb") as fh:
+            fh.write(data)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def simulate(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow,
@@ -192,33 +339,39 @@ def _single(policy: Optional[np.ndarray]):
     return lambda k: policy[k][None]
 
 
-def _law_d1(points: np.ndarray, density: np.ndarray, grid: Grid) -> float:
+def _law_d1(counts: np.ndarray, n: int, density: np.ndarray, grid: Grid) -> float:
+    """d1 between the histogram of n points, given as their counts per node
+    cell, and a grid density; the same number as `_points_d1` of the points."""
+    return d1_grid(counts.reshape(grid.shape) / (n * grid.cell_volume), density, grid)
+
+
+def _points_d1(points: np.ndarray, density: np.ndarray, grid: Grid) -> float:
     """d1 between the histogram of the points and a grid density."""
     emp, _ = histogram_density(points, grid)
     return d1_grid(emp, density, grid)
 
 
-def _law_observer(m_flow: MeasureFlow, grid: Grid, then=None):
-    """(profile, observe): a `_march` observer that stores at profile[k] the
-    d1 of member 0's points at level k to the flow, then calls any then(k, x)."""
+def _law_observer(m_flow: MeasureFlow, grid: Grid):
+    """(profile, observe): the law check as a `_march` observer, which sees
+    whole levels, the reference the march's own `law` is tested against: it
+    stores at profile[k] the d1 of member 0's points at level k to the flow."""
     profile = np.empty(grid.nt + 1)
 
     def observe(k, x):
-        profile[k] = _law_d1(x[0], m_flow.densities[k], grid)
-        if then is not None:
-            then(k, x)
+        profile[k] = _points_d1(x[0], m_flow.densities[k], grid)
     return profile, observe
 
 
 def law_check(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow,
               policy_or_none: Optional[np.ndarray], n: int, seed: int,
               observe=None) -> tuple[np.ndarray, float, float]:
-    """The law of n paths against the flow, compared as the march reaches each
-    level, which any observe(k, x) then sees, storing no path: (d1 profile,
-    boundary leak, sup |X|), bit for bit those of `simulate` and `compare_law`."""
-    profile, observe = _law_observer(m_flow, grid, observe)
+    """The law of n paths against the flow, compared level by level inside
+    the march, storing no path: (d1 profile, boundary leak, sup |X|), bit for
+    bit those of `simulate` and `compare_law`. An observe(k, x), if given,
+    sees the points at each level, in one process."""
+    profile = np.empty(grid.nt + 1)
     _, leak, max_abs = _march(problem, grid, m_flow, _single(policy_or_none),
-                              1, n, seed, observe)
+                              1, n, seed, observe, law=profile)
     return profile, float(leak[0]), float(max_abs[0])
 
 
@@ -229,5 +382,5 @@ def compare_law(ensemble: ParticleEnsemble, m_flow: MeasureFlow,
     nt = m_flow.densities.shape[0]
     if ensemble.positions.shape[0] != nt:
         raise ValueError("ensemble and flow cover different time grids")
-    return np.array([_law_d1(ensemble.positions[k], m_flow.densities[k], grid)
+    return np.array([_points_d1(ensemble.positions[k], m_flow.densities[k], grid)
                      for k in range(nt)])

@@ -1,8 +1,10 @@
 """Shared fixtures: catalog solves and oracle fields are expensive, so they are
-computed once per session and memoized by (name, refinement, theta)."""
+computed once per session and memoized by (name, refinement, theta); every
+test is checked to leave no child process behind."""
 
 from __future__ import annotations
 
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -40,6 +42,31 @@ class SolveCache:
                                      HjbSolverConfig(), initial_state=start)
             self._cache[key] = (entry, grid, u, m, report)
         return self._cache[key]
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process behind, running or unreaped,
+    such as a march worker."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"the test left child process {pid} unreaped" if pid
+                else "the test left a child process running")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The list each os.fork call appends to, the real fork still made."""
+    calls, fork = [], os.fork
+
+    def counted():
+        calls.append(1)
+        return fork()
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -713,3 +713,25 @@ def test_threads_override_leaves_artifacts_unchanged(tmp_path):
     assert (s1.pop("threads_override"), s2.pop("threads_override")) == ("1", "2")
     s1.pop("runtime_seconds"), s2.pop("runtime_seconds")
     assert s1 == s2
+
+
+@pytest.mark.parametrize("problem", ["lq-riccati", "uncontrolled-fp"])
+def test_split_march_leaves_artifacts_unchanged(tmp_path, monkeypatch, forks, problem):
+    # a verify march split across 3 processes writes the artifacts of the
+    # one-process march byte for byte; the summary records MFGKIT_THREADS
+    from mfgkit import particle
+    monkeypatch.setattr(particle, "FORK_WORK", 0)
+    outs, codes = [], []
+    for threads in ("1", "3"):
+        monkeypatch.setenv("MFGKIT_THREADS", threads)
+        out = tmp_path / f"t{threads}"
+        codes.append(main(["verify", "--problem", problem, "--out", str(out)] + SMALL))
+        outs.append(out)
+    assert len(forks) == 2  # the second march only
+    assert codes[0] == codes[1]
+    for name in ("u_field.csv", "m_flow.csv", "residuals.csv", "checkpoint.bin"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    s1, s2 = (json.loads((o / "summary.json").read_text()) for o in outs)
+    assert (s1.pop("threads_override"), s2.pop("threads_override")) == ("1", "3")
+    s1.pop("runtime_seconds"), s2.pop("runtime_seconds")
+    assert s1 == s2

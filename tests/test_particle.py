@@ -330,3 +330,78 @@ def test_blocked_march_equals_one_block(case, monkeypatch):
     blocked, whole = march(3 * members), march(members * n)
     for a, b in zip(blocked, whole):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("case", ["1d-stack", "1d-law-check", "2d-stack"])
+def test_split_march_equals_one_process(case, workers, monkeypatch, forks):
+    # a march split into uneven ranges of path columns (41 paths in 2 or 3
+    # processes), each range in blocks, gives every output of the one-process
+    # march bit for bit: costs, leak, sup |X| and the law profile
+    import mfgkit.particle as particle
+    if case == "2d-stack":
+        problem, g = _correlated_2d(), build_grid(2, -4.0, 4.0, 21, 0.5, 20)
+        base = np.stack([-(1.0 - t) * g.coords() for t in g.times])
+    else:
+        e = get_entry("lq-riccati" if case == "1d-stack" else "uncontrolled-fp")
+        problem, g = e.problem, build_grid(1, -6.0, 6.0, 61, 1.0, 20)
+        base = feedback_policy(problem, g, lq_riccati_value(0.5, g))
+    flow, n = _flow(problem, g), 41
+    rng = np.random.default_rng(41)
+    policies = [base] + [base + 0.3 * rng.standard_normal(base.shape)
+                         for _ in range(4)]
+    monkeypatch.setattr(particle, "FORK_WORK", 0)
+
+    def march(processes):
+        monkeypatch.setenv("MFGKIT_THREADS", str(processes))
+        if case == "1d-law-check":
+            return law_check(problem, g, flow, None, n, seed=29)
+        profile = np.empty(g.nt + 1)
+        return _march(problem, g, flow, lambda k: np.stack([p[k] for p in policies]),
+                      len(policies), n, 29, law=profile) + (profile,)
+
+    whole = march(1)
+    assert forks == []
+    monkeypatch.setattr(particle, "BLOCK_POINTS", 3 * len(policies))
+    split = march(workers)
+    assert len(forks) == workers - 1
+    for a, b in zip(split, whole):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("failing", ["worker", "parent"])
+def test_failed_range_fails_the_split_march(failing, monkeypatch, forks):
+    # a drift that turns NaN mid-march in a worker's range, or in the range
+    # this process marches, raises here, and every worker is reaped
+    import os
+    import mfgkit.particle as particle
+    from mfgkit.cost import evaluate_cost
+    parent = os.getpid()
+
+    def drift(t, x, m):
+        bad = t > 0.3 and (failing == "parent") == (os.getpid() == parent)
+        return np.full_like(x, np.nan if bad else 0.0)
+    p = _problem(drift_b0=drift)
+    g = build_grid(1, -4.0, 4.0, 41, 1.0, 10)
+    flow, policy = _flow(p, g), np.zeros((g.nt + 1, g.nx))
+    monkeypatch.setattr(particle, "FORK_WORK", 0)
+    monkeypatch.setenv("MFGKIT_THREADS", "2")
+    with pytest.raises(ValueError, match="non-finite positions"):
+        evaluate_cost(p, g, flow, policy, 50, seed=1)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_observed_march_stays_in_one_process(monkeypatch, forks):
+    # an observer needs whole levels, so a march it watches never splits
+    import mfgkit.particle as particle
+    p = get_entry("uncontrolled-fp").problem
+    g = build_grid(1, -6.0, 6.0, 61, 1.0, 20)
+    monkeypatch.setattr(particle, "FORK_WORK", 0)
+    monkeypatch.setenv("MFGKIT_THREADS", "2")
+    simulate(p, g, _flow(p, g), None, 41, seed=3)
+    law_check(p, g, _flow(p, g), None, 41, seed=3, observe=lambda k, x: None)
+    assert forks == []
+    law_check(p, g, _flow(p, g), None, 41, seed=3)
+    assert len(forks) == 1

@@ -27,7 +27,7 @@ from . import catalog, core, fp, mfg
 from .cost import expected_initial_value, verify_optimality
 from .hamiltonian import check_assumptions
 from .hjb import HjbSolverConfig
-from .particle import law_check
+from .particle import _process_count, law_check
 
 SCHEMA_VERSION = 1
 CHECKPOINT_MAGIC = b"MFGK"
@@ -234,6 +234,7 @@ def run(config: RunConfig, resume: bool = False) -> int:
         solver = (mfg.FixedPointConfig(theta=config.theta, tol=config.tol,
                                        max_iters=config.max_iters),
                   HjbSolverConfig(picard_inner_iters=config.picard_inner_iters))
+        _process_count()  # MFGKIT_THREADS, if set, is a positive integer
     except (ValueError, KeyError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
@@ -244,14 +245,29 @@ def run(config: RunConfig, resume: bool = False) -> int:
     try:
         lock_fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        print(f"configuration error: {lock} exists; another run owns this "
-              "directory (delete the stale lock to proceed)", file=sys.stderr)
+        print(f"configuration error: {_lock_owner(lock)} (delete the stale lock "
+              "to proceed)", file=sys.stderr)
         return EXIT_CONFIG
     try:
+        os.write(lock_fd, f"{os.getpid()} {os.uname().nodename}\n".encode())
         return _run_locked(config, entry, grid, solver, out, resume)
     finally:
         os.close(lock_fd)
         lock.unlink(missing_ok=True)
+
+
+def _lock_owner(lock: Path) -> str:
+    """Why an existing lock blocks the run: stale where it names this host
+    and a PID no process has."""
+    try:
+        pid, host = lock.read_text().split()
+        if int(pid) > 0 and host == os.uname().nodename:
+            os.kill(int(pid), 0)
+    except ProcessLookupError:
+        return f"{lock} is stale: its run, PID {pid} on this host, has ended"
+    except (OSError, ValueError):  # unreadable, unparsable, or not ours to signal
+        pass
+    return f"{lock} exists; another run owns this directory"
 
 
 def _run_locked(config: RunConfig, entry, grid, solver, out: Path,

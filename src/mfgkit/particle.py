@@ -12,12 +12,9 @@ ensemble.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-import pickle
-import signal
-import sys
 import warnings
-from contextlib import suppress
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,9 +31,10 @@ _INIT_STREAM = 0xFFFFFFFF  # step key reserved for initial sampling
 # dispatch, few enough that the block's temporaries stay in cache
 BLOCK_POINTS = 2 ** 16
 # member-path-steps from which a march splits its paths across worker
-# processes: forking and reaping a worker takes about 3 ms at 80 MB resident,
-# and each range draws every step's normals in full, while a one-process march
-# of this size takes about 0.15 s (35 ns per member-path-step; 2-core Xeon)
+# processes: starting, reading back and joining a worker takes about 5 ms at
+# 140 MB resident, and each range draws every step's normals in full, while a
+# one-process march of this size takes about 0.15 s (35 ns per
+# member-path-step; 2-core Xeon)
 FORK_WORK = 2 ** 22
 
 
@@ -89,12 +87,16 @@ def _split(n: int, parts: int) -> list:
 
 
 def _process_count() -> int:
-    """The processes a large march runs in: MFGKIT_THREADS where it is a
-    positive integer, else the usable cores; one where os.fork does not exist."""
+    """The processes a large march runs in: MFGKIT_THREADS where it is set,
+    else the usable cores; one where os.fork does not exist. An MFGKIT_THREADS
+    that is set but not a positive integer raises ValueError."""
+    value = os.environ.get("MFGKIT_THREADS", "").strip()
+    if value and not (value.isdecimal() and int(value) > 0):
+        raise ValueError("MFGKIT_THREADS must be a positive integer, got "
+                         f"{value!r}")
     if not hasattr(os, "fork"):
         return 1
-    value = os.environ.get("MFGKIT_THREADS", "").strip()
-    if value.isdigit() and int(value) > 0:
+    if value:
         return int(value)
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -135,22 +137,16 @@ def _march(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow, controls,
         lambda cols: _march_columns(problem, grid, m_flow, controls, members, x0,
                                     seed, cols, observe, law is not None),
         _split(n, min(_process_count(), n) if split else 1))
-    cost, clamped, max_abs, counts = parts[0]
-    if len(parts) > 1:
-        cost = np.concatenate([p[0] for p in parts], axis=1)
-    for _, more_clamped, more_abs, more_counts in parts[1:]:
-        clamped += more_clamped
-        max_abs = np.maximum(max_abs, more_abs)
-        if law is not None:
-            counts += more_counts
-    if law is not None:
-        law[:] = [_law_d1(c, n, m, grid) for c, m in zip(counts, m_flow.densities)]
-    leak = clamped / (n * grid.nt * problem.dim)
+    cost, clamped, max_abs, counts = zip(*parts)
+    if law is not None:  # each level's histogram density, as compare_law's
+        law[:] = [d1_grid(c.reshape(grid.shape) / (n * grid.cell_volume), m, grid)
+                  for c, m in zip(sum(counts), m_flow.densities)]
+    leak = sum(clamped) / (n * grid.nt * problem.dim)
     if leak.max() > 1e-3:
         warnings.warn(f"boundary leak fraction {leak.max():.2e} exceeds 1e-3; "
                       "the truncation box is too small for this dynamics",
                       UserWarning, stacklevel=3)
-    return cost, leak, max_abs
+    return np.concatenate(cost, axis=1), leak, np.max(max_abs, axis=0)
 
 
 def _march_columns(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow,
@@ -233,78 +229,59 @@ def _march_columns(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow,
 
 
 def _fork_map(task, parts: list) -> list:
-    """[task(p) for p in parts]: each part but the first in a worker forked for
-    it, the first in this process meanwhile. A worker pickles its result, or
-    the exception it raised, through a pipe and ends with os._exit; a worker's
-    exception is raised here. Every worker is reaped before this returns or
-    raises, and killed first when this unwinds from an error.
+    """[task(p) for p in parts]: the first part in this process, each other
+    meanwhile in a worker process forked for it. A worker's exception is
+    raised here, and a worker that ends without sending its result raises
+    RuntimeError. Every worker is joined before this returns or raises, and
+    killed first when this unwinds from an error.
 
     Forked, not spawned: a problem's callbacks are often lambdas, which do
     not pickle, and a fork starts in milliseconds without a fresh import.
     OpenBLAS, whose idle threads the process may hold, stops its pool before
     a fork and starts it anew in the child on its next call."""
-    if len(parts) > 1:  # a worker must not inherit unwritten output
-        sys.stdout.flush()
-        sys.stderr.flush()
-    workers = []  # (pid, read end of its pipe)
-    finished = False
+    if len(parts) == 1:  # the only path where os.fork may not exist
+        return [task(parts[0])]
+    ctx = multiprocessing.get_context("fork")
+    workers = []  # (process, receiving end of its pipe)
     try:
         for part in parts[1:]:
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:  # never returns
-                _worker(task, part, w, [r] + [fd for _, fd in workers])
-            os.close(w)
-            workers.append((pid, r))
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_worker, args=(task, part, send))
+            proc.start()
+            workers.append((proc, recv))
+            send.close()
         results = [task(parts[0])]
-        for pid, r in workers:
-            with open(r, "rb", closefd=False) as fh:
-                try:
-                    ok, value = pickle.load(fh)
-                except EOFError:
-                    raise RuntimeError(f"march worker {pid} ended without a "
-                                       "result") from None
+        for proc, recv in workers:
+            try:
+                ok, value = recv.recv()
+            except EOFError:
+                raise RuntimeError(f"march worker {proc.pid} ended without a "
+                                   "result") from None
             if not ok:
                 raise value
             results.append(value)
-        finished = True
         return results
+    except BaseException:
+        for proc, _ in workers:
+            proc.kill()
+        raise
     finally:
-        for pid, r in workers:
-            os.close(r)
-            if not finished:
-                with suppress(ProcessLookupError):
-                    os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        for proc, recv in workers:
+            proc.join()
+            recv.close()
 
 
-def _worker(task, part, w: int, inherited: list):
-    """A forked worker's whole life: it closes the pipe ends it inherited,
-    runs task(part), pickles (True, result) or (False, exception) to the
-    pipe's write end w and ends with os._exit, so it never returns into its
-    caller's frames, even on KeyboardInterrupt."""
-    status = 1
+def _worker(task, part, send):
+    """A worker's whole life: it sends (True, task(part)) or (False, the
+    exception raised), as a RuntimeError of its repr if it does not pickle."""
     try:
-        for fd in inherited:
-            os.close(fd)
-        try:
-            out = True, task(part)
-        except BaseException as e:
-            out = False, e
-        try:
-            data = pickle.dumps(out, pickle.HIGHEST_PROTOCOL)
-        except Exception:  # an exception that does not pickle
-            data = pickle.dumps((False, RuntimeError(repr(out[1]))))
-        with open(w, "wb") as fh:
-            fh.write(data)
-        status = 0
-    finally:
-        os._exit(status)
+        out = True, task(part)
+    except BaseException as e:
+        out = False, e
+    try:
+        send.send(out)
+    except Exception:  # an exception that does not pickle
+        send.send((False, RuntimeError(repr(out[1]))))
 
 
 def simulate(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow,
@@ -339,29 +316,6 @@ def _single(policy: Optional[np.ndarray]):
     return lambda k: policy[k][None]
 
 
-def _law_d1(counts: np.ndarray, n: int, density: np.ndarray, grid: Grid) -> float:
-    """d1 between the histogram of n points, given as their counts per node
-    cell, and a grid density; the same number as `_points_d1` of the points."""
-    return d1_grid(counts.reshape(grid.shape) / (n * grid.cell_volume), density, grid)
-
-
-def _points_d1(points: np.ndarray, density: np.ndarray, grid: Grid) -> float:
-    """d1 between the histogram of the points and a grid density."""
-    emp, _ = histogram_density(points, grid)
-    return d1_grid(emp, density, grid)
-
-
-def _law_observer(m_flow: MeasureFlow, grid: Grid):
-    """(profile, observe): the law check as a `_march` observer, which sees
-    whole levels, the reference the march's own `law` is tested against: it
-    stores at profile[k] the d1 of member 0's points at level k to the flow."""
-    profile = np.empty(grid.nt + 1)
-
-    def observe(k, x):
-        profile[k] = _points_d1(x[0], m_flow.densities[k], grid)
-    return profile, observe
-
-
 def law_check(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow,
               policy_or_none: Optional[np.ndarray], n: int, seed: int,
               observe=None) -> tuple[np.ndarray, float, float]:
@@ -382,5 +336,5 @@ def compare_law(ensemble: ParticleEnsemble, m_flow: MeasureFlow,
     nt = m_flow.densities.shape[0]
     if ensemble.positions.shape[0] != nt:
         raise ValueError("ensemble and flow cover different time grids")
-    return np.array([_points_d1(ensemble.positions[k], m_flow.densities[k], grid)
-                     for k in range(nt)])
+    return np.array([d1_grid(histogram_density(ensemble.positions[k], grid)[0],
+                             m_flow.densities[k], grid) for k in range(nt)])

@@ -251,6 +251,52 @@ def test_lock_file_blocks_concurrent_runs(tmp_path):
     assert run(cfg) == EXIT_CONFIG
 
 
+def test_lock_of_a_dead_run_is_reported_stale(tmp_path, capsys):
+    # a lock that names this host and a PID no process has is stale: the run
+    # says so, naming the PID, and leaves the lock and the directory alone
+    import os
+    import subprocess
+    import sys
+    dead = subprocess.Popen([sys.executable, "-c", "pass"])
+    dead.wait()  # reaped: no process has its PID
+    out = tmp_path / "locked"
+    out.mkdir()
+    lock = f"{dead.pid} {os.uname().nodename}\n"
+    (out / ".lock").write_text(lock)
+    assert main(["solve", "--out", str(out)] + TINY) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"is stale: its run, PID {dead.pid} on this host, has ended" in err
+    assert _snapshot(out) == {".lock": lock.encode()}
+    for other in ("", f"{dead.pid} not-{os.uname().nodename}\n"):  # not provably dead
+        (out / ".lock").write_text(other)
+        assert main(["solve", "--out", str(out)] + TINY) == EXIT_CONFIG
+        assert "exists; another run owns this directory" in capsys.readouterr().err
+
+
+def test_run_records_its_pid_and_host_in_the_lock(tmp_path, monkeypatch):
+    import os
+    from mfgkit import cli
+    lock, seen = tmp_path / "o" / ".lock", []
+    monkeypatch.setattr(cli, "_run_locked",
+                        lambda *args: seen.append(lock.read_text()) or EXIT_OK)
+    assert main(["solve", "--out", str(tmp_path / "o")] + TINY) == EXIT_OK
+    assert seen == [f"{os.getpid()} {os.uname().nodename}\n"]
+    assert not lock.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "two"])
+def test_invalid_threads_override_is_config_error_without_artifacts(
+        tmp_path, monkeypatch, threads):
+    # an MFGKIT_THREADS that is not a positive integer once ran on every core
+    # and was recorded in summary.json as if it had applied
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "keep.txt").write_text("x")
+    monkeypatch.setenv("MFGKIT_THREADS", threads)
+    assert main(["verify", "--out", str(out)] + TINY) == EXIT_CONFIG
+    assert _snapshot(out) == {"keep.txt": b"x"}
+
+
 def test_checkpoint_roundtrip_and_grid_guard(tmp_path):
     grid = build_grid(1, -6.0, 6.0, 41, 1.0, 20)
     mu = np.random.default_rng(0).random((21, 41))
@@ -465,15 +511,15 @@ def test_failed_march_leaves_no_ensemble(tmp_path, monkeypatch):
     # temporary file
     from mfgkit import particle
     calls = []
-    law_d1 = particle._law_d1
+    cell_counts = particle._cell_counts  # the law check's count at each level
 
     def failing(*args):
         calls.append(1)
         if len(calls) > 5:
             raise RuntimeError("injected")
-        return law_d1(*args)
+        return cell_counts(*args)
 
-    monkeypatch.setattr(particle, "_law_d1", failing)
+    monkeypatch.setattr(particle, "_cell_counts", failing)
     out = tmp_path / "v"
     with pytest.raises(RuntimeError, match="injected"):
         main(["verify", "--problem", "uncontrolled-fp", "--out", str(out)]

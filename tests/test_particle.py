@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfgkit.core import MeasureFlow, ProblemSpec, build_grid, discretize_initial_density
 from mfgkit.catalog import gaussian_density, get_entry
@@ -298,9 +299,8 @@ def test_non_finite_positions_fail_cleanly():
 def test_blocked_march_equals_one_block(case, monkeypatch):
     # uneven path-column blocks (3 paths of 11 members, the last block 1 path)
     # give every output of a one-block march bit for bit: costs, leak, sup |X|,
-    # the law observer's profile and the points seen at every level
+    # the law profile and the points seen at every level
     import mfgkit.particle as particle
-    from mfgkit.particle import _law_observer
     if case == "2d-stack":
         problem, g = _correlated_2d(), build_grid(2, -4.0, 4.0, 21, 0.5, 20)
         base = np.stack([-(1.0 - t) * g.coords() for t in g.times])
@@ -318,13 +318,9 @@ def test_blocked_march_equals_one_block(case, monkeypatch):
 
     def march(block_points):
         monkeypatch.setattr(particle, "BLOCK_POINTS", block_points)
-        profile, law = _law_observer(flow, g)
-        seen = []
-
-        def observe(k, x):
-            law(k, x)
-            seen.append(x.copy())
-        return _march(problem, g, flow, controls, members, n, 19, observe) + (
+        profile, seen = np.empty(g.nt + 1), []
+        return _march(problem, g, flow, controls, members, n, 19,
+                      lambda k, x: seen.append(x.copy()), law=profile) + (
             profile, np.stack(seen))
 
     blocked, whole = march(3 * members), march(members * n)
@@ -369,28 +365,127 @@ def test_split_march_equals_one_process(case, workers, monkeypatch, forks):
         assert np.array_equal(a, b)
 
 
+def _split_cost(monkeypatch, drift):
+    """evaluate_cost of 50 paths split over this process and one forked
+    worker, under the drift b0 = drift(t, x, in_worker)."""
+    import os
+    import mfgkit.particle as particle
+    from mfgkit.cost import evaluate_cost
+    parent = os.getpid()
+    p = _problem(drift_b0=lambda t, x, m: drift(t, x, os.getpid() != parent))
+    g = build_grid(1, -4.0, 4.0, 41, 1.0, 10)
+    monkeypatch.setattr(particle, "FORK_WORK", 0)
+    monkeypatch.setenv("MFGKIT_THREADS", "2")
+    return evaluate_cost(p, g, _flow(p, g), np.zeros((g.nt + 1, g.nx)), 50, seed=1)
+
+
 @pytest.mark.parametrize("failing", ["worker", "parent"])
 def test_failed_range_fails_the_split_march(failing, monkeypatch, forks):
     # a drift that turns NaN mid-march in a worker's range, or in the range
     # this process marches, raises here, and every worker is reaped
     import os
-    import mfgkit.particle as particle
-    from mfgkit.cost import evaluate_cost
-    parent = os.getpid()
 
-    def drift(t, x, m):
-        bad = t > 0.3 and (failing == "parent") == (os.getpid() == parent)
+    def drift(t, x, in_worker):
+        bad = t > 0.3 and (failing == "worker") == in_worker
         return np.full_like(x, np.nan if bad else 0.0)
-    p = _problem(drift_b0=drift)
-    g = build_grid(1, -4.0, 4.0, 41, 1.0, 10)
-    flow, policy = _flow(p, g), np.zeros((g.nt + 1, g.nx))
-    monkeypatch.setattr(particle, "FORK_WORK", 0)
-    monkeypatch.setenv("MFGKIT_THREADS", "2")
     with pytest.raises(ValueError, match="non-finite positions"):
-        evaluate_cost(p, g, flow, policy, 50, seed=1)
+        _split_cost(monkeypatch, drift)
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_that_dies_fails_the_split_march(monkeypatch, forks):
+    # a worker that ends without sending its result raises here
+    import os
+
+    def drift(t, x, in_worker):
+        if in_worker and t > 0.3:
+            os._exit(7)
+        return np.zeros_like(x)
+    with pytest.raises(RuntimeError, match="ended without a result"):
+        _split_cost(monkeypatch, drift)
+    assert len(forks) == 1
+
+
+def test_unpicklable_worker_exception_arrives_as_its_repr(monkeypatch, forks):
+    # a worker's exception that does not pickle (its args hold a lambda)
+    # arrives as a RuntimeError carrying its repr
+    import re
+    error = ValueError("drift failed", lambda: None)
+
+    def drift(t, x, in_worker):
+        if in_worker:
+            raise error
+        return np.zeros_like(x)
+    with pytest.raises(RuntimeError, match=re.escape(repr(error))):
+        _split_cost(monkeypatch, drift)
+    assert len(forks) == 1
+
+
+def test_failed_parent_range_kills_a_slow_worker(monkeypatch, forks):
+    # when this process's range fails, the worker is killed, not waited for:
+    # its march would take 10 s
+    import time
+
+    def drift(t, x, in_worker):
+        if in_worker:
+            time.sleep(1.0)
+        return np.full_like(x, np.nan if t > 0.3 and not in_worker else 0.0)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="non-finite positions"):
+        _split_cost(monkeypatch, drift)
+    assert time.perf_counter() - start < 2.0
+    assert len(forks) == 1
+
+
+def test_interrupted_parent_range_propagates(monkeypatch, forks):
+    # a KeyboardInterrupt in this process's range reaches the caller
+    def drift(t, x, in_worker):
+        if t > 0.3 and not in_worker:
+            raise KeyboardInterrupt
+        return np.zeros_like(x)
+    with pytest.raises(KeyboardInterrupt):
+        _split_cost(monkeypatch, drift)
+    assert len(forks) == 1
+
+
+@pytest.fixture(scope="module")
+def lq_stack():
+    """(problem, grid, flow, four policies): lq-riccati's feedback and three
+    perturbations of it on a small grid."""
+    e = get_entry("lq-riccati")
+    g = build_grid(1, -6.0, 6.0, 61, 1.0, 20)
+    base = feedback_policy(e.problem, g, lq_riccati_value(0.5, g))
+    rng = np.random.default_rng(43)
+    return e.problem, g, _flow(e.problem, g), [base] + [
+        base + 0.3 * rng.standard_normal(base.shape) for _ in range(3)]
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(n=st.integers(1, 60), members=st.integers(1, 4),
+       processes=st.integers(1, 3), data=st.data())
+def test_any_split_equals_one_process(lq_stack, n, members, processes, data):
+    # any path count, stack, process count and block width give the costs,
+    # leak, sup |X| and law profile of the one-process, one-block march
+    import os
+    from unittest import mock
+    import mfgkit.particle as particle
+    problem, g, flow, policies = lq_stack
+    block_points = data.draw(st.integers(members, members * n), label="block_points")
+
+    def march():
+        profile = np.empty(g.nt + 1)
+        return _march(problem, g, flow, lambda k: np.stack([p[k] for p in policies[:members]]),
+                      members, n, 29, law=profile) + (profile,)
+
+    whole = march()
+    with mock.patch.object(particle, "FORK_WORK", 0), \
+            mock.patch.object(particle, "BLOCK_POINTS", block_points), \
+            mock.patch.dict(os.environ, MFGKIT_THREADS=str(processes)):
+        split = march()
+    for a, b in zip(split, whole):
+        assert np.array_equal(a, b)
 
 
 def test_observed_march_stays_in_one_process(monkeypatch, forks):

@@ -8,10 +8,13 @@ controlled dynamics and Monte Carlo cost evaluation.
 
 import os
 
-# before any submodule loads numpy: BLAS reads its thread count once, at load
-if os.environ.get("MFGKIT_THREADS"):
+# before any submodule loads numpy: BLAS reads its thread count once, at load.
+# Only a positive integer is passed on; `particle._process_count` rejects any
+# other value where it is read.
+_threads = os.environ.get("MFGKIT_THREADS", "").strip()
+if _threads.isdecimal() and int(_threads) > 0:
     for _key in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_key, os.environ["MFGKIT_THREADS"])
+        os.environ.setdefault(_key, _threads)
 
 from .core import (ControlSpace, Grid, MeasureFlow, MeasureView, ProblemSpec,
                    ValueField, build_grid, discretize_initial_density,

@@ -27,7 +27,7 @@ from . import catalog, core, fp, mfg
 from .cost import expected_initial_value, verify_optimality
 from .hamiltonian import check_assumptions
 from .hjb import HjbSolverConfig
-from .particle import _process_count, law_check
+from .particle import _fork_map, _process_count, law_check
 
 SCHEMA_VERSION = 1
 CHECKPOINT_MAGIC = b"MFGK"
@@ -91,7 +91,7 @@ def _replacing(path: Path, mode: str = "w"):
     """A file opened beside path that replaces it once the block ends; an
     error in the block removes it, so path holds the old file or none, never
     part of one. The directory's lock keeps the name to one writer."""
-    tmp = path.with_name(f".{path.name}.tmp")
+    tmp = _temporary(path)
     try:
         with open(tmp, mode) as fh:
             yield fh
@@ -99,6 +99,10 @@ def _replacing(path: Path, mode: str = "w"):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _temporary(path: Path) -> Path:
+    return path.with_name(f".{path.name}.tmp")
 
 
 # typed keys by their defaults' types (`type(...) is`, since a bool is an int)
@@ -207,6 +211,21 @@ def _write_field_csv(path: Path, grid, values) -> None:
             fh.write(block % tuple(np.asarray(values[k], dtype=float).ravel().tolist()))
 
 
+def _write_fields(grid, files: list) -> None:
+    """Each (path, values) of files by `_write_field_csv`: the first in this
+    process and each other meanwhile in a forked worker where a second
+    process is allowed (`_process_count`), else all in this process."""
+    def write(part):
+        for path, values in part:
+            _write_field_csv(path, grid, values)
+    try:
+        _fork_map(write, [[f] for f in files] if _process_count() > 1 else [files])
+    except BaseException:  # a worker killed mid-write leaves its temporary file
+        for path, _ in files:
+            _temporary(path).unlink(missing_ok=True)
+        raise
+
+
 def read_field_csv(path: Path, grid):
     vals = np.loadtxt(path, delimiter=",", skiprows=1, usecols=-1)
     return vals.reshape((grid.nt + 1,) + grid.shape)
@@ -307,8 +326,8 @@ def _run_locked(config: RunConfig, entry, grid, solver, out: Path,
                  "min_density": float(m.min_density.min())},
     }
 
-    _write_field_csv(out / "u_field.csv", grid, u.values)
-    _write_field_csv(out / "m_flow.csv", grid, m.densities)
+    _write_fields(grid, [(out / "u_field.csv", u.values),
+                         (out / "m_flow.csv", m.densities)])
     with _replacing(out / "residuals.csv") as fh:
         fh.write("iteration,rho\n")
         for i, r in enumerate(report.residual_history, 1):

@@ -16,6 +16,7 @@ particle march calls them once per block of paths, on any subset of points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -120,7 +121,11 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class Grid:
-    """Truncated space-time lattice over a box, nodes at x_min + i*h exactly."""
+    """Truncated space-time lattice over a box, nodes at x_min + i*h exactly.
+
+    The derived values are computed once per grid, on first use; the arrays
+    among them (axes, times, coords()) are read-only and shared by every
+    caller."""
 
     dim: int
     x_min: tuple
@@ -129,12 +134,12 @@ class Grid:
     nt: int
     horizon: float
 
-    @property
+    @cached_property
     def h(self) -> tuple:
         return tuple((self.x_max[d] - self.x_min[d]) / (self.nx - 1)
                      for d in range(self.dim))
 
-    @property
+    @cached_property
     def dt(self) -> float:
         return self.horizon / self.nt
 
@@ -146,30 +151,35 @@ class Grid:
     def n_nodes(self) -> int:
         return self.nx ** self.dim
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.h))
 
     def axis(self, d: int) -> np.ndarray:
-        return self.x_min[d] + np.arange(self.nx) * self.h[d]
+        return self.axes[d]
 
-    @property
+    @cached_property
     def axes(self) -> tuple:
-        return tuple(self.axis(d) for d in range(self.dim))
+        return tuple(_read_only(self.x_min[d] + np.arange(self.nx) * self.h[d])
+                     for d in range(self.dim))
 
-    @property
+    @cached_property
     def times(self) -> np.ndarray:
-        return np.arange(self.nt + 1) * self.dt
+        return _read_only(np.arange(self.nt + 1) * self.dt)
 
     def time(self, k: int) -> float:
         return k * self.dt
 
     def coords(self) -> np.ndarray:
         """Node coordinates: shape (nx,) in 1D, (nx, nx, 2) in 2D."""
+        return self._coords
+
+    @cached_property
+    def _coords(self) -> np.ndarray:
         if self.dim == 1:
             return self.axis(0)
         x1, x2 = np.meshgrid(self.axis(0), self.axis(1), indexing="ij")
-        return np.stack([x1, x2], axis=-1)
+        return _read_only(np.stack([x1, x2], axis=-1))
 
     def interior(self, margin: int = 10) -> slice:
         """The per-axis index range that the residual and oracle checks read:
@@ -182,6 +192,11 @@ class Grid:
         """Halve h and dt (factor 2): doubles cells per axis and time steps."""
         return Grid(self.dim, self.x_min, self.x_max,
                     (self.nx - 1) * factor + 1, self.nt * factor, self.horizon)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def build_grid(dim: int, x_min, x_max, nx: int, horizon: float, nt: int) -> Grid:
@@ -506,16 +521,23 @@ def _interpolate(table: np.ndarray, grid: Grid, pts: np.ndarray,
     of node fields; pts is (..., dim); base is None for one field, else the
     points' offsets field * n_nodes into the stack. Returns (components, ...)."""
     dim, nx = grid.dim, grid.nx
-    # the cell lookup: flat index of the lower corner and per-axis weights
+    # the cell lookup: flat index of the lower corner and per-axis weights,
+    # each step in place on one temporary per axis
     flat, weights, h = None, [], grid.h
     for d in range(dim):
-        s = np.clip((pts[..., d] - grid.x_min[d]) / h[d], 0.0, nx - 1.0)
-        i = np.minimum(s.astype(int), nx - 2)
-        f = s - i
-        flat = i if flat is None else flat * nx + i
-        weights.append((1 - f, f))
+        s = np.subtract(pts[..., d], grid.x_min[d])
+        s /= h[d]
+        np.clip(s, 0.0, nx - 1.0, out=s)
+        i = s.astype(np.intp)
+        np.minimum(i, nx - 2, out=i)
+        s -= i  # the fraction of the cell
+        if flat is not None:  # row-major: flat * nx + i
+            flat *= nx
+            i += flat
+        flat = i
+        weights.append((1 - s, s))
     if base is not None:
-        flat = flat + base
+        flat += base
 
     # the 2^dim corners, first axis varying fastest ((0,0), (1,0), (0,1), (1,1)
     # in 2D), each a flat-index offset and its weights in axis order
@@ -528,6 +550,6 @@ def _interpolate(table: np.ndarray, grid: Grid, pts: np.ndarray,
     for off, ws in corners:
         term = table.take(flat + off if off else flat, axis=1)
         for w in ws:
-            term = term * w
-        out = term if out is None else out + term
+            term *= w
+        out = term if out is None else np.add(out, term, out=out)
     return out

@@ -32,9 +32,9 @@ _INIT_STREAM = 0xFFFFFFFF  # step key reserved for initial sampling
 BLOCK_POINTS = 2 ** 16
 # member-path-steps from which a march splits its paths across worker
 # processes: starting, reading back and joining a worker takes about 5 ms at
-# 140 MB resident, and each range draws every step's normals in full, while a
-# one-process march of this size takes about 0.15 s (35 ns per
-# member-path-step; 2-core Xeon)
+# 140 MB resident, and each range draws every step's normals up to its last
+# column, while a one-process march of this size takes about 0.15 s (35 ns
+# per member-path-step; 2-core Xeon)
 FORK_WORK = 2 ** 22
 
 
@@ -153,12 +153,13 @@ def _march_columns(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow,
                    controls, members: int, x0: np.ndarray, seed: int,
                    cols: slice, observe, law_counts: bool):
     """The march of the path columns cols, from their initial points x0[cols]
-    and their columns of every step's full Philox block. Each step builds the
-    measure view, the stacked controls and the normals once, then moves the
-    points in blocks of equal width, about BLOCK_POINTS member-paths each, so
-    the step's temporaries stay cache-sized whatever the width is. The problem
-    callbacks are called once per block on that block's points, which is why
-    they must be pointwise in x.
+    and their columns of every step's Philox block, drawn up to cols.stop.
+    Each step builds the measure view, the stacked controls and the normals
+    once, then moves the points in place in blocks of equal width, about
+    BLOCK_POINTS member-paths each, so the step's temporaries stay
+    cache-sized whatever the width is. The problem callbacks are called once
+    per block on that block's points, which is why they must be pointwise
+    in x.
     Returns (cost, clamped, max_abs, counts): per member, the columns' costs,
     the clamped coordinate steps and sup |X|; with law_counts, member 0's
     points per node cell at every level, (nt+1, n_nodes), else None.
@@ -181,7 +182,9 @@ def _march_columns(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow,
 
     def reached(k):  # every time level: the running sup |X|, the law, observe
         nonlocal max_abs
-        max_abs = np.maximum(max_abs, np.abs(x).max(axis=point_axes))
+        # sup |X| without an |X| array: max(max X, -min X)
+        max_abs = np.maximum(max_abs, np.maximum(x.max(axis=point_axes),
+                                                 -x.min(axis=point_axes)))
         if not np.all(np.isfinite(max_abs)):
             raise ValueError("ensemble contains non-finite positions")
         if law_counts:
@@ -196,7 +199,9 @@ def _march_columns(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow,
         if controls is not None:
             fields = controls(k)
             table = fields.reshape(members * grid.n_nodes, -1).T
-        z = _stream(seed, k).standard_normal(x0.shape)[cols]
+        # Philox fills the normals in order, so the first cols.stop of them
+        # are those of the full block
+        z = _stream(seed, k).standard_normal((cols.stop,) + x0.shape[1:])[cols.start:]
         for blk in blocks:
             xb, cb = x[:, blk], cost[:, blk]  # views: the block updates x and cost
             b = problem.drift_b0(t, xb, view)
@@ -208,18 +213,23 @@ def _march_columns(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow,
                     xb.shape[:2] + fields.shape[1 + dim:])
                 b = b + problem.drift_b1(t, xb, alpha)
                 f = f + problem.running_f1(t, xb, alpha)
-            cb += np.broadcast_to(f, cb.shape) * dt
+            cb += f * dt
             sig = np.asarray(problem.diffusion_sigma(t, xb, view), dtype=float)
             # 1D sigma drops its matrix axes, as 1D points drop their coordinate axis
             noise = (sig * sqdt * z[blk] if dim == 1
                      else np.einsum("...ij,...j->...i", sig * sqdt, z[blk]))
-            moved = xb + np.broadcast_to(b, xb.shape) * dt + noise
-            if dim == 1:
-                np.clip(moved, *bounds[0], out=xb)
-            else:  # per coordinate: scalar bounds keep numpy's inner loop long
-                for d, (lo, hi) in enumerate(bounds):
-                    np.clip(moved[..., d], lo, hi, out=xb[..., d])
-            clamped += np.count_nonzero(xb != moved, axis=point_axes)
+            # x + b dt + noise in one temporary: addition commutes bit for bit
+            moved = np.broadcast_to(b, xb.shape) * dt
+            moved += xb
+            moved += noise
+            left = False  # whether a step left the box; a NaN fails the test too
+            for d, (lo, hi) in enumerate(bounds):
+                # per coordinate: scalar bounds keep numpy's inner loop long
+                md, xd = (moved, xb) if dim == 1 else (moved[..., d], xb[..., d])
+                np.clip(md, lo, hi, out=xd)
+                left = left or not lo <= md.min() <= md.max() <= hi
+            if left:
+                clamped += np.count_nonzero(xb != moved, axis=point_axes)
         reached(k + 1)
     view = m_flow.view(grid.nt)
     for blk in blocks:

@@ -387,6 +387,50 @@ def test_interrupted_summary_write_keeps_the_previous_summary(tmp_path, monkeypa
     assert _snapshot(out) == before
 
 
+class _SlowLevels:
+    """Field values that take 0.1 s to read per level."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def __getitem__(self, k):
+        import time
+        time.sleep(0.1)
+        return self.values[k]
+
+
+@pytest.mark.parametrize("failing", ["u_field.csv", "m_flow.csv"])
+def test_failed_field_write_leaves_no_part_of_the_file(tmp_path, monkeypatch, forks,
+                                                       failing):
+    # the two field files are written side by side, m_flow.csv in a forked
+    # worker; a write that fails in either process fails the run and leaves
+    # neither the file nor its temporary, also when the worker is killed
+    # part way through its file because this process's write failed
+    import time
+    from mfgkit import cli
+    write, out = cli._write_field_csv, tmp_path / "o"
+
+    def injected(path, grid, values):
+        if path.name == failing:
+            deadline = time.monotonic() + 10.0
+            while (failing == "u_field.csv" and time.monotonic() < deadline
+                   and not (out / ".m_flow.csv.tmp").exists()):
+                time.sleep(0.01)  # until the worker's write has begun
+            values = _FailsAtLevel(values, 2)
+        elif failing == "u_field.csv":
+            values = _SlowLevels(values)  # still writing when it is killed
+        write(path, grid, values)
+
+    monkeypatch.setattr(cli, "_write_field_csv", injected)
+    monkeypatch.setenv("MFGKIT_THREADS", "2")
+    with pytest.raises(RuntimeError, match="injected"):
+        main(["solve"] + TINY + ["--out", str(out)])
+    assert len(forks) == 1
+    names = {p.name for p in out.iterdir()}
+    assert failing not in names and not any(n.endswith(".tmp") for n in names)
+    assert "summary.json" not in names
+
+
 def test_field_csv_roundtrips_in_memory_values(tmp_path):
     from mfgkit.cli import _write_field_csv
     from mfgkit.catalog import get_entry
@@ -712,6 +756,24 @@ def test_package_import_exports_threads_before_blas_loads():
         assert names == ["mfgkit.mfg", "mfgkit.core"]
 
 
+def test_package_import_passes_on_only_a_positive_thread_count():
+    # an MFGKIT_THREADS that is not a positive integer reaches no BLAS
+    # variable; _process_count rejects it where it is read
+    import os
+    import subprocess
+    import sys
+    keys = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    code = f"import os, mfgkit; print([os.environ.get(k) for k in {keys!r}])"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k not in keys}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for value, expected in (("two", None), ("0", None), ("-1", None), ("1", "1")):
+        out = subprocess.run([sys.executable, "-c", code],
+                             env=dict(env, MFGKIT_THREADS=value),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == repr([expected] * 3)
+
+
 def test_functions_import_only_the_slow_scipy_submodules():
     # the package imports its modules at load, after MFGKIT_THREADS is
     # exported; only scipy submodules slow to import, each needed by one
@@ -767,13 +829,14 @@ def test_split_march_leaves_artifacts_unchanged(tmp_path, monkeypatch, forks, pr
     # one-process march byte for byte; the summary records MFGKIT_THREADS
     from mfgkit import particle
     monkeypatch.setattr(particle, "FORK_WORK", 0)
-    outs, codes = [], []
+    outs, codes, counts = [], [], []
     for threads in ("1", "3"):
         monkeypatch.setenv("MFGKIT_THREADS", threads)
         out = tmp_path / f"t{threads}"
         codes.append(main(["verify", "--problem", problem, "--out", str(out)] + SMALL))
         outs.append(out)
-    assert len(forks) == 2  # the second march only
+        counts.append(len(forks))
+    assert counts == [0, 3]  # at 3: 2 march workers and the m_flow.csv writer
     assert codes[0] == codes[1]
     for name in ("u_field.csv", "m_flow.csv", "residuals.csv", "checkpoint.bin"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

@@ -5,7 +5,8 @@ import pytest
 from scipy.linalg import LinAlgError
 
 from mfgkit.core import (ControlSpace, LineSystem, MeasureFlow, MeasureView,
-                         ProblemSpec, _first_diff, _mixed_diff, build_grid,
+                         ProblemSpec, _first_diff, _interpolate, _mixed_diff,
+                         build_grid,
                          diffusion_coefficients, discretize_initial_density,
                          interpolate_field)
 from mfgkit.catalog import gaussian_density, get_entry
@@ -34,6 +35,40 @@ def test_build_grid_nodes_bit_reproducible():
     a = build_grid(1, -5.3, 7.1, 257, 2.0, 100).axis(0)
     b = build_grid(1, -5.3, 7.1, 257, 2.0, 100).axis(0)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_grid_arrays_are_cached_read_only_and_per_grid(dim):
+    # each derived value is computed once per grid and equals its formula
+    # computed fresh; the arrays are read-only; a refined or rebuilt grid
+    # has values of its own
+    def fresh(g):
+        h = tuple((g.x_max[d] - g.x_min[d]) / (g.nx - 1) for d in range(g.dim))
+        axes = tuple(g.x_min[d] + np.arange(g.nx) * h[d] for d in range(g.dim))
+        coords = axes[0] if g.dim == 1 else np.stack(
+            np.meshgrid(*axes, indexing="ij"), axis=-1)
+        return (h, g.horizon / g.nt, float(np.prod(h)), axes,
+                np.arange(g.nt + 1) * (g.horizon / g.nt), coords)
+
+    def cached(g):
+        return g.h, g.dt, g.cell_volume, g.axes, g.times, g.coords()
+
+    g = build_grid(dim, -1.3, 2.9, 17, 0.7, 9)
+    first = cached(g)
+    for grid in (g, g.refine(), g.refine(3), build_grid(dim, -2.0, 1.0, 9, 2.0, 5)):
+        h, dt, volume, axes, times, coords = cached(grid)
+        f_h, f_dt, f_volume, f_axes, f_times, f_coords = fresh(grid)
+        assert (h, dt, volume) == (f_h, f_dt, f_volume)
+        for a, b in zip(axes + (times, coords), f_axes + (f_times, f_coords)):
+            assert np.array_equal(a, b) and a.dtype == b.dtype
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        assert all(grid.axis(d) is axes[d] for d in range(dim))
+        assert all(a is b for a, b in zip(cached(grid), (h, dt, volume, axes, times, coords)))
+    assert all(a is b for a, b in zip(cached(g), first))
+    twin = build_grid(dim, -1.3, 2.9, 17, 0.7, 9)
+    assert twin == g and twin.coords() is not g.coords()
 
 
 @pytest.mark.parametrize("bad", [
@@ -115,6 +150,38 @@ def test_interpolate_matches_written_out_formulas(rng):
     assert interpolate_field(v[..., 0], g, np.array([2.0, 4.0])) == v[-1, -1, 0]
     with pytest.raises(ValueError, match="field shape"):
         interpolate_field(v[:20], g, x)
+
+
+def test_stacked_interpolation_matches_written_out_formulas(rng):
+    # the kernel on a stack of 3 fields, each member's points offset to its
+    # own field by base, gives each member the written-out formulas bit for bit
+    members = 3
+    g = build_grid(1, -3.0, 2.0, 31, 1.0, 4)
+    v = rng.standard_normal((members, 31))
+    x = np.concatenate([rng.uniform(-4.0, 3.0, (members, 200)),
+                        np.tile([-3.0, 2.0, -7.5, 9.0], (members, 1))], axis=1)
+    base = (np.arange(members) * g.n_nodes)[:, None]
+    out = _interpolate(v.reshape(-1, 1).T, g, x[..., None], base)
+    assert out.shape == (1,) + x.shape
+    for j in range(members):
+        i, f = _cell(x[j], g.x_min[0], g.h[0], g.nx)
+        assert np.array_equal(out[0, j], v[j, i] * (1 - f) + v[j, i + 1] * f)
+
+    g = build_grid(2, [-3.0, -1.0], [2.0, 4.0], 21, 1.0, 4)
+    v = rng.standard_normal((members, 21, 21, 2))
+    x = np.concatenate([rng.uniform([-4.0, -2.0], [3.0, 5.0], (members, 200, 2)),
+                        np.tile([[2.0, 4.0], [-3.0, -1.0], [9.0, -9.0], [2.0, 0.3]],
+                                (members, 1, 1))], axis=1)
+    base = (np.arange(members) * g.n_nodes)[:, None]
+    out = _interpolate(v.reshape(-1, 2).T, g, x, base)
+    assert out.shape == (2,) + x.shape[:-1]
+    for j in range(members):
+        (i, fi), (k, fk) = (_cell(x[j, :, d], g.x_min[d], g.h[d], g.nx) for d in range(2))
+        for c in range(2):
+            w = v[j, ..., c]
+            ref = (w[i, k] * (1 - fi) * (1 - fk) + w[i + 1, k] * fi * (1 - fk)
+                   + w[i, k + 1] * (1 - fi) * fk + w[i + 1, k + 1] * fi * fk)
+            assert np.array_equal(out[c, j], ref)
 
 
 def test_diffusion_tensor_equals_broadcast_then_einsum():

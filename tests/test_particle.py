@@ -365,6 +365,41 @@ def test_split_march_equals_one_process(case, workers, monkeypatch, forks):
         assert np.array_equal(a, b)
 
 
+def test_each_range_draws_the_normals_up_to_its_last_column(tmp_path, monkeypatch, forks):
+    # in a march split over 3 processes, each range asks every step's Philox
+    # stream for the normals up to its last column, no more; each process
+    # records its requests in a file of its own
+    import os
+    import mfgkit.particle as particle
+    stream = particle._stream
+
+    class Recorded:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def __getattr__(self, name):
+            return getattr(self.gen, name)
+
+        def standard_normal(self, size):
+            with open(tmp_path / str(os.getpid()), "a") as fh:
+                fh.write(f"{size}\n")
+            return self.gen.standard_normal(size)
+
+    e = get_entry("lq-riccati")
+    g = build_grid(1, -6.0, 6.0, 61, 1.0, 20)
+    policy = feedback_policy(e.problem, g, lq_riccati_value(0.5, g))
+    monkeypatch.setattr(particle, "_stream", lambda seed, tag: Recorded(stream(seed, tag)))
+    monkeypatch.setattr(particle, "FORK_WORK", 0)
+    monkeypatch.setenv("MFGKIT_THREADS", "3")
+    _march(e.problem, g, _flow(e.problem, g), lambda k: policy[k][None], 1, 41, 29)
+    assert len(forks) == 2
+    parent = (tmp_path / str(os.getpid())).read_text().split()
+    assert parent == [str((13,))] * g.nt  # range 0: columns 0-12
+    workers = sorted(p.read_text() for p in tmp_path.iterdir()
+                     if p.name != str(os.getpid()))
+    assert workers == [f"{(cols.stop,)}\n" * g.nt for cols in particle._split(41, 3)[1:]]
+
+
 def _split_cost(monkeypatch, drift):
     """evaluate_cost of 50 paths split over this process and one forked
     worker, under the drift b0 = drift(t, x, in_worker)."""

@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs
+from scipy.linalg import LinAlgError, get_blas_funcs, get_lapack_funcs
 
 __all__ = [
     "ControlSpace",
@@ -362,18 +362,19 @@ def diffusion_coefficients(problem: ProblemSpec, t: float, x: np.ndarray, view):
 
 class StepCoefficients:
     """One time level's coefficients at the measure view, evaluated once: b0,
-    f0, the per-axis diagonal diag_a of a = sigma sigma^T / 2, and a12, None in
-    1D or where it is identically zero. drift and cost add b1 and f1."""
+    the per-axis diagonal diag_a of a = sigma sigma^T / 2, and a12, None in
+    1D or where it is identically zero; f0 on the first cost call, as the FP
+    never reads it. drift and cost add b1 and f1."""
 
-    __slots__ = ("problem", "t", "x", "shape", "b0", "f0", "diag_a", "a12")
+    __slots__ = ("problem", "t", "x", "view", "shape", "b0", "f0", "diag_a", "a12")
 
     def __init__(self, problem: ProblemSpec, t: float, x: np.ndarray, view):
-        self.problem, self.t, self.x = problem, t, x
+        self.problem, self.t, self.x, self.view = problem, t, x, view
         self.shape = x.shape if problem.dim == 1 else x.shape[:-1]
         self.b0 = problem.drift_b0(t, x, view)
-        self.f0 = problem.running_f0(t, x, view)
+        self.f0 = None
         self.diag_a, a12 = diffusion_coefficients(problem, t, x, view)
-        self.a12 = a12 if a12 is not None and np.any(a12 != 0) else None
+        self.a12 = a12 if a12 is not None and (a12 != 0).any() else None
 
     def drift(self, alpha=None) -> list:
         """Per-axis drift b0 + b1(alpha), or b0 when alpha is None."""
@@ -383,6 +384,8 @@ class StepCoefficients:
 
     def cost(self, alpha) -> np.ndarray:
         """Running cost f0 + f1(alpha) on the nodes."""
+        if self.f0 is None:
+            self.f0 = self.problem.running_f0(self.t, self.x, self.view)
         f = self.f0 + self.problem.running_f1(self.t, self.x, alpha)
         return _broadcast(np.asarray(f, dtype=float), self.shape)
 
@@ -406,7 +409,7 @@ def _first_diff(v: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     """dv/dx along one axis: central differences inside, first-order one-sided
     (v[1] - v[0]) / h at the rim; the arithmetic of numpy's gradient with
     uniform spacing, without its per-call overhead."""
-    v = np.swapaxes(np.asarray(v, dtype=float), axis, -1)
+    v = np.asarray(v, dtype=float).swapaxes(axis, -1)
     out = np.empty_like(v)
     out[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * h)
     out[..., 0] = (v[..., 1] - v[..., 0]) / h
@@ -426,6 +429,7 @@ def _mixed_diff(v: np.ndarray, h: tuple) -> np.ndarray:
 
 _GBTRF, _GBTRS, _GTTRF, _GTTRS = get_lapack_funcs(
     ("gbtrf", "gbtrs", "gttrf", "gttrs"), dtype=np.float64)
+_GBMV = get_blas_funcs("gbmv", dtype=np.float64)
 
 
 class LineSystem:
@@ -444,7 +448,7 @@ class LineSystem:
     def __init__(self, band: Callable, *args):
         self._assemble, self._args = band, args
         self.a = None         # the diffusion array band and factors come from
-        self.band = None      # (2 w + 1, lines * nodes)
+        self.band = None      # (2 w + 1, lines * nodes), Fortran order for gbmv
         self._factors = None
 
     def solve(self, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -461,6 +465,11 @@ class LineSystem:
         _check_info(info)
         return x.reshape(rhs.shape)
 
+    def residual(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """A x - rhs, flat, for the stored band in one BLAS gbmv call."""
+        n, w = x.size, self.band.shape[0] // 2
+        return _GBMV(n, n, w, w, 1.0, self.band, x.ravel(), beta=-1.0, y=rhs.ravel())
+
     def _factor(self, a: np.ndarray) -> None:
         band = self._assemble(a, *self._args)
         w = band.shape[0] // 2
@@ -468,11 +477,11 @@ class LineSystem:
         if w == 1:
             *factors, info = _GTTRF(band[2, :-1], band[1], band[0, 1:])
         else:
-            ab = np.zeros((3 * w + 1, band.shape[1]))  # w rows of fill-in on top
+            ab = np.zeros((3 * w + 1, band.shape[1]), order="F")  # w rows of fill-in on top
             ab[w:] = band
             *factors, info = _GBTRF(ab, w, w, overwrite_ab=1)
         _check_info(info)
-        self.a, self.band, self._factors = a, band, factors
+        self.a, self.band, self._factors = a, np.asfortranarray(band), factors
 
 
 def _check_info(info: int) -> None:

@@ -26,14 +26,11 @@ class FpError(RuntimeError):
     pass
 
 
-def _bernoulli_weight(z: np.ndarray) -> np.ndarray:
-    """B(z) = z / (e^z - 1), the exponential-fitting weight; B(0) = 1."""
-    out = np.empty_like(z)
-    small = np.abs(z) < 1e-8
-    out[small] = 1.0 - 0.5 * z[small]
-    zs = np.clip(z[~small], -700.0, 700.0)
-    out[~small] = zs / np.expm1(zs)
-    return out
+def _bernoulli_weight(z: np.ndarray, big: np.ndarray) -> np.ndarray:
+    """B(z) = z / (e^z - 1), the exponential-fitting weight; B(0) = 1. big
+    marks |z| >= 1e-8; elsewhere B(z) = 1 - z / 2."""
+    zs = np.minimum(np.maximum(z, -700.0), 700.0)
+    return np.divide(zs, np.expm1(zs), out=1.0 - 0.5 * z, where=big)
 
 
 def _advective_face_flux(m: np.ndarray, v: np.ndarray, a_face: np.ndarray,
@@ -46,8 +43,9 @@ def _advective_face_flux(m: np.ndarray, v: np.ndarray, a_face: np.ndarray,
     one.
     """
     z = v * h / a_face
-    bm = _bernoulli_weight(-z)
-    bp = _bernoulli_weight(z)
+    big = np.abs(z) >= 1e-8
+    bm = _bernoulli_weight(-z, big)
+    bp = _bernoulli_weight(z, big)
     # exponential fitting split: total SG flux minus the implicit central part
     return (a_face / h) * ((bm - 1.0) * m[..., :-1] - (bp - 1.0) * m[..., 1:])
 
@@ -75,10 +73,10 @@ def _axis_step(lines: LineSystem, m: np.ndarray, b: np.ndarray, a: np.ndarray,
     a_face = 0.5 * (a[..., 1:] + a[..., :-1])
     # the fitted flux transports against a d(m)/dx, so the drift absorbs a_x
     v_face = 0.5 * (b[..., 1:] + b[..., :-1]) - (a[..., 1:] - a[..., :-1]) / h
-    f_adv = _advective_face_flux(m, v_face, a_face, h)
+    flux = dt / h * _advective_face_flux(m, v_face, a_face, h)
     rhs = m.copy()
-    rhs[..., :-1] -= dt / h * f_adv
-    rhs[..., 1:] += dt / h * f_adv
+    rhs[..., :-1] -= flux
+    rhs[..., 1:] += flux
     if cross_rhs is not None:
         rhs += dt * cross_rhs.swapaxes(axis, -1)
     return lines.solve(a, rhs).swapaxes(axis, -1)
@@ -123,8 +121,8 @@ def solve_fp(problem: ProblemSpec, grid: Grid,
         lowest = float(m_next.min())
         mass_drift[k + 1] = drift
         min_density[k + 1] = lowest
-        if not np.all(np.isfinite(m_next)):
-            bad = np.argwhere(~np.isfinite(m_next))[0]
+        if not np.isfinite(m_next).all():
+            bad = np.argwhere(~np.isfinite(m_next))[0].tolist()
             raise FpError(f"non-finite density at time index {k + 1}, node {tuple(bad)}")
         if lowest < -NEGATIVITY_TOL:
             cause = ("the advective step is unstable (check the CFL bound)"
@@ -138,7 +136,8 @@ def solve_fp(problem: ProblemSpec, grid: Grid,
                           f"time index {k + 1}")
         if lowest < 0:
             m_next = np.maximum(m_next, 0.0)
-        densities[k + 1] = m_next / (m_next.sum() * grid.cell_volume)
+            mass = m_next.sum() * grid.cell_volume
+        np.divide(m_next, mass, out=densities[k + 1])
 
     return MeasureFlow(densities, grid, mass_drift=mass_drift,
                        min_density=min_density)

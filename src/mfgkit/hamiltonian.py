@@ -72,7 +72,7 @@ def minimize_H(problem: ProblemSpec, evaluator: PhiEvaluator, t: float, x, p):
     Vectorized over x/p; returns an array shaped like p.
     """
     p = np.asarray(p, dtype=float)
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("minimize_H needs finite p")
     if evaluator.mode == "closed_form":
         if problem.closed_form_phi is None:

@@ -4,12 +4,14 @@ measure flow.
 Time stepping: diffusion implicit, drift and source explicit with the control
 lagged through phi(t, x, Du); inner Picard sweeps restore consistency of the
 lagged gradient within each step. The one advection stencil blends central and
-sign-upwinded differences by the mesh Peclet number, so it is second order where
-diffusion resolves the drift and monotone where it does not. The one wall
-closure slaves each wall node to cubic extrapolation of the interior (u_xxx = 0
-there). In 2D the implicit diffusion is split by axis, and each axis sweep
-solves all grid lines as one stacked banded system, assembled and factored once
-per distinct diffusion array within a solve.
+sign-upwinded differences by the mesh Peclet number: second order where
+diffusion resolves the drift, monotone where it does not. Each step computes the
+differences of u_old, the floored diffusion and the mixed term once; each sweep
+adds only the drift's blend weights and max |b|. The one wall closure slaves
+each wall node to cubic extrapolation of the interior (u_xxx = 0). In 2D the
+implicit diffusion is split by axis; each axis sweep solves all grid lines as
+one stacked banded system, factored once per distinct diffusion array within a
+solve, and checks every line's residual from one BLAS gbmv product.
 """
 
 from __future__ import annotations
@@ -33,7 +35,12 @@ class HjbError(RuntimeError):
 
 
 class CFLAdvisory(UserWarning):
-    """Explicit drift step exceeded dt |b| / h = 1 (diffusion stays implicit)."""
+    """Explicit drift step cfl = max dt |b| / h exceeded 1 (diffusion stays implicit)."""
+
+    def __init__(self, cfl: float):
+        super().__init__(f"explicit drift step reached dt|b|/h = {cfl:.2f} > 1; "
+                         "results may be inaccurate (diffusion remains implicit)")
+        self.cfl = cfl
 
 
 @dataclass(frozen=True)
@@ -45,27 +52,33 @@ class HjbSolverConfig:
             raise ValueError("picard_inner_iters must be >= 1")
 
 
-def _advective_term(u: np.ndarray, b: np.ndarray, a: np.ndarray, h: float,
-                    axis: int) -> np.ndarray:
-    """<b, D u> along one axis: Peclet-blended central/upwind differences.
+def _advection(u: np.ndarray, a: np.ndarray, h: float, axis: int):
+    """<b, D u> along one axis as a function advect(b, out) of the drift:
+    Peclet-blended central/upwind differences, with what b does not enter (the
+    differences of u, a floored at 1e-300) computed once per step.
 
     Upwinding follows the sign of b as it enters u_t + <Du, b> + ... = 0 marched
     backward: b > 0 couples to the forward neighbor (monotone explicit update).
     The weight on the upwind difference grows from 0 at mesh Peclet number
-    |b| h / a <= 2 to 1 as it tends to infinity. Only interior nodes are
-    computed; the wall entries stay zero, as the implicit diffusion solve
-    discards the wall rows and its closure sets the wall nodes.
+    |b| h / a <= 2 to 1 as it tends to infinity. advect writes the interior
+    nodes of out, whose walls stay zero (the implicit diffusion solve discards
+    the wall rows and its closure sets the wall nodes), and returns max |b|.
     """
     u = u.swapaxes(axis, -1)
-    b, a = (v.swapaxes(axis, -1)[..., 1:-1] for v in (b, a))
     diff = (u[..., 1:] - u[..., :-1]) / h  # node i's forward, node i+1's backward
-    upw = np.where(b > 0, diff[..., 1:], diff[..., :-1])
     cen = (u[..., 2:] - u[..., :-2]) / (2 * h)
-    pe = np.abs(b) * h / np.maximum(a, 1e-300)
-    w = np.clip(1.0 - 2.0 / np.maximum(pe, 1e-300), 0.0, 1.0)
-    out = np.zeros(u.shape)
-    out[..., 1:-1] = b * ((1.0 - w) * cen + w * upw)
-    return out.swapaxes(axis, -1)
+    a = np.maximum(a.swapaxes(axis, -1)[..., 1:-1], 1e-300)
+
+    def advect(b: np.ndarray, out: np.ndarray) -> float:
+        b = b.swapaxes(axis, -1)
+        mag = np.abs(b)
+        pe = np.maximum(mag[..., 1:-1] * h / a, 1e-300)
+        w = np.maximum(1.0 - 2.0 / pe, 0.0)  # and w <= 1, as 2 / pe > 0
+        b = b[..., 1:-1]
+        np.multiply(b, (1.0 - w) * cen + w * np.where(b > 0, diff[..., 1:], diff[..., :-1]),
+                    out=out.swapaxes(axis, -1)[..., 1:-1])
+        return float(mag.max())
+    return advect
 
 
 def _diffusion_band(a: np.ndarray, h: float, dt: float) -> np.ndarray:
@@ -96,20 +109,11 @@ def _implicit_diffusion_solve(lines: LineSystem, a: np.ndarray, rhs: np.ndarray,
     b_rhs = rhs.swapaxes(axis, -1).copy()
     b_rhs[..., 0] = b_rhs[..., -1] = 0.0
     out = lines.solve(a.swapaxes(axis, -1), b_rhs)
-    res = _banded_matvec(lines.band, 3, out.ravel()) - b_rhs.ravel()
-    worst = np.abs(res).reshape(b_rhs.shape).max(axis=-1)
+    worst = np.abs(lines.residual(out, b_rhs)).reshape(b_rhs.shape).max(axis=-1)
     bad = worst > tol * (1.0 + np.abs(b_rhs).max(axis=-1))
     if bad.any():
         raise HjbError(f"linear solve residual {worst[bad].max():.3e} exceeds tolerance")
     return out.swapaxes(axis, -1)
-
-
-def _banded_matvec(band: np.ndarray, bw: int, x: np.ndarray) -> np.ndarray:
-    y = band[bw] * x
-    for k in range(1, bw + 1):
-        y[:-k] += band[bw - k, k:] * x[k:]
-        y[k:] += band[bw + k, :-k] * x[:-k]
-    return y
 
 
 def solve_hjb(problem: ProblemSpec, grid: Grid, mu_flow: MeasureFlow,
@@ -141,36 +145,34 @@ def solve_hjb(problem: ProblemSpec, grid: Grid, mu_flow: MeasureFlow,
     values[grid.nt] = gT
     grads[grid.nt] = gradient_field(gT, grid)
 
-    cfl_worst = 0.0
+    adv = [np.zeros(grid.shape) for _ in range(grid.dim)]  # walls stay zero
+    b_max = [0.0] * grid.dim  # max |b| per axis over every sweep
     for k in range(grid.nt - 1, -1, -1):
         t = grid.time(k)
         coef = StepCoefficients(problem, t, coords, mu_flow.view(k))
         u_old = values[k + 1]
+        advect = [_advection(u_old, coef.diag_a[d], h[d], d) for d in range(grid.dim)]
+        cross = None if coef.a12 is None else 2.0 * coef.a12 * _mixed_diff(u_old, h)
         p_lag = grads[k + 1]
-        u_new = u_old
         for _ in range(config.picard_inner_iters):
             alpha = minimize_H(problem, evaluator, t, coords, p_lag)
-            src = None
             for d, bd in enumerate(coef.drift(alpha)):
-                cfl_worst = max(cfl_worst, float(np.max(np.abs(bd))) * dt / h[d])
-                adv = _advective_term(u_old, bd, coef.diag_a[d], h[d], axis=d)
-                src = adv if src is None else src + adv
-            src = src + coef.cost(alpha)
-            if coef.a12 is not None:
-                src = src + 2.0 * coef.a12 * _mixed_diff(u_old, h)
+                b_max[d] = max(b_max[d], advect[d](bd, adv[d]))
+            src = (adv[0] if grid.dim == 1 else adv[0] + adv[1]) + coef.cost(alpha)
+            if cross is not None:
+                src += cross
             u_new = u_old + dt * src
             for d in range(grid.dim):
                 u_new = _implicit_diffusion_solve(lines[d], coef.diag_a[d], u_new,
                                                   LINEAR_SOLVER_TOL, axis=d)
-            if np.any(np.isnan(u_new)):
-                bad = np.argwhere(np.isnan(u_new))[0]
+            if np.isnan(u_new).any():
+                bad = np.argwhere(np.isnan(u_new))[0].tolist()
                 raise HjbError(f"NaN in HJB solution at time index {k}, node {tuple(bad)}")
             p_lag = gradient_field(u_new, grid)
         values[k] = u_new
         grads[k] = p_lag
 
+    cfl_worst = max(b_max[d] * dt / h[d] for d in range(grid.dim))  # rounding is monotone
     if cfl_worst > 1.0:
-        warnings.warn(f"explicit drift step reached dt|b|/h = {cfl_worst:.2f} > 1; "
-                      "results may be inaccurate (diffusion remains implicit)",
-                      CFLAdvisory, stacklevel=2)
+        warnings.warn(CFLAdvisory(cfl_worst), stacklevel=2)
     return ValueField(values, grads, grid)

@@ -361,3 +361,37 @@ def test_mixed_flux_negativity_names_the_mixed_term():
     assert "CFL" not in str(err.value)
     flow = solve_fp(_correlated_2d(0.0), g, None, None)
     assert flow.min_density.min() >= 0.0
+
+
+def test_clipped_level_is_renormalized_by_its_clipped_mass(monkeypatch):
+    # an entry in [-NEGATIVITY_TOL, 0) is clipped to zero and the level is
+    # divided by the clipped level's mass, not by the mass the drift check read
+    solved = []
+    solve = LineSystem.solve
+
+    def dip(self, a, rhs):
+        out = solve(self, a, rhs)
+        out[0] = -5e-13  # the wall node, where the density is about 1e-18
+        solved.append(out.copy())
+        return out
+
+    monkeypatch.setattr(LineSystem, "solve", dip)
+    p = _problem(drift_b0=lambda t, x, m: 0.3 * np.cos(x))
+    g = build_grid(1, -6.0, 6.0, 121, 0.1, 10)
+    flow = solve_fp(p, g, None, None)
+    assert len(solved) == g.nt and np.all(flow.min_density[1:] == -5e-13)
+    for k, m_next in enumerate(solved):
+        clipped = np.maximum(m_next, 0.0)
+        assert np.array_equal(flow.densities[k + 1],
+                              clipped / (clipped.sum() * g.cell_volume))
+
+
+def test_non_finite_density_names_the_level_and_the_first_node():
+    # a NaN drift at one step's time: the line solve couples every node, so
+    # the whole next level is NaN and the first node is the origin
+    k = 3
+    g = build_grid(1, -6.0, 6.0, 61, 1.0, 10)
+    p = _problem(drift_b0=lambda t, x, m: np.full_like(x, np.nan if t == g.time(k) else 0.0))
+    with pytest.raises(FpError) as err:
+        solve_fp(p, g, None, None)
+    assert str(err.value) == f"non-finite density at time index {k + 1}, node (0,)"

@@ -255,3 +255,99 @@ def test_linear_solve_residual_guard_raises(monkeypatch):
     g = build_grid(1, -6.0, 6.0, 61, 1.0, 10)
     with pytest.raises(HjbError, match="residual"):
         solve_hjb(p, g, _mu(p, g))
+
+
+def _problem_2d(**kw):
+    # the separable quadratic-control problem of test_2d_separable_hopf_cole
+    base = dict(
+        dim=2, horizon=1.0,
+        drift_b0=lambda t, x, m: np.zeros_like(x),
+        drift_b1=lambda t, x, a: a,
+        diffusion_sigma=lambda t, x, m: np.sqrt(2.0) * np.eye(2),
+        running_f0=lambda t, x, m: np.zeros(x.shape[:-1]),
+        running_f1=lambda t, x, a: 0.5 * (a ** 2).sum(axis=-1),
+        terminal_g=lambda x, m: capped_quadratic(8.0)(x[..., 0]) + 0.5 * x[..., 1] ** 2,
+        initial_density=lambda x: np.exp(-(x ** 2).sum(-1) / 0.5) / (0.5 * np.pi),
+        closed_form_phi=lambda t, x, p_: -p_,
+        gamma1=1.0, gamma2=1.0, lipschitz=15.0)
+    base.update(kw)
+    return ProblemSpec(**base)
+
+
+# anisotropic, so h tells the two axes' line systems apart
+_GRID_2D = build_grid(2, (-3.0, -2.0), (3.0, 2.0), 21, 1.0, 10)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cfl_advisory_reports_the_max_over_every_sweep(dim, monkeypatch):
+    # dt |b_d| / h_d written out over every axis and every sweep of every
+    # step, b = b0 + alpha varying in x, t and each sweep's lagged control
+    from mfgkit import hjb
+    sweeps, minimize = [], hjb.minimize_H
+
+    def recorded(problem, evaluator, t, x, p):
+        alpha = minimize(problem, evaluator, t, x, p)
+        sweeps.append((t, alpha))
+        return alpha
+
+    monkeypatch.setattr(hjb, "minimize_H", recorded)
+    if dim == 1:
+        p = _problem(drift_b0=lambda t, x, m: 1.2 * x * (1.0 + t),
+                     terminal_g=lambda x, m: capped_quadratic(25.0)(x))
+        g = build_grid(1, -6.0, 6.0, 61, 1.0, 20)
+    else:
+        p = _problem_2d(drift_b0=lambda t, x, m: np.stack(
+            [8.0 * np.tanh(x[..., 0]), 3.0 * np.tanh(x[..., 1] - t)], axis=-1))
+        g = _GRID_2D
+    with pytest.warns(CFLAdvisory) as rec:
+        solve_hjb(p, g, _mu(p, g))
+    x = g.coords()
+    ref = 0.0
+    for t, alpha in sweeps:
+        b = np.asarray(p.drift_b0(t, x, None) + p.drift_b1(t, x, alpha))
+        b = b.reshape(g.shape + (dim,))
+        for d in range(dim):
+            ref = max(ref, float(np.max(np.abs(b[..., d]))) * g.dt / g.h[d])
+    assert len(sweeps) == 2 * g.nt
+    advisory, = [w.message for w in rec if w.category is CFLAdvisory]
+    assert advisory.cfl == ref > 1.0
+    assert str(advisory) == (f"explicit drift step reached dt|b|/h = {ref:.2f} > 1; "
+                             "results may be inaccurate (diffusion remains implicit)")
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_2d_residual_guard_raises_on_either_axis(axis, monkeypatch):
+    # a line solution off by 1e-6 at one node, on one axis only, fails the
+    # guard at the default tolerance
+    g = _GRID_2D
+    solve = LineSystem.solve
+
+    def off_at_one_node(self, a, rhs):
+        out = solve(self, a, rhs)
+        if self._args[0] == g.h[axis]:
+            out[3, 7] += 1e-6  # line 3, node 7 (line axis last)
+        return out
+
+    p = _problem_2d()
+    solve_hjb(p, g, _mu(p, g))  # the unperturbed march passes the guard
+    monkeypatch.setattr(LineSystem, "solve", off_at_one_node)
+    with pytest.raises(HjbError, match=r"linear solve residual \S+ exceeds tolerance"):
+        solve_hjb(p, g, _mu(p, g))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_nan_message_names_the_step_and_the_first_node(dim):
+    # a NaN running cost at one step's time: every line solve couples all of
+    # its nodes, so the whole level turns NaN and the first node is the origin
+    k = 7
+    nan_at_k = lambda t, shape: np.full(shape, np.nan if t == g.time(k) else 0.0)  # noqa: E731
+    if dim == 1:
+        g = build_grid(1, -6.0, 6.0, 61, 1.0, 20)
+        p = _problem(running_f0=lambda t, x, m: nan_at_k(t, x.shape))
+    else:
+        g = _GRID_2D
+        p = _problem_2d(running_f0=lambda t, x, m: nan_at_k(t, x.shape[:-1]))
+    with pytest.raises(HjbError) as err:
+        solve_hjb(p, g, _mu(p, g))
+    assert str(err.value) == (f"NaN in HJB solution at time index {k}, "
+                              f"node {(0,) * dim}")

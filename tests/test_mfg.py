@@ -417,3 +417,41 @@ def test_pinned_2d_correlated_solve():
                      6.259509997667985, 6.20465333098144],
         "rho": [0.16433781201643596, 0.002544357138084799],
         "pde": [0.00038064944584120797, 0.008267334252354097]}
+
+
+def _pinned_catalog_solve(name):
+    e = get_entry(name)
+    g = build_grid(1, e.grid.x_min[0], e.grid.x_max[0], 61, e.grid.horizon, 40)
+    return _fingerprint(*solve_mfg(e.problem, g, e.fixed_point), 35)
+
+
+def test_pinned_lq_riccati_solve():
+    # literal values pin the decoupled quadratic-control march (HJB sweeps with
+    # zero b0 and f0, the FP under the feedback) and the PDE residual
+    assert _pinned_catalog_solve("lq-riccati") == {
+        "u": [0.9308962442354859, 0.7307740204815713],
+        "m": [0.2386697571648594, 0.24112888180799946],
+        "row_sums": [229.13647970109747, 274.81180232621176,
+                     2.2868875989098094, 2.3069618942910846],
+        "rho": [0.4315811026727483, 0.0],
+        "pde": [0.20449489231982554, 0.22168555890513186]}
+
+
+def test_pinned_decoupled_hopfcole_solve():
+    assert _pinned_catalog_solve("decoupled-hopfcole") == {
+        "u": [0.9292938565528295, 0.7298293741728251],
+        "m": [0.2386541393243462, 0.24100064884082104],
+        "row_sums": [227.290757327243, 270.01747157154114,
+                     2.2869670092509558, 2.3070681925399423],
+        "rho": [0.43254064796154074, 0.0],
+        "pde": [0.10294276638123812, 0.22168193551136944]}
+
+
+def test_pinned_uncontrolled_fp_solve():
+    # control-free: u stays zero and the literals pin the FP march alone
+    assert _pinned_catalog_solve("uncontrolled-fp") == {
+        "u": [0.0, 0.0],
+        "m": [0.2259523318684746, 0.2190347037577828],
+        "row_sums": [0.0, 0.0, 1.2314494560551699, 1.3538577650490802],
+        "rho": [0.6202777435728078, 1.5809127727912004e-09],
+        "pde": [0.0, 0.217438427746401]}

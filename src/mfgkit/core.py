@@ -87,9 +87,12 @@ class ProblemSpec:
     Drift and running cost are only ever evaluated through the split
     b = drift_b0(t,x,m) + drift_b1(t,x,a) and f = running_f0(t,x,m) + running_f1(t,x,a);
     the measure argument is a MeasureView (density slice plus summary statistics).
-    Every callback is pointwise in x: `particle._march` calls it once per block
-    of paths, on any subset of the points, and each point's value must not
-    depend on which other points share the call. A callback may return
+    Every callback is pure and sees the measure only through that view, never
+    through a flow it closes over: `mfg.solve_mfg` applies a map whose
+    callbacks read no view once. Every callback is pointwise in x:
+    `particle._march` calls it once per block of paths, on any subset of the
+    points, and each point's value must not depend on which other points
+    share the call. A callback may return
     anything that broadcasts to the points' shape (plus its value axes), such
     as a scalar or, for sigma in 2D, one 2x2 matrix for every point.
     """
@@ -228,18 +231,27 @@ class MeasureView:
     """Read-only view of one time slice of a MeasureFlow, with cached summaries.
 
     Problem functions receive this as their measure argument; catalog problems
-    that depend only on mean(m) stay cheap.
+    that depend only on mean(m) stay cheap. `read` records whether the density
+    was read, through `density`, `mean` or `second_moment`; a callback that
+    read none of them (and keeps the ProblemSpec contract) gives the same value
+    under every flow.
     """
 
-    __slots__ = ("density", "grid", "_mean", "_second_moment")
+    __slots__ = ("_density", "grid", "read", "_mean", "_second_moment")
 
     def __init__(self, density: np.ndarray, grid: Grid):
         d = np.asarray(density, dtype=float)
         d.flags.writeable = False
-        self.density = d
+        self._density = d
         self.grid = grid
+        self.read = False
         self._mean = None
         self._second_moment = None
+
+    @property
+    def density(self) -> np.ndarray:
+        self.read = True
+        return self._density
 
     @property
     def mean(self):
@@ -315,6 +327,11 @@ class MeasureFlow:
         if view is None:
             view = self._views[k] = MeasureView(self.densities[k], self.grid)
         return view
+
+    @property
+    def read(self) -> bool:
+        """Whether the density of any view of this flow was read."""
+        return any(view.read for view in self._views.values())
 
     @staticmethod
     def constant_in_time(density: np.ndarray, grid: Grid) -> "MeasureFlow":

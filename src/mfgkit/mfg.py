@@ -9,7 +9,10 @@ did not decrease it takes the theta-damped step to the end of the run (never
 switching back, so an overshooting full step cannot alternate with a damped
 one). The rule reads only the residual history, so a resumed run repeats it.
 For instances whose map ignores the measure the iteration terminates in
-exactly two steps with a zero second residual.
+exactly two steps with a zero second residual. It applies such a map once:
+when no callback read a view of the flow during one application (callbacks
+are pure and see the measure only through their view argument, `core`), every
+later application gives the same (u, m), so the later steps reuse it.
 """
 
 from __future__ import annotations
@@ -131,10 +134,13 @@ def solve_mfg(problem: ProblemSpec, grid: Grid,
         start = 0
 
     u = m = None
+    constant = False  # no callback read the flow: every later map is (u, m)
     converged = False
     it = start
     for it in range(start + 1, config.max_iters + 1):
-        u, m = apply_phi(problem, grid, mu, hjb_config)
+        if not constant:
+            u, m = apply_phi(problem, grid, mu, hjb_config)
+            constant = not mu.read
         r = flow_distance(mu, m, grid)
         history = report.residual_history
         history.append(r)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfgkit.core import MeasureFlow, build_grid, discretize_initial_density
 from mfgkit.catalog import get_entry
@@ -67,6 +68,99 @@ def test_decoupled_equals_single_pass(solved):
     u1, m1 = apply_phi(e.problem, g, mu)
     assert np.max(np.abs(u1.values - u.values)) <= 1e-12
     assert np.max(np.abs(m1.densities - m.densities)) <= 1e-12
+
+
+@pytest.mark.parametrize("name, solves", [("lq-riccati", 1),
+                                          ("decoupled-hopfcole", 1),
+                                          ("example5-weak", None)])
+def test_map_solves_per_outer_iteration(monkeypatch, name, solves):
+    # a map no callback reads the flow of is applied once; example5-weak reads
+    # view.mean, so it solves once per outer iteration
+    from mfgkit import mfg
+    e = get_entry(name)
+    g = _small_grid(e, nx=81, nt=60)
+    calls = {"hjb": 0, "fp": 0}
+    for fn in ("solve_hjb", "solve_fp"):
+        real = getattr(mfg, fn)
+
+        def counted(*args, _real=real, _key=fn[6:], **kw):
+            calls[_key] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(mfg, fn, counted)
+    _, _, rep = solve_mfg(e.problem, g, e.fixed_point)
+    if solves is None:
+        solves = rep.iterations_used
+        assert solves > 2
+    else:
+        assert rep.iterations_used == 2 and rep.residual_history[1] == 0.0
+    assert calls == {"hjb": solves, "fp": solves}
+
+
+def _reference_solve(problem, grid, config, mu, history):
+    """solve_mfg written out: one map application per outer iteration."""
+    for it in range(1, config.max_iters + 1):
+        u, m = apply_phi(problem, grid, mu)
+        r = flow_distance(mu, m, grid)
+        history.append(r)
+        if all(b < a for a, b in zip(history, history[1:])):
+            mu = m
+        else:
+            mu = MeasureFlow((1.0 - config.theta) * mu.densities
+                             + config.theta * m.densities, grid)
+        if r <= config.tol:
+            break
+    return u, m, history, it
+
+
+_READS = {"density": lambda view: view.density.max(),
+          "mean": lambda view: view.mean,
+          "second_moment": lambda view: view.second_moment}
+
+
+@pytest.mark.parametrize("read", sorted(_READS))
+@pytest.mark.parametrize("callback", ["drift_b0", "running_f0",
+                                      "diffusion_sigma", "terminal_g"])
+@settings(max_examples=4, derandomize=True, deadline=None)
+@given(levels=st.sets(st.integers(1, 19), min_size=1), damped=st.booleans())
+def test_a_callback_that_reads_the_flow_gets_a_map_solve_per_iteration(
+        callback, read, levels, damped):
+    # decoupled-hopfcole from an off-centre m0, with one callback that reads
+    # the view at the drawn time levels (past level 0, which every flow shares
+    # with m0): solve_mfg must match the loop that applies the map at every
+    # iteration, bit for bit
+    from dataclasses import replace
+    from mfgkit.catalog import gaussian_density
+    from mfgkit.mfg import IterationState
+    e = get_entry("decoupled-hopfcole")
+    g = build_grid(1, -6.0, 6.0, 41, 1.0, 20)
+    base = getattr(e.problem, callback)
+    stat = _READS[read]
+
+    if callback == "terminal_g":
+        def coupled(x, view):
+            return base(x, view) + 0.1 * stat(view) * x
+    else:
+        def coupled(t, x, view):
+            value = base(t, x, view)
+            if round(t / g.dt) not in levels:
+                return value
+            if callback == "diffusion_sigma":
+                return value * (1.0 + 0.05 * stat(view))
+            return value + 0.1 * stat(view) * (x if callback == "running_f0" else 1.0)
+    problem = replace(e.problem, initial_density=gaussian_density(0.5, 0.25),
+                      **{callback: coupled})
+    cfg = FixedPointConfig(theta=0.5, tol=1e-12, max_iters=4)
+    m0, _ = discretize_initial_density(problem, g)
+    mu = MeasureFlow.constant_in_time(m0, g)
+    start = [np.inf, np.inf] if damped else []  # damped from the first step
+    u, m, rep = solve_mfg(problem, g, cfg, initial_state=IterationState(
+        0, mu.densities.copy(), list(start)))
+    u_ref, m_ref, h_ref, it_ref = _reference_solve(problem, g, cfg, mu, list(start))
+    assert rep.residual_history == h_ref and rep.iterations_used == it_ref
+    assert h_ref[len(start) + 1] > 0.0  # the map reads the flow: r_2 is not 0
+    assert np.array_equal(u.values, u_ref.values)
+    assert np.array_equal(u.du, u_ref.du)
+    assert np.array_equal(m.densities, m_ref.densities)
 
 
 def test_weakly_coupled_converges_and_residuals_decrease(solved):

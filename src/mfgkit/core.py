@@ -73,11 +73,12 @@ class ControlSpace:
         return [np.linspace(self.lower[d], self.upper[d], self.points_per_dim)
                 for d in range(self.lower.size)]
 
-    def clip(self, alpha: np.ndarray) -> np.ndarray:
+    def clip(self, alpha: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """alpha clipped to the box, into out if given; alpha itself on R^n."""
         if not self.bounded:
             return alpha
         return np.clip(alpha, self.lower if alpha.ndim > 1 else self.lower[0],
-                       self.upper if alpha.ndim > 1 else self.upper[0])
+                       self.upper if alpha.ndim > 1 else self.upper[0], out=out)
 
 
 @dataclass(frozen=True)
@@ -187,9 +188,12 @@ class Grid:
     def interior(self, margin: int = 10) -> slice:
         """The per-axis index range that the residual and oracle checks read:
         margin nodes in from each wall, fewer on a grid too small to keep a
-        node inside (nx < 2 margin + 1)."""
+        node inside (nx < 2 margin + 1); margin 0 is every node. A negative
+        margin raises ValueError."""
+        if margin < 0:
+            raise ValueError(f"interior margin must be >= 0, got {margin}")
         margin = min(margin, (self.nx - 1) // 2)
-        return slice(margin, -margin)
+        return slice(margin, -margin or None)
 
     def refine(self, factor: int = 2) -> "Grid":
         """Halve h and dt (factor 2): doubles cells per axis and time steps."""
@@ -219,6 +223,20 @@ def build_grid(dim: int, x_min, x_max, nx: int, horizon: float, nt: int) -> Grid
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     return Grid(dim, tuple(lo), tuple(hi), int(nx), int(nt), float(horizon))
+
+
+# nodes x levels that a level-batched loop (`mfg.pde_residual`, the
+# histogram d1 of `measure`) holds in one array: long runs of levels share
+# each numpy call, and each run's temporaries stay cache-sized
+LEVEL_BATCH = 2 ** 14
+
+
+def _level_runs(start: int, stop: int, grid: Grid) -> list:
+    """Levels start..stop-1 as runs of consecutive levels of at most
+    LEVEL_BATCH nodes x levels each; a run holds one level where a level alone
+    has more nodes."""
+    step = max(1, LEVEL_BATCH // grid.n_nodes)
+    return [slice(k, min(k + step, stop)) for k in range(start, stop, step)]
 
 
 def _second_moments(m: np.ndarray, grid: Grid) -> np.ndarray:
@@ -435,12 +453,13 @@ def _first_diff(v: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
 
 
 def _mixed_diff(v: np.ndarray, h: tuple) -> np.ndarray:
-    """d2 v / dx1 dx2 by central differences on interior nodes. The rim stays
-    zero: the HJB wall closure discards those rows and the PDE residuals read
-    interior nodes only."""
+    """d2 v / dx1 dx2 by central differences on interior nodes, over the last
+    two axes of v (any leading axes are a stack). The rim stays zero: the HJB
+    wall closure discards those rows and the PDE residuals read interior
+    nodes only."""
     out = np.zeros(v.shape)
-    dv = (v[2:] - v[:-2]) / (2.0 * h[0])  # d/dx1 on interior rows
-    out[1:-1, 1:-1] = (dv[:, 2:] - dv[:, :-2]) / (2.0 * h[1])
+    dv = (v[..., 2:, :] - v[..., :-2, :]) / (2.0 * h[0])  # d/dx1 on interior rows
+    out[..., 1:-1, 1:-1] = (dv[..., 2:] - dv[..., :-2]) / (2.0 * h[1])
     return out
 
 
@@ -535,10 +554,18 @@ def interpolate_field(field_values: np.ndarray, grid: Grid, x) -> np.ndarray:
     if values.shape[:dim] != grid.shape:
         raise ValueError(f"field shape {values.shape} does not match grid {grid.shape}")
     lead = x.shape[:x.ndim - dim + 1]  # 1D points carry no coordinate axis
-    table = values.reshape(grid.n_nodes, -1).T  # (components, nodes)
-    out = _interpolate(table, grid, x.reshape(-1, dim))
+    out = _interpolate(_component_table(values, grid.n_nodes), grid,
+                       x.reshape(-1, dim))
     out = out.T.reshape(lead + values.shape[dim:])
     return float(out) if out.ndim == 0 else out
+
+
+def _component_table(fields: np.ndarray, nodes: int) -> np.ndarray:
+    """The kernel's (components, nodes) table of node fields whose leading
+    axes hold `nodes` nodes in all: one contiguous row per component, so each
+    corner's take reads contiguous memory; a view when there is one
+    component, else a copy."""
+    return np.ascontiguousarray(fields.reshape(nodes, -1).T)
 
 
 def _interpolate(table: np.ndarray, grid: Grid, pts: np.ndarray,

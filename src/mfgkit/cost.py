@@ -179,11 +179,23 @@ def verify_optimality(problem: ProblemSpec, grid: Grid, u: ValueField,
     etas = _sinusoid_fields(grid, problem.dim, n_perturbations, _stream(seed, 0x5EED))
     members = [(j, eps) for j in range(len(etas)) for eps in EPSILONS]
     clip = problem.control_space.clip
+    # the directions stacked once: the spatial factors, (directions,) + the
+    # control's shape, and the time factors with unit node axes, so that
+    # time[:, k] broadcasts against them
+    shape = policy.shape[1:]
+    spatial = np.array([s for s, _ in etas]).reshape((len(etas),) + shape)
+    time = np.array([t for _, t in etas]).reshape(
+        (len(etas), grid.nt + 1) + (1,) * grid.dim + shape[grid.dim:])
+    sizes = np.reshape(EPSILONS, (-1,) + (1,) * len(shape))
+    fields = np.empty((1 + len(members),) + shape)  # every member's controls
+    perturbed = fields[1:].reshape((len(etas), len(EPSILONS)) + shape)
 
     def controls(k):  # the feedback, then each perturbed policy, at level k
-        dirs = [spatial * time[k] for spatial, time in etas]
-        return np.stack([policy[k]] + [clip(policy[k] + eps * dirs[j])
-                                       for j, eps in members])
+        fields[0] = policy[k]
+        np.multiply(sizes, (spatial * time[:, k])[:, None], out=perturbed)
+        np.add(perturbed, policy[k], out=perturbed)
+        clip(perturbed, out=perturbed)
+        return fields
 
     report = OptimalityReport(d1_profile=np.empty(grid.nt + 1))
     cost, leak, max_abs = _march(problem, grid, m_flow, controls,

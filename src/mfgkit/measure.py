@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid, MeasureFlow, _second_moments
+from .core import Grid, MeasureFlow, _level_runs, _second_moments
 
 __all__ = [
     "FlowRegularityReport",
@@ -213,10 +213,34 @@ def _cell_counts(points: np.ndarray, grid: Grid) -> np.ndarray:
     """Points per node cell, (n_nodes,): points (count, dim), each counted at
     its nearest node, those outside the box at the nearest wall node. Counts
     add up over any split of the points."""
-    lo, h = np.array(grid.x_min), np.array(grid.h)
-    idx = np.clip(np.rint((points - lo) / h).astype(int), 0, grid.nx - 1)
-    return np.bincount(np.ravel_multi_index(tuple(idx.T), grid.shape),
-                       minlength=grid.n_nodes)
+    flat = None
+    for d in range(grid.dim):  # each step in place on one temporary per axis
+        s = np.subtract(points[:, d], grid.x_min[d])
+        s /= grid.h[d]
+        i = np.rint(s, out=s).astype(np.intp)
+        np.clip(i, 0, grid.nx - 1, out=i)
+        if flat is not None:  # row-major: flat * nx + i
+            flat *= grid.nx
+            i += flat
+        flat = i
+    return np.bincount(flat, minlength=grid.n_nodes)
+
+
+def _histogram_d1(counts: np.ndarray, n: int, densities: np.ndarray,
+                  grid: Grid) -> np.ndarray:
+    """The d1 between the histogram of n points and the grid density at each
+    level: counts[k] holds the level's points per node cell (`_cell_counts`),
+    densities[k] its density. Bit for bit d1_grid(histogram_density(points)[0],
+    densities[k]) level by level, computed on runs of levels
+    (`core._level_runs`) as `flow_distance` computes its levels."""
+    out = np.empty(len(counts))
+    lead = (slice(None),) + (None,) * grid.dim  # a level's mass against its nodes
+    for run in _level_runs(0, len(counts), grid):
+        hist = counts[run].reshape((-1,) + grid.shape) / (n * grid.cell_volume)
+        (a, mass_a), (b, mass_b) = (_check_density(d, grid, levels=1)
+                                    for d in (hist, densities[run]))
+        out[run] = _d1(_marginal_cdfs(a / mass_a[lead] - b / mass_b[lead], grid), grid)
+    return out
 
 
 def histogram_density(points: np.ndarray, grid: Grid):

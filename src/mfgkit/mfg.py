@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (Grid, MeasureFlow, ProblemSpec, StepCoefficients, ValueField,
-                   _components, _first_diff, _mixed_diff,
+                   _first_diff, _level_runs, _mixed_diff,
                    discretize_initial_density)
 from .fp import solve_fp
 from .hamiltonian import PhiEvaluator, minimize_H
@@ -168,31 +168,46 @@ def solve_mfg(problem: ProblemSpec, grid: Grid,
 def pde_residual(problem: ProblemSpec, grid: Grid, u: ValueField, m: MeasureFlow,
                  margin: int = 10):
     """Centered finite-difference residuals of the coupled system evaluated on
-    the computed pair, maxed over `grid.interior(margin)` and levels 1..nt-1."""
+    the computed pair, maxed over `grid.interior(margin)` and levels 1..nt-1.
+
+    The coefficients are evaluated level by level (`StepCoefficients`); the
+    differences are taken on runs of levels (`core._level_runs`), with the
+    level axis first, bit for bit the per-level arithmetic."""
     policy = feedback_policy(problem, grid, u)
     coords = grid.coords()
-    dt, h = grid.dt, grid.h
+    dt, h, dim = grid.dt, grid.h, grid.dim
     uv, mv = u.values, m.densities
     hjb_worst = 0.0
     fp_worst = 0.0
-    inner = (grid.interior(margin),) * grid.dim
-    for k in range(1, grid.nt):
-        coef = StepCoefficients(problem, grid.time(k), coords, m.view(k))
-        bs, dus = coef.drift(policy[k]), _components(u.du[k], grid.shape)
-        u_t = (uv[k + 1] - uv[k - 1]) / (2 * dt)
-        m_t = (mv[k + 1] - mv[k - 1]) / (2 * dt)
-        axes = range(grid.dim)
+    inner = (slice(None),) + (grid.interior(margin),) * dim
+    node_axes = tuple(range(1, dim + 1))
+    axes = range(dim)
+    for run in _level_runs(1, grid.nt, grid):
+        levels = range(run.start, run.stop)
+        coefs = [StepCoefficients(problem, grid.time(k), coords, m.view(k))
+                 for k in levels]
+        # per-axis b and diag a, (dim, levels) + the grid's shape, and the cost
+        bs = np.stack([c.drift(policy[k]) for c, k in zip(coefs, levels)], axis=1)
+        diag_a = np.stack([c.diag_a for c in coefs], axis=1)
+        cost = np.stack([c.cost(policy[k]) for c, k in zip(coefs, levels)])
+        dus = [u.du[run]] if dim == 1 else [u.du[run][..., d] for d in axes]
+        uk, mk = uv[run], mv[run]
+        u_t = (uv[run.start + 1:run.stop + 1] - uv[run.start - 1:run.stop - 1]) / (2 * dt)
+        m_t = (mv[run.start + 1:run.stop + 1] - mv[run.start - 1:run.stop - 1]) / (2 * dt)
         adv = sum(bs[d] * dus[d] for d in axes)
-        diff = sum(coef.diag_a[d] * _second_diff(uv[k], h[d], axis=d) for d in axes)
-        q = sum(_second_diff(coef.diag_a[d] * mv[k], h[d], axis=d) for d in axes)
-        div_bm = sum(_first_diff(bs[d] * mv[k], h[d], axis=d) for d in axes)
-        if coef.a12 is not None:
-            diff = diff + 2 * coef.a12 * _mixed_diff(uv[k], h)
-            q = q + 2 * _mixed_diff(coef.a12 * mv[k], h)
-        r_hjb = u_t + adv + diff + coef.cost(policy[k])
+        diff = sum(diag_a[d] * _second_diff(uk, h[d], axis=d + 1) for d in axes)
+        q = sum(_second_diff(diag_a[d] * mk, h[d], axis=d + 1) for d in axes)
+        div_bm = sum(_first_diff(bs[d] * mk, h[d], axis=d + 1) for d in axes)
+        mixed = [i for i, c in enumerate(coefs) if c.a12 is not None]
+        if mixed:  # the correlated levels
+            a12 = np.stack([coefs[i].a12 for i in mixed])
+            diff[mixed] += 2 * a12 * _mixed_diff(uk[mixed], h)
+            q[mixed] += 2 * _mixed_diff(a12 * mk[mixed], h)
+        r_hjb = u_t + adv + diff + cost
         r_fp = m_t - q + div_bm
-        hjb_worst = max(hjb_worst, float(np.max(np.abs(r_hjb[inner]))))
-        fp_worst = max(fp_worst, float(np.max(np.abs(r_fp[inner]))))
+        # each level's max folded in level order: max passes over a NaN level
+        hjb_worst = max(hjb_worst, *np.max(np.abs(r_hjb[inner]), axis=node_axes).tolist())
+        fp_worst = max(fp_worst, *np.max(np.abs(r_fp[inner]), axis=node_axes).tolist())
     return hjb_worst, fp_worst
 
 

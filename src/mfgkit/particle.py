@@ -20,8 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Grid, MeasureFlow, ProblemSpec, _interpolate, _stream
-from .measure import _cell_counts, d1_grid, histogram_density
+from .core import (Grid, MeasureFlow, ProblemSpec, _component_table, _interpolate,
+                   _stream)
+from .measure import _cell_counts, _histogram_d1
 
 __all__ = ["ParticleEnsemble", "simulate", "compare_law", "law_check",
            "sample_initial"]
@@ -36,6 +37,10 @@ BLOCK_POINTS = 2 ** 16
 # column, while a one-process march of this size takes about 0.15 s (35 ns
 # per member-path-step; 2-core Xeon)
 FORK_WORK = 2 ** 22
+# what drawing the normals of one path column at a step costs, in
+# member-path-steps of the march, in 1D and 2D (two normals a column in 2D):
+# it sizes a split march's ranges (`_ranges`; 2-core Xeon)
+NORMAL_COST = (1.0, 0.5)
 
 
 @dataclass(frozen=True)
@@ -86,6 +91,22 @@ def _split(n: int, parts: int) -> list:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
+def _ranges(n: int, parts: int, members: int, dim: int) -> list:
+    """range(n) as `parts` contiguous column ranges of equal march work. At
+    each step a range of width w that ends at column b moves members * w
+    member-paths and draws the normals of b columns, each column's at
+    NORMAL_COST[dim - 1] member-path-steps, so earlier ranges get more
+    columns. With q = members / (members + that cost), equal work puts edge i
+    at n (1 - q^i) / (1 - q^parts); every range keeps one column or more
+    (n >= parts)."""
+    q = members / (members + NORMAL_COST[dim - 1])
+    edges = [0]
+    for i in range(1, parts + 1):
+        edge = round(n * (1 - q ** i) / (1 - q ** parts))
+        edges.append(min(max(edge, edges[-1] + 1), n - parts + i))
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
 def _process_count() -> int:
     """The processes a large march runs in: MFGKIT_THREADS where it is set,
     else the usable cores; one where os.fork does not exist. An MFGKIT_THREADS
@@ -121,7 +142,8 @@ def _march(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow, controls,
 
     controls: None for the uncontrolled dynamics (f1 then does not enter), else
     k -> the members' per-node controls at time level k, stacked on a leading
-    axis. law: None, or an (nt+1,) array the march fills with the d1 between
+    axis; the march reads them only until its next call, so controls may fill
+    one buffer at every level. law: None, or an (nt+1,) array the march fills with the d1 between
     member 0's histogram at each level and the flow, from cell counts that
     add up over the ranges. observe(k, x), if given, sees all the stacked
     points at every level, so it keeps the march in one process; member j's
@@ -136,11 +158,10 @@ def _march(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow, controls,
     parts = _fork_map(
         lambda cols: _march_columns(problem, grid, m_flow, controls, members, x0,
                                     seed, cols, observe, law is not None),
-        _split(n, min(_process_count(), n) if split else 1))
+        _ranges(n, min(_process_count(), n) if split else 1, members, grid.dim))
     cost, clamped, max_abs, counts = zip(*parts)
-    if law is not None:  # each level's histogram density, as compare_law's
-        law[:] = [d1_grid(c.reshape(grid.shape) / (n * grid.cell_volume), m, grid)
-                  for c, m in zip(sum(counts), m_flow.densities)]
+    if law is not None:  # each level's histogram against the flow, as compare_law's
+        law[:] = _histogram_d1(sum(counts), n, m_flow.densities, grid)
     leak = sum(clamped) / (n * grid.nt * problem.dim)
     if leak.max() > 1e-3:
         warnings.warn(f"boundary leak fraction {leak.max():.2e} exceeds 1e-3; "
@@ -198,7 +219,7 @@ def _march_columns(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow,
         view = m_flow.view(k)
         if controls is not None:
             fields = controls(k)
-            table = fields.reshape(members * grid.n_nodes, -1).T
+            table = _component_table(fields, members * grid.n_nodes)
         # Philox fills the normals in order, so the first cols.stop of them
         # are those of the full block
         z = _stream(seed, k).standard_normal((cols.stop,) + x0.shape[1:])[cols.start:]
@@ -346,5 +367,6 @@ def compare_law(ensemble: ParticleEnsemble, m_flow: MeasureFlow,
     nt = m_flow.densities.shape[0]
     if ensemble.positions.shape[0] != nt:
         raise ValueError("ensemble and flow cover different time grids")
-    return np.array([d1_grid(histogram_density(ensemble.positions[k], grid)[0],
-                             m_flow.densities[k], grid) for k in range(nt)])
+    counts = np.stack([_cell_counts(x.reshape(-1, grid.dim), grid)
+                       for x in ensemble.positions])
+    return _histogram_d1(counts, ensemble.positions.shape[1], m_flow.densities, grid)

@@ -328,3 +328,12 @@ def test_interior_keeps_ten_wall_nodes_out_where_the_grid_allows():
         grid = build_grid(1, -1.0, 1.0, nx, 1.0, 4)
         assert grid.interior() == slice(margin, -margin)
         assert np.arange(nx)[grid.interior()].size >= 1
+
+
+def test_interior_margin_zero_is_every_node_and_a_negative_one_fails():
+    for dim in (1, 2):
+        grid = build_grid(dim, -1.0, 1.0, 9, 1.0, 4)
+        assert np.arange(9)[grid.interior(0)].tolist() == list(range(9))
+        assert np.arange(9)[grid.interior(3)].tolist() == [3, 4, 5]
+        with pytest.raises(ValueError, match="margin"):
+            grid.interior(-1)

@@ -284,3 +284,48 @@ def test_verify_memory_is_bounded_in_the_path_count():
     n, n_perturbations = 50_000, 5
     peak = _verify_peak(61, 20, n, n_perturbations)
     assert peak < 6 * (1 + 2 * n_perturbations) * n * 8
+
+
+@pytest.mark.parametrize("n_perturbations", [0, 3])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stacked_controls_equal_the_per_member_list(dim, n_perturbations, monkeypatch):
+    # every level's stacked controls equal the feedback followed by each
+    # clip(policy + eps * direction), built one member at a time, on a control
+    # box that clips the feedback's perturbations
+    import dataclasses
+    from mfgkit import cost
+    from mfgkit.core import ControlSpace, _stream
+    if dim == 1:
+        e = get_entry("lq-riccati")
+        g = build_grid(1, -6.0, 6.0, 61, 1.0, 20)
+        u = lq_riccati_value(0.5, g)
+        problem = dataclasses.replace(e.problem, control_space=ControlSpace.box(-1.0, 0.8, 5))
+        policy = feedback_policy(e.problem, g, u)
+    else:
+        problem, g, policy = _separable_2d()
+        problem = dataclasses.replace(problem, control_space=ControlSpace.box(
+            [-1.0, -0.7], [0.9, 1.1], 5))
+        u = _quadratic_value_2d(g)
+    seen = []
+    march = cost._march
+
+    def recording_march(problem, grid, m_flow, controls, members, *args, **kw):
+        seen.extend(controls(k).copy() for k in range(grid.nt))
+        return march(problem, grid, m_flow, controls, members, *args, **kw)
+
+    monkeypatch.setattr(cost, "_march", recording_march)
+    seed = 17
+    verify_optimality(problem, g, u, _flow(problem, g), n_perturbations, 50, seed,
+                      policy=policy)
+    etas = _sinusoid_fields(g, g.dim, n_perturbations, _stream(seed, 0x5EED))
+    clip = problem.control_space.clip
+    clipped = 0
+    for k, fields in enumerate(seen):
+        dirs = [spatial * time[k] for spatial, time in etas]
+        ref = np.stack([policy[k]] + [clip(policy[k] + eps * dirs[j])
+                                      for j in range(len(etas)) for eps in cost.EPSILONS])
+        assert np.array_equal(fields, ref)
+        clipped += sum(np.count_nonzero(policy[k] + eps * d != clip(policy[k] + eps * d))
+                       for d in dirs for eps in cost.EPSILONS)
+    assert len(seen) == g.nt
+    assert clipped > 0 or n_perturbations == 0

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from mfgkit.core import MeasureFlow, build_grid
-from mfgkit.measure import (d1_atoms, d1_grid, d1_lp, flow_distance, flow_regularity,
-                            histogram_density, second_moment,
-                            second_moment_atoms)
+from mfgkit.measure import (_cell_counts, _histogram_d1, d1_atoms, d1_grid, d1_lp,
+                            flow_distance, flow_regularity, histogram_density,
+                            second_moment, second_moment_atoms)
 from mfgkit.oracle import heat_flow_density
 from mfgkit.catalog import gaussian_density
 
@@ -337,3 +337,35 @@ def test_flow_regularity_pruning_keeps_the_all_pairs_sup(case, monkeypatch):
     assert rows[0] == g.nt and len(rows) - 1 <= g.nt - 1
     if case not in ("random", "late-jump"):  # smooth: most levels skipped
         assert len(rows) - 1 < g.nt // 4
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cell_counts_equal_ravel_multi_index(dim):
+    # the flat cell index by row-major arithmetic: points inside and outside
+    # the box, and points halfway between two nodes (rint ties to even)
+    g = build_grid(dim, -2.0, 3.0, 26, 1.0, 4)
+    rng = np.random.default_rng(3)
+    lo, hi, h = np.array(g.x_min), np.array(g.x_max), np.array(g.h)
+    pts = np.concatenate([rng.uniform(-4.0, 5.0, (5000, dim)),
+                          lo + (rng.integers(0, g.nx - 1, (50, dim)) + 0.5) * h])
+    assert np.any(pts < lo) and np.any(pts > hi)
+    idx = np.clip(np.rint((pts - lo) / h).astype(int), 0, g.nx - 1)
+    ref = np.bincount(np.ravel_multi_index(tuple(idx.T), g.shape), minlength=g.n_nodes)
+    assert np.array_equal(_cell_counts(pts, g), ref)
+
+
+@pytest.mark.parametrize("levels_per_run", [None, 4, 1])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_histogram_d1_equals_d1_grid_level_by_level(dim, levels_per_run, monkeypatch):
+    # 11 levels: runs of 4 leave a shorter last run, runs of 1 are the loop
+    import mfgkit.core as core
+    g = build_grid(dim, -7.0, 7.0, 31, 1.0, 10)
+    if levels_per_run is not None:
+        monkeypatch.setattr(core, "LEVEL_BATCH", levels_per_run * g.n_nodes)
+    flow = heat_flow_density([0.2] * dim, 0.5, 1.0, g).densities
+    rng = np.random.default_rng(9)
+    n = 700
+    points = [rng.normal(0.3, 1.2, (n, dim)) for _ in flow]
+    counts = np.stack([_cell_counts(x, g) for x in points])
+    ref = [d1_grid(histogram_density(x, g)[0], d, g) for x, d in zip(points, flow)]
+    assert np.array_equal(_histogram_d1(counts, n, flow, g), ref)

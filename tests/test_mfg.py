@@ -549,3 +549,122 @@ def test_pinned_uncontrolled_fp_solve():
         "row_sums": [0.0, 0.0, 1.2314494560551699, 1.3538577650490802],
         "rho": [0.6202777435728078, 1.5809127727912004e-09],
         "pde": [0.0, 0.217438427746401]}
+
+
+def _per_level_residual(problem, grid, u, m, margin):
+    """pde_residual's arithmetic one level at a time, as a reference for the
+    runs of levels it takes."""
+    from mfgkit.core import StepCoefficients, _components, _first_diff, _mixed_diff
+    from mfgkit.mfg import _second_diff
+    policy = feedback_policy(problem, grid, u)
+    coords, dt, h = grid.coords(), grid.dt, grid.h
+    uv, mv = u.values, m.densities
+    hjb_worst = fp_worst = 0.0
+    inner = (grid.interior(margin),) * grid.dim
+    axes = range(grid.dim)
+    for k in range(1, grid.nt):
+        coef = StepCoefficients(problem, grid.time(k), coords, m.view(k))
+        bs, dus = coef.drift(policy[k]), _components(u.du[k], grid.shape)
+        u_t = (uv[k + 1] - uv[k - 1]) / (2 * dt)
+        m_t = (mv[k + 1] - mv[k - 1]) / (2 * dt)
+        adv = sum(bs[d] * dus[d] for d in axes)
+        diff = sum(coef.diag_a[d] * _second_diff(uv[k], h[d], axis=d) for d in axes)
+        q = sum(_second_diff(coef.diag_a[d] * mv[k], h[d], axis=d) for d in axes)
+        div_bm = sum(_first_diff(bs[d] * mv[k], h[d], axis=d) for d in axes)
+        if coef.a12 is not None:
+            diff = diff + 2 * coef.a12 * _mixed_diff(uv[k], h)
+            q = q + 2 * _mixed_diff(coef.a12 * mv[k], h)
+        r_hjb = u_t + adv + diff + coef.cost(policy[k])
+        r_fp = m_t - q + div_bm
+        hjb_worst = max(hjb_worst, float(np.max(np.abs(r_hjb[inner]))))
+        fp_worst = max(fp_worst, float(np.max(np.abs(r_fp[inner]))))
+    return hjb_worst, fp_worst
+
+
+def _residual_case(dim):
+    """A problem, grid and smooth injected (u, m) with a mean-coupled drift
+    and cost; in 2D sigma is correlated at level 3 only, so one level of the
+    residual carries the mixed terms, and sets its maxima."""
+    from mfgkit.core import ProblemSpec, ValueField, gradient_field
+    from mfgkit.oracle import heat_flow_density
+    if dim == 1:
+        e = get_entry("example5-weak")
+        g = build_grid(1, -6.0, 6.0, 41, 1.0, 12)
+        return e.problem, g, lq_riccati_value(0.5, g), heat_flow_density(
+            0.3, 0.25, 1.0, g)
+    g = build_grid(2, -6.0, 6.0, 21, 0.5, 8)
+
+    def sigma(t, x, m):
+        sig = np.zeros(x.shape[:-1] + (2, 2))
+        sig[..., 0, 0] = np.sqrt(2.0) * (1.0 + 0.2 * np.tanh(x[..., 0] + 0.5 * x[..., 1]))
+        if round(t / g.dt) == 3:
+            sig[..., 0, 1] = 3.0 * (1.0 + 0.5 * np.tanh(x[..., 1]))
+        sig[..., 1, 1] = np.sqrt(2.0) * (1.0 + 0.2 * np.tanh(x[..., 0]))
+        return sig
+    p = ProblemSpec(
+        dim=2, horizon=0.5, drift_b0=lambda t, x, m: 0.3 * np.tanh(m.mean - x),
+        drift_b1=lambda t, x, a: a, diffusion_sigma=sigma,
+        running_f0=lambda t, x, m: 0.1 * np.tanh(((x - m.mean) ** 2).sum(-1)),
+        running_f1=lambda t, x, a: 0.5 * (a ** 2).sum(axis=-1),
+        terminal_g=lambda x, m: np.zeros(x.shape[:-1]),
+        initial_density=lambda x: np.exp(-(x ** 2).sum(-1)),
+        closed_form_phi=lambda t, x, q: -q, gamma1=0.5, gamma2=3.0)
+    c = g.coords()
+    vals = np.stack([np.sin(0.4 * c[..., 0] + t) * np.cos(0.3 * c[..., 1] + 0.5)
+                     for t in g.times])
+    u = ValueField(vals, np.stack([gradient_field(v, g) for v in vals]), g)
+    return p, g, u, heat_flow_density([0.3, -0.2], 0.5, np.sqrt(2.0), g)
+
+
+@pytest.mark.parametrize("levels_per_run", [None, 3, 1])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_pde_residual_on_runs_of_levels_equals_the_per_level_loop(
+        dim, levels_per_run, monkeypatch):
+    # runs of 3 levels leave a shorter last run (11 and 7 levels), runs of 1
+    # are the per-level loop; None keeps the module's budget
+    import mfgkit.core as core
+    p, g, u, m = _residual_case(dim)
+    if levels_per_run is not None:
+        monkeypatch.setattr(core, "LEVEL_BATCH", levels_per_run * g.n_nodes)
+        assert (g.nt - 1) % levels_per_run != 0 or levels_per_run == 1
+    if dim == 2:  # exactly one level has the mixed terms
+        from mfgkit.core import StepCoefficients
+        mixed = [k for k in range(1, g.nt) if StepCoefficients(
+            p, g.time(k), g.coords(), m.view(k)).a12 is not None]
+        assert mixed == [3]
+    for margin in (0, 1, 3):
+        got = pde_residual(p, g, u, m, margin=margin)
+        assert got == _per_level_residual(p, g, u, m, margin)
+        assert got[0] > 0 and got[1] > 0
+
+
+def test_level_batched_loops_keep_their_arrays_to_the_budget():
+    # lq-riccati's catalog grid (241 x 1000): pde_residual holds the feedback
+    # policy of every level plus a bounded number of run-sized arrays, and
+    # the law profile only run-sized arrays. An all-levels pde_residual would
+    # hold about 18 arrays of 241 x 1001 doubles (35 MB), an all-levels law
+    # profile about 4 (8 MB)
+    import tracemalloc
+    from mfgkit.core import LEVEL_BATCH
+    from mfgkit.measure import _histogram_d1
+    e = get_entry("lq-riccati")
+    g = e.grid
+    u = lq_riccati_value(0.5, g)
+    m0, _ = discretize_initial_density(e.problem, g)
+    flow = MeasureFlow.constant_in_time(m0, g)
+    run_bytes = LEVEL_BATCH * 8
+    policy_bytes = (g.nt + 1) * g.n_nodes * 8
+    rng = np.random.default_rng(5)
+    counts = np.stack([np.bincount(rng.integers(0, g.n_nodes, 500), minlength=g.n_nodes)
+                       for _ in range(g.nt + 1)])
+    tracemalloc.start()
+    try:
+        pde_residual(e.problem, g, u, flow)
+        pde_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        _histogram_d1(counts, 500, flow.densities, g)
+        law_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pde_peak < policy_bytes + 24 * run_bytes
+    assert law_peak < 8 * run_bytes

@@ -393,11 +393,12 @@ def test_each_range_draws_the_normals_up_to_its_last_column(tmp_path, monkeypatc
     monkeypatch.setenv("MFGKIT_THREADS", "3")
     _march(e.problem, g, _flow(e.problem, g), lambda k: policy[k][None], 1, 41, 29)
     assert len(forks) == 2
+    ranges = particle._ranges(41, 3, 1, 1)
     parent = (tmp_path / str(os.getpid())).read_text().split()
-    assert parent == [str((13,))] * g.nt  # range 0: columns 0-12
+    assert parent == [str((ranges[0].stop,))] * g.nt
     workers = sorted(p.read_text() for p in tmp_path.iterdir()
                      if p.name != str(os.getpid()))
-    assert workers == [f"{(cols.stop,)}\n" * g.nt for cols in particle._split(41, 3)[1:]]
+    assert workers == sorted(f"{(cols.stop,)}\n" * g.nt for cols in ranges[1:])
 
 
 def _split_cost(monkeypatch, drift):
@@ -535,3 +536,50 @@ def test_observed_march_stays_in_one_process(monkeypatch, forks):
     assert forks == []
     law_check(p, g, _flow(p, g), None, 41, seed=3)
     assert len(forks) == 1
+
+
+@pytest.mark.parametrize("levels_per_run", [None, 7, 1])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_law_profiles_equal_the_per_level_histogram_distance(dim, levels_per_run,
+                                                             monkeypatch):
+    # compare_law and the march's law profile take d1 on runs of levels (51
+    # levels: runs of 7 leave a shorter last run); each level equals d1_grid
+    # of histogram_density of that level's points
+    import mfgkit.core as core
+    from mfgkit.measure import d1_grid
+    if dim == 1:
+        problem, policy = get_entry("uncontrolled-fp").problem, None
+        g = build_grid(1, -8.0, 8.0, 161, 1.0, 50)
+    else:
+        problem, g = _correlated_2d(), build_grid(2, -4.0, 4.0, 21, 0.5, 50)
+        policy = np.stack([-(1.0 - t) * g.coords() for t in g.times])
+    if levels_per_run is not None:
+        monkeypatch.setattr(core, "LEVEL_BATCH", levels_per_run * g.n_nodes)
+    flow = _flow(problem, g)
+    ens = simulate(problem, g, flow, policy, 300, seed=13)
+    ref = np.array([d1_grid(histogram_density(x, g)[0], d, g)
+                    for x, d in zip(ens.positions, flow.densities)])
+    assert np.array_equal(compare_law(ens, flow, g), ref)
+    assert np.array_equal(law_check(problem, g, flow, policy, 300, seed=13)[0], ref)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_ranges_share_the_march_work_evenly(dim):
+    # a range of width w ending at column b does members * w member-path-steps
+    # and draws b columns' normals per step: the split evens that out to
+    # within rounding, and every range keeps a column for any n >= parts
+    import mfgkit.particle as particle
+    cost = particle.NORMAL_COST[dim - 1]
+    for parts in (1, 2, 3, 4):
+        for members in (1, 3, 11):
+            for n in list(range(parts, 60)) + [997, 10_000]:
+                ranges = particle._ranges(n, parts, members, dim)
+                assert len(ranges) == parts
+                assert [r.start for r in ranges] == [0] + [r.stop for r in ranges[:-1]]
+                assert ranges[-1].stop == n
+                assert all(r.stop > r.start for r in ranges)
+                work = [members * (r.stop - r.start) + cost * r.stop for r in ranges]
+                if n >= 997:
+                    assert max(work) - min(work) <= 2 * (members + cost)
+    # verify-lq's split: 11 members in 2 processes, 10,000 paths
+    assert particle._ranges(10_000, 2, 11, 1)[0] == slice(0, 5217)

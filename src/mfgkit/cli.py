@@ -31,7 +31,7 @@ from .particle import _fork_map, _process_count, law_check
 
 SCHEMA_VERSION = 1
 CHECKPOINT_MAGIC = b"MFGK"
-CHECKPOINT_VERSION = 2  # version 2 appends a CRC32 trailer; version 1 still loads
+CHECKPOINT_VERSION = 3  # 3 adds the mixing history, 2 the CRC32 trailer; 1 and 2 still load
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -159,6 +159,9 @@ def write_checkpoint(path: Path, grid, state) -> None:
         yield res
         yield struct.pack("<I", state.mu.size)
         yield np.ascontiguousarray(state.mu, dtype="<f8")
+        yield struct.pack("<I", len(state.last_pair))
+        for flow in state.last_pair:
+            yield np.ascontiguousarray(flow, dtype="<f8")
 
     crc = 0
     with _replacing(path, "wb") as fh:
@@ -169,15 +172,27 @@ def write_checkpoint(path: Path, grid, state) -> None:
 
 
 def read_checkpoint(path: Path, grid):
+    """The state write_checkpoint stored; ValueError on a file that is not
+    exactly one checkpoint of this grid. Versions 1 and 2 load with an empty
+    mixing history."""
     raw = path.read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path} is not a checkpoint (bad magic)")
     off = 4
+    shape = (grid.nt + 1,) + grid.shape
+
+    def flow(size):
+        nonlocal off
+        out = np.frombuffer(raw, dtype="<f8", count=size, offset=off)
+        off += 8 * size
+        return out.reshape(shape).copy()
     try:
         (version,) = struct.unpack_from("<I", raw, off); off += 4
-        if version == 2:
-            (crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
-            if zlib.crc32(memoryview(raw)[:-4]) != crc:
+        end = len(raw)
+        if version in (2, 3):
+            end -= 4
+            (crc,) = struct.unpack_from("<I", raw, end)
+            if zlib.crc32(memoryview(raw)[:end]) != crc:
                 raise ValueError("checksum mismatch (corrupt or truncated file)")
         elif version != 1:
             raise ValueError(f"unsupported version {version}")
@@ -188,11 +203,19 @@ def read_checkpoint(path: Path, grid):
         res = np.frombuffer(raw, dtype="<f8", count=nres, offset=off).tolist()
         off += 8 * nres
         (size,) = struct.unpack_from("<I", raw, off); off += 4
-        mu = np.frombuffer(raw, dtype="<f8", count=size, offset=off)
-        mu = mu.reshape((grid.nt + 1,) + grid.shape).copy()
+        mu = flow(size)
+        pair = ()
+        if version == 3:
+            (count,) = struct.unpack_from("<I", raw, off); off += 4
+            if count not in (0, 2):
+                raise ValueError(f"mixing history of {count} flows")
+            pair = tuple(flow(size) for _ in range(count))
+        if off != end:
+            raise ValueError(f"{end - off} bytes past the stored state")
     except (struct.error, ValueError) as e:  # a short or corrupt payload too
         raise ValueError(f"checkpoint {path}: {e}") from None
-    return mfg.IterationState(iteration=iteration, mu=mu, residual_history=res)
+    return mfg.IterationState(iteration=iteration, mu=mu, residual_history=res,
+                              last_pair=pair)
 
 
 def _write_field_csv(path: Path, grid, values) -> None:

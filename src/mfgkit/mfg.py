@@ -3,11 +3,21 @@ and the Picard iteration that produces the MFG solution.
 
 Each outer step records the map residual r_k = d1(mu_k, Phi(mu_k)) and stops
 once r_k <= tol, so the returned m is within tol of the flow u was solved
-against. The iteration takes the full step mu_{k+1} = Phi(mu_k) while every
-recorded residual has strictly decreased; from the first step whose residual
-did not decrease it takes the theta-damped step to the end of the run (never
-switching back, so an overshooting full step cannot alternate with a damped
-one). The rule reads only the residual history, so a resumed run repeats it.
+against. While every recorded residual has strictly decreased the iteration
+takes the one-secant Anderson step (Anderson mixing of depth 1, Walker & Ni,
+SIAM J. Numer. Anal. 49(4), 2011): with the last map input and output
+(x_{k-1}, g_{k-1}), f = g - x and df = f_k - f_{k-1}, it steps to
+g_k - gamma (g_k - g_{k-1}), gamma = <df, f_k> / <df, df>, clipped at zero
+and renormalized to unit mass on every level past 0 (level 0, m0, is the
+map's own). The sums are plain elementwise products, so no BLAS thread pool
+wakes on a flow-sized array. The step is the plain full step
+mu_{k+1} = Phi(mu_k) where it cannot or need not mix: the first step, a step
+whose residual meets tol, and every step of a map that read no view of its
+flow. From the first step whose residual did not decrease the iteration
+takes the theta-damped step to the end of the run (never switching back, so
+an overshooting step cannot alternate with a damped one). The rule reads
+only the residual history and the last map pair, both in `IterationState`,
+so a resumed run repeats it.
 For instances whose map ignores the measure the iteration terminates in
 exactly two steps with a zero second residual. It applies such a map once:
 when no callback read a view of the flow during one application (callbacks
@@ -78,11 +88,17 @@ class FixedPointReport:
 
 @dataclass
 class IterationState:
-    """Resumable outer-iteration state (serialized by the CLI checkpoint)."""
+    """Resumable outer-iteration state (serialized by the CLI checkpoint).
+
+    last_pair is the mixing history: the last map input and output
+    (mu_k, Phi(mu_k)) that the next step mixes with, or () where the next
+    step cannot mix (after a damped step, or for a map that reads no flow).
+    """
 
     iteration: int
     mu: np.ndarray
     residual_history: list
+    last_pair: tuple = ()
 
 
 def feedback_policy(problem: ProblemSpec, grid: Grid, u: ValueField) -> np.ndarray:
@@ -112,8 +128,9 @@ def solve_mfg(problem: ProblemSpec, grid: Grid,
               hjb_config: HjbSolverConfig = HjbSolverConfig(),
               initial_state: Optional[IterationState] = None,
               on_iteration=None):
-    """Picard iteration on the measure flow: full steps while the map residual
-    contracts, theta-damped steps from its first non-decrease on.
+    """Picard iteration on the measure flow: one-secant Anderson steps while
+    the map residual contracts, theta-damped steps from its first
+    non-decrease on (module docstring).
 
     Non-convergence within max_iters returns the last map output with
     converged=False (existence is known, convergence of the iteration is not).
@@ -128,10 +145,12 @@ def solve_mfg(problem: ProblemSpec, grid: Grid,
         mu = MeasureFlow(initial_state.mu.copy(), grid)
         report.residual_history = list(initial_state.residual_history)
         start = initial_state.iteration
+        last = initial_state.last_pair
     else:
         m0, _ = discretize_initial_density(problem, grid)
         mu = MeasureFlow.constant_in_time(m0, grid)
         start = 0
+        last = ()
 
     u = m = None
     constant = False  # no callback read the flow: every later map is (u, m)
@@ -145,13 +164,18 @@ def solve_mfg(problem: ProblemSpec, grid: Grid,
         history = report.residual_history
         history.append(r)
         if all(b < a for a, b in zip(history, history[1:])):
-            mu = m
+            pair = () if constant else (mu.densities, m.densities)
+            mu = (MeasureFlow(_secant_step(pair, last, grid), grid)
+                  if pair and last and r > config.tol else m)
+            last = pair
         else:
             mu = MeasureFlow((1.0 - config.theta) * mu.densities
                              + config.theta * m.densities, grid)
+            last = ()
         if on_iteration is not None:
             on_iteration(IterationState(iteration=it, mu=mu.densities.copy(),
-                                        residual_history=list(history)))
+                                        residual_history=list(history),
+                                        last_pair=last))
         if r <= config.tol:
             converged = True
             break
@@ -163,6 +187,30 @@ def solve_mfg(problem: ProblemSpec, grid: Grid,
     report.final_flow_regularity = flow_regularity(m, grid)
     report.pde_residuals = pde_residual(problem, grid, u, m)
     return u, m, report
+
+
+def _secant_step(pair: tuple, last: tuple, grid: Grid) -> np.ndarray:
+    """The one-secant Anderson step from the map pairs (x_k, g_k) and
+    (x_{k-1}, g_{k-1}): g_k - gamma (g_k - g_{k-1}) on levels 1..nt, clipped
+    at zero and renormalized per level; level 0 is g_k's. The plain step g_k
+    where the two residual vectors coincide (gamma undefined)."""
+    (x, g), (x_last, g_last) = pair, last
+    out = g.copy()
+    x, g, x_last, g_last = x[1:], g[1:], x_last[1:], g_last[1:]
+    f = g - x
+    df = f - (g_last - x_last)
+    den = np.sum(df * df)
+    if not den > 0:
+        return out
+    gamma = np.sum(df * f) / den
+    step = g - g_last
+    step *= gamma
+    mixed = out[1:]
+    mixed -= step
+    np.maximum(mixed, 0.0, out=mixed)
+    mass = mixed.sum(axis=tuple(range(1, mixed.ndim))) * grid.cell_volume
+    mixed /= mass.reshape(mass.shape + (1,) * (mixed.ndim - 1))
+    return out
 
 
 def pde_residual(problem: ProblemSpec, grid: Grid, u: ValueField, m: MeasureFlow,

@@ -1,5 +1,6 @@
 import io
 import json
+import zlib
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -305,8 +306,9 @@ def test_invalid_threads_override_is_config_error_without_artifacts(
 
 def test_checkpoint_roundtrip_and_grid_guard(tmp_path):
     grid = build_grid(1, -6.0, 6.0, 41, 1.0, 20)
-    mu = np.random.default_rng(0).random((21, 41))
-    st = IterationState(iteration=4, mu=mu, residual_history=[0.5, 0.25, 0.1, 0.04])
+    mu, x, g = np.random.default_rng(0).random((3, 21, 41))
+    st = IterationState(iteration=4, mu=mu, residual_history=[0.5, 0.25, 0.1, 0.04],
+                        last_pair=(x, g))
     path = tmp_path / "checkpoint.bin"
     write_checkpoint(path, grid, st)
     assert path.read_bytes()[:4] == b"MFGK"
@@ -314,6 +316,8 @@ def test_checkpoint_roundtrip_and_grid_guard(tmp_path):
     assert back.iteration == 4
     assert back.residual_history == st.residual_history
     assert np.array_equal(back.mu, mu)
+    assert len(back.last_pair) == 2
+    assert np.array_equal(back.last_pair[0], x) and np.array_equal(back.last_pair[1], g)
     other = build_grid(1, -6.0, 6.0, 61, 1.0, 20)
     with pytest.raises(ValueError, match="grid"):
         read_checkpoint(path, other)
@@ -321,9 +325,8 @@ def test_checkpoint_roundtrip_and_grid_guard(tmp_path):
 
 def test_every_bit_flip_fails_the_checkpoint_read(tmp_path):
     grid = build_grid(1, -1.0, 1.0, 5, 1.0, 2)
-    st = IterationState(iteration=2, mu=np.full((3, 5), 0.5), residual_history=[0.3, 0.1])
     path = tmp_path / "checkpoint.bin"
-    write_checkpoint(path, grid, st)
+    write_checkpoint(path, grid, _state_with_history())
     raw = path.read_bytes()
     for bit in range(8 * len(raw)):
         flipped = bytearray(raw)
@@ -333,18 +336,71 @@ def test_every_bit_flip_fails_the_checkpoint_read(tmp_path):
             read_checkpoint(path, grid)
 
 
+def _state_with_history():
+    """A state on build_grid(1, -1.0, 1.0, 5, 1.0, 2) that carries a map pair."""
+    return IterationState(iteration=2, mu=np.full((3, 5), 0.5), residual_history=[0.3, 0.1],
+                          last_pair=(np.full((3, 5), 0.25), np.full((3, 5), 0.75)))
+
+
+def _older_versions(raw, size):
+    """The version 1 and version 2 files of a version 3 file whose history
+    holds two flows of `size` entries: version 2 is version 3 without the
+    history block, version 1 is version 2 without the CRC32 trailer."""
+    body = raw[8:len(raw) - 4 - 4 - 2 * 8 * size]
+    v2 = raw[:4] + (2).to_bytes(4, "little") + body
+    return (raw[:4] + (1).to_bytes(4, "little") + body,
+            v2 + zlib.crc32(v2).to_bytes(4, "little"))
+
+
+def test_every_truncation_fails_the_checkpoint_read(tmp_path):
+    grid = build_grid(1, -1.0, 1.0, 5, 1.0, 2)
+    path = tmp_path / "checkpoint.bin"
+    write_checkpoint(path, grid, _state_with_history())
+    raw = path.read_bytes()
+    for n in range(len(raw)):
+        path.write_bytes(raw[:n])
+        with pytest.raises(ValueError):
+            read_checkpoint(path, grid)
+
+
+def test_version_1_and_2_checkpoints_load_with_an_empty_history(tmp_path):
+    grid = build_grid(1, -1.0, 1.0, 5, 1.0, 2)
+    st = _state_with_history()
+    path = tmp_path / "checkpoint.bin"
+    write_checkpoint(path, grid, st)
+    raw = path.read_bytes()
+    assert raw[4:8] == (3).to_bytes(4, "little")
+    for old in _older_versions(raw, st.mu.size):
+        path.write_bytes(old)
+        back = read_checkpoint(path, grid)
+        assert back.last_pair == ()
+        assert back.iteration == st.iteration
+        assert back.residual_history == st.residual_history
+        assert np.array_equal(back.mu, st.mu)
+
+
 def test_version_1_checkpoint_still_resumes(tmp_path):
-    # version 1 is version 2 without the CRC32 trailer
-    full, part = tmp_path / "full", tmp_path / "part"
-    assert main(["solve"] + TINY + ["--out", str(full)]) == EXIT_OK
+    # a version 1 file has no mixing history, so its resume restarts the
+    # mixing: it matches a library run resumed from the same flow with an
+    # empty history
+    from mfgkit.catalog import get_entry
+    from mfgkit.mfg import FixedPointConfig, solve_mfg
+    part = tmp_path / "part"
     assert main(["solve"] + TINY + ["--max-iters", "2", "--out", str(part)]) == EXIT_VERIFY
     ckpt = part / "checkpoint.bin"
-    raw = ckpt.read_bytes()
-    assert raw[4:8] == (2).to_bytes(4, "little")
-    ckpt.write_bytes(raw[:4] + (1).to_bytes(4, "little") + raw[8:-4])
+    grid = build_grid(1, -6.0, 6.0, 41, 1.0, 20)
+    st = read_checkpoint(ckpt, grid)
+    assert len(st.last_pair) == 2
+    ckpt.write_bytes(_older_versions(ckpt.read_bytes(), st.mu.size)[0])
     assert main(["resume", "--out", str(part), "--max-iters", "50"]) == EXIT_OK
-    for name in ("u_field.csv", "m_flow.csv", "residuals.csv"):
-        assert (full / name).read_bytes() == (part / name).read_bytes()
+    u, m, rep = solve_mfg(get_entry("example5-weak").problem, grid,
+                          FixedPointConfig(max_iters=50),
+                          initial_state=IterationState(st.iteration, st.mu,
+                                                       st.residual_history))
+    assert np.array_equal(read_field_csv(part / "u_field.csv", grid), u.values)
+    assert np.array_equal(read_field_csv(part / "m_flow.csv", grid), m.densities)
+    rows = (part / "residuals.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[1]) for row in rows] == rep.residual_history
 
 
 class _FailsAtLevel:

@@ -96,17 +96,39 @@ def test_map_solves_per_outer_iteration(monkeypatch, name, solves):
     assert calls == {"hjb": solves, "fp": solves}
 
 
-def _reference_solve(problem, grid, config, mu, history):
-    """solve_mfg written out: one map application per outer iteration."""
+def _secant(x, g, x_last, g_last, grid):
+    """The one-secant Anderson step written out: g - gamma (g - g_last) on
+    levels 1..nt with gamma = <df, f> / <df, df>, f = g - x, then each level
+    clipped at zero and divided by its mass; level 0 is g's."""
+    f, f_last = (g - x)[1:], (g_last - x_last)[1:]
+    gamma = np.sum((f - f_last) * f) / np.sum((f - f_last) * (f - f_last))
+    out = g.copy()
+    out[1:] = np.maximum(g[1:] - gamma * (g[1:] - g_last[1:]), 0.0)
+    for k in range(1, grid.nt + 1):
+        out[k] /= out[k].sum() * grid.cell_volume
+    return out
+
+
+def _reference_solve(problem, grid, config, mu, history, mixing=True):
+    """solve_mfg written out: one map application per outer iteration, and
+    from the second full step on the secant step (the plain step with
+    mixing=False, or once r meets tol)."""
+    last = None
     for it in range(1, config.max_iters + 1):
         u, m = apply_phi(problem, grid, mu)
         r = flow_distance(mu, m, grid)
         history.append(r)
         if all(b < a for a, b in zip(history, history[1:])):
-            mu = m
+            pair = (mu.densities, m.densities)
+            if mixing and last is not None and r > config.tol:
+                mu = MeasureFlow(_secant(*pair, *last, grid), grid)
+            else:
+                mu = m
+            last = pair
         else:
             mu = MeasureFlow((1.0 - config.theta) * mu.densities
                              + config.theta * m.densities, grid)
+            last = None
         if r <= config.tol:
             break
     return u, m, history, it
@@ -342,7 +364,8 @@ def test_converged_flow_is_within_tol_of_the_flow_u_was_solved_against():
 
 def test_damped_steps_follow_the_first_non_contracting_residual(monkeypatch):
     # the third map solve returns the initial flow, so r rises there: the two
-    # steps before it are full, it and every later step are theta-damped
+    # steps before it are full (plain, then the secant step), it and every
+    # later step are theta-damped
     import mfgkit.mfg as mfg
     from mfgkit.mfg import IterationState
     e = get_entry("example5-weak")
@@ -365,8 +388,14 @@ def test_damped_steps_follow_the_first_non_contracting_residual(monkeypatch):
     r = rep_full.residual_history
     assert all(r[i + 1] < r[i] for i in range(spike - 2)) and r[spike - 1] >= r[spike - 2]
     for i, (st, (mu, m)) in enumerate(zip(states, calls)):
-        expected = m if i < spike - 1 else (1.0 - theta) * mu + theta * m
+        if i == 0:
+            expected = m
+        elif i < spike - 1:  # the secant step from the first two map pairs
+            expected = _secant(mu, m, *calls[i - 1], g)
+        else:
+            expected = (1.0 - theta) * mu + theta * m
         assert np.array_equal(st.mu, expected)
+        assert len(st.last_pair) == (2 if i < spike - 1 else 0)
 
     st = states[spike]  # two damped steps in
     resumed = IterationState(iteration=st.iteration, mu=st.mu.copy(),
@@ -376,6 +405,107 @@ def test_damped_steps_follow_the_first_non_contracting_residual(monkeypatch):
     assert rep_res.residual_history == rep_full.residual_history
     assert np.array_equal(u_res.values, u_full.values)
     assert np.array_equal(m_res.densities, m_full.densities)
+
+
+def _assert_valid_flows(states, m0, grid):
+    """Every stored flow is nonnegative, has unit mass on every level within
+    MASS_TOL and keeps m0 on level 0 bit for bit."""
+    from mfgkit.core import MASS_TOL
+    for st in states:
+        assert st.mu.min() >= 0.0
+        assert np.max(np.abs(st.mu.sum(axis=1) * grid.cell_volume - 1.0)) <= MASS_TOL
+        assert np.array_equal(st.mu[0], m0)
+
+
+def test_strong_coupling_takes_at_most_half_the_plain_map_solves():
+    # example5 at kappa = 10, the coupling 100 times the catalog's, on a
+    # reduced grid (nt = 150 keeps its FP march positive): the plain full
+    # steps contract slowly (29 map solves), the secant steps reach tol in at
+    # most half as many (9), every flow a valid one
+    from mfgkit.catalog import _example5_weak
+    e = _example5_weak(10.0)
+    g = _small_grid(e, nx=61, nt=150)
+    m0, _ = discretize_initial_density(e.problem, g)
+    states = []
+    _, m, rep = solve_mfg(e.problem, g, e.fixed_point, on_iteration=states.append)
+    _, _, plain, n_plain = _reference_solve(
+        e.problem, g, e.fixed_point, MeasureFlow.constant_in_time(m0, g), [],
+        mixing=False)
+    assert rep.converged and plain[-1] <= e.fixed_point.tol
+    assert 2 * rep.iterations_used <= n_plain
+    assert all(len(st.last_pair) == 2 for st in states)
+    _assert_valid_flows(states, m0, g)
+
+
+def test_an_overshooting_secant_step_is_clipped_and_renormalized(monkeypatch):
+    # the map returns A = (x1 + 2S)/3 and then S, for the start flow x1 and a
+    # flow S of m0 shifted by 12 nodes past level 0: the residual halves, so
+    # the second step mixes, with gamma = -1, to 4S/3 - x1/3, negative where
+    # S < x1/4
+    import mfgkit.mfg as mfg
+    e = get_entry("example5-weak")
+    g = _small_grid(e, nx=81, nt=60)
+    m0, _ = discretize_initial_density(e.problem, g)
+    x1 = MeasureFlow.constant_in_time(m0, g).densities
+    shifted = x1.copy()
+    shifted[1:] = np.roll(m0, 12)
+    shifted[1:] /= shifted[1].sum() * g.cell_volume
+    first = (x1 + 2 * shifted) / 3
+    first[0] = m0
+    outputs = [first, shifted]
+    real_phi = mfg.apply_phi
+
+    def phi(problem, grid, mu, *args):
+        u, m = real_phi(problem, grid, mu, *args)
+        return u, (MeasureFlow(outputs.pop(0), grid) if outputs else m)
+    monkeypatch.setattr(mfg, "apply_phi", phi)
+    states = []
+    solve_mfg(e.problem, g, FixedPointConfig(max_iters=2), on_iteration=states.append)
+    r = states[-1].residual_history
+    assert r[1] < r[0]
+    raw = (4 * shifted - x1) / 3
+    assert raw.min() < -0.1
+    mixed = states[1].mu
+    assert np.all(mixed[raw < 0] == 0.0)
+    clipped = np.maximum(raw[1:], 0.0)
+    expected = clipped / (clipped.sum(axis=1, keepdims=True) * g.cell_volume)
+    assert np.allclose(mixed[1:], expected, rtol=1e-12, atol=1e-15)
+    _assert_valid_flows(states, m0, g)
+
+
+@pytest.mark.parametrize("name, kept", [("example5-weak", 2), ("lq-riccati", 0)])
+def test_every_stored_flow_of_a_run_is_a_valid_flow(name, kept):
+    # the step that meets tol is plain, so the last stored flow is the
+    # returned m; a map that reads no flow (lq-riccati) keeps no map pair
+    e = get_entry(name)
+    g = _small_grid(e, nx=81, nt=60)
+    m0, _ = discretize_initial_density(e.problem, g)
+    states = []
+    _, m, rep = solve_mfg(e.problem, g, e.fixed_point, on_iteration=states.append)
+    assert rep.converged
+    _assert_valid_flows(states, m0, g)
+    assert np.array_equal(states[-1].mu, m.densities)
+    assert [len(st.last_pair) for st in states] == [kept] * len(states)
+
+
+def test_resume_from_every_state_continues_identically():
+    # each stored state carries the map pair the next step mixes with, so a
+    # run resumed from any of them repeats the uninterrupted one bit for bit
+    from mfgkit.mfg import IterationState
+    e = get_entry("example5-weak")
+    g = _small_grid(e, nx=81, nt=60)
+    states = []
+    u_full, m_full, rep_full = solve_mfg(e.problem, g, e.fixed_point,
+                                         on_iteration=states.append)
+    assert len(states) == 4
+    for st in states[:-1]:
+        resumed = IterationState(st.iteration, st.mu.copy(),
+                                 list(st.residual_history),
+                                 tuple(a.copy() for a in st.last_pair))
+        u, m, rep = solve_mfg(e.problem, g, e.fixed_point, initial_state=resumed)
+        assert rep.residual_history == rep_full.residual_history
+        assert np.array_equal(u.values, u_full.values)
+        assert np.array_equal(m.densities, m_full.densities)
 
 
 def test_example5_reaches_tol_within_six_outer_iterations(solved):
@@ -468,18 +598,18 @@ def _fingerprint(u, m, rep, node):
 
 def test_pinned_example5_solve():
     # literal values pin the 1D HJB and exponential-flux FP steps, the Picard
-    # step rule and the PDE residual, bit for bit
+    # step rule with its secant steps and the PDE residual, bit for bit
     e = get_entry("example5-weak")
     g = build_grid(1, -6.0, 6.0, 61, 1.0, 40)
     u, m, rep = solve_mfg(e.problem, g, e.fixed_point)
     assert _fingerprint(u, m, rep, 35) == {
-        "u": [0.8783034197607609, 0.6916443444746894],
-        "m": [0.3539440620640037, 0.309811209446636],
-        "row_sums": [227.8189820974364, 267.6492132791748,
-                     1.4453075875477643, 1.7447129828766992],
+        "u": [0.8783027114005915, 0.6916439980972715],
+        "m": [0.3539431302765417, 0.30980825523815086],
+        "row_sums": [227.81889731049745, 267.6491709622976,
+                     1.4453128722117503, 1.744730266332123],
         "rho": [0.4066076263949769, 0.017722531905037184,
-                0.0013681856141107846, 9.928074199669084e-05],
-        "pde": [0.11715776555611335, 0.20391780124864667]}
+                0.0012936707750345088, 3.7451145200955793e-06],
+        "pde": [0.11716968121003557, 0.203917853832018]}
 
 
 def test_pinned_2d_correlated_solve():

@@ -324,7 +324,7 @@ def _run_locked(config: RunConfig, entry, grid, solver, out: Path,
             return EXIT_CONFIG
 
     config.to_file(out / "run_config.txt")
-    t_start = time.time()
+    t_start = time.monotonic()
     try:
         u, m, report = mfg.solve_mfg(
             entry.problem, grid, *solver,
@@ -410,7 +410,7 @@ def _run_locked(config: RunConfig, entry, grid, solver, out: Path,
 
     summary["checks"] = checks
     summary["all_checks_passed"] = all(checks.values())
-    summary["runtime_seconds"] = time.time() - t_start
+    summary["runtime_seconds"] = time.monotonic() - t_start
     with _replacing(out / "summary.json") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")

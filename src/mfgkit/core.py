@@ -274,12 +274,9 @@ class MeasureView:
     @property
     def mean(self):
         if self._mean is None:
-            w = self.density * self.grid.cell_volume
-            if self.grid.dim == 1:
-                self._mean = float(np.sum(w * self.grid.axis(0)))
-            else:
-                x = self.grid.coords()
-                self._mean = np.tensordot(w, x, axes=([0, 1], [0, 1]))
+            w, x = self.density * self.grid.cell_volume, self.grid.coords()
+            self._mean = float(np.sum(w * x)) if self.grid.dim == 1 else \
+                np.sum(w[..., None] * x, axis=(0, 1))
         return self._mean
 
     @property
@@ -463,59 +460,45 @@ def _mixed_diff(v: np.ndarray, h: tuple) -> np.ndarray:
     return out
 
 
-_GBTRF, _GBTRS, _GTTRF, _GTTRS = get_lapack_funcs(
-    ("gbtrf", "gbtrs", "gttrf", "gttrs"), dtype=np.float64)
+_GTTRF, _GTTRS = get_lapack_funcs(("gttrf", "gttrs"), dtype=np.float64)
 _GBMV = get_blas_funcs("gbmv", dtype=np.float64)
 
 
 class LineSystem:
     """The implicit-diffusion systems of every grid line along one axis as one
-    block-diagonal banded system, assembled and LU-factored once per distinct
-    diffusion array.
+    block-diagonal tridiagonal system, assembled and LU-factored once per
+    distinct diffusion array.
 
     band(a, *args) assembles the lines' matrices from the diffusion array a
-    (line axis last) in diagonal-ordered form, shape (2 w + 1,) + a.shape; its
-    entries reaching past a line's ends must be zero, so no two lines couple.
-    A tridiagonal band (w = 1) is factored by gttrf, a wider one by gbtrf.
-    LAPACK's gtsv and gbsv are these factorizations followed by gttrs and
-    gbtrs, so a solve gives the bits of one gtsv or gbsv call on the band.
+    (line axis last) in diagonal-ordered form, shape (3,) + a.shape: the
+    superdiagonal, the diagonal and the subdiagonal. Its entries reaching past
+    a line's ends must be zero, so no two lines couple. LAPACK's gtsv is gttrf
+    followed by gttrs, so a solve gives the bits of one gtsv call on the band.
     """
 
     def __init__(self, band: Callable, *args):
         self._assemble, self._args = band, args
         self.a = None         # the diffusion array band and factors come from
-        self.band = None      # (2 w + 1, lines * nodes), Fortran order for gbmv
+        self.band = None      # (3, lines * nodes), Fortran order for gbmv
         self._factors = None
 
     def solve(self, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve every line's system at diffusion a for rhs of a's shape,
-        refactoring only when a is not bitwise equal to self.a."""
-        if self.a is None or not np.array_equal(a, self.a):
+        refactoring only when a is neither self.a nor bitwise equal to it."""
+        if a is not self.a and (self.a is None or not np.array_equal(a, self.a)):
             self._factor(a)
-        w = self.band.shape[0] // 2
-        if w == 1:
-            x, info = _GTTRS(*self._factors, rhs.reshape(-1))
-        else:
-            lu, piv = self._factors
-            x, info = _GBTRS(lu, w, w, rhs.reshape(-1), piv)
+        self.a = a
+        x, info = _GTTRS(*self._factors, rhs.reshape(-1))
         _check_info(info)
         return x.reshape(rhs.shape)
 
     def residual(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """A x - rhs, flat, for the stored band in one BLAS gbmv call."""
-        n, w = x.size, self.band.shape[0] // 2
-        return _GBMV(n, n, w, w, 1.0, self.band, x.ravel(), beta=-1.0, y=rhs.ravel())
+        return _GBMV(x.size, x.size, 1, 1, 1.0, self.band, x.ravel(), beta=-1.0, y=rhs.ravel())
 
     def _factor(self, a: np.ndarray) -> None:
-        band = self._assemble(a, *self._args)
-        w = band.shape[0] // 2
-        band = band.reshape(2 * w + 1, -1)
-        if w == 1:
-            *factors, info = _GTTRF(band[2, :-1], band[1], band[0, 1:])
-        else:
-            ab = np.zeros((3 * w + 1, band.shape[1]), order="F")  # w rows of fill-in on top
-            ab[w:] = band
-            *factors, info = _GBTRF(ab, w, w, overwrite_ab=1)
+        band = self._assemble(a, *self._args).reshape(3, -1)
+        *factors, info = _GTTRF(band[2, :-1], band[1], band[0, 1:])
         _check_info(info)
         self.a, self.band, self._factors = a, np.asfortranarray(band), factors
 

@@ -9,7 +9,7 @@ suboptimality gaps resolvable at moderate path counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -40,8 +40,7 @@ class CostEstimate:
     seed: int
 
     def to_dict(self) -> dict:
-        return {"mean": self.mean, "std_error": self.std_error,
-                "n_paths": self.n_paths, "seed": self.seed}
+        return asdict(self)
 
 
 def evaluate_cost(problem: ProblemSpec, grid: Grid, m_flow: MeasureFlow,
@@ -84,9 +83,7 @@ class PerturbationResult:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {"epsilon": self.epsilon, "direction": self.direction,
-                "cost": self.cost.to_dict(), "gap": self.gap,
-                "paired_std_error": self.paired_std_error, "passed": self.passed}
+        return asdict(self)
 
 
 @dataclass

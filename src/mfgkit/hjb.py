@@ -8,16 +8,18 @@ sign-upwinded differences by the mesh Peclet number: second order where
 diffusion resolves the drift, monotone where it does not. Each step computes the
 differences of u_old, the floored diffusion and the mixed term once; each sweep
 adds only the drift's blend weights and max |b|. The one wall closure slaves
-each wall node to cubic extrapolation of the interior (u_xxx = 0). In 2D the
-implicit diffusion is split by axis; each axis sweep solves all grid lines as
-one stacked banded system, factored once per distinct diffusion array within a
-solve, and checks every line's residual from one BLAS gbmv product.
+each wall node to cubic extrapolation of the interior (u_xxx = 0), eliminated
+from the line systems. In 2D the implicit diffusion is split by axis; each axis
+sweep solves all grid lines as one stacked tridiagonal system, factored once
+per distinct diffusion array within a solve, and checks every line's residual
+from one BLAS gbmv product.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,38 +83,58 @@ def _advection(u: np.ndarray, a: np.ndarray, h: float, axis: int):
     return advect
 
 
-def _diffusion_band(a: np.ndarray, h: float, dt: float) -> np.ndarray:
-    """The (3,3) band of I - dt a Dxx on every grid line (line axis last).
+@lru_cache
+def _pairs(n: int) -> tuple:
+    """For i = 0 .. 3, nodes i and n - 1 - i of a line of n nodes, in that
+    order, as one bounded basic slice: one node where the two coincide."""
+    if n < 5:
+        raise HjbError(f"the cubic wall closure needs lines of at least 5 nodes, got {n}")
+    return tuple(slice(i, n - i if 2 * i < n else n - 2 - i, n - 1 - 2 * i or 1)
+                 for i in range(4))
 
-    The wall node is slaved to cubic extrapolation of the new interior
-    solution (u_xxx = 0 there, exact for quadratic profiles), so the two wall
-    rows reach three nodes in.
-    """
+
+def _diffusion_band(a: np.ndarray, h: float, dt: float) -> np.ndarray:
+    """The tridiagonal band of I - dt a Dxx on every grid line (line axis last)
+    with the cubic wall closure u0 = 3 (u1 - u2) + u3 (u_xxx = 0, exact for
+    quadratic profiles) eliminated: row 1 becomes u1 - rho u2 = rhs1 - rho rhs2,
+    rho = a1 / a2, stored as rho u0 + u1 - rho u2 = rhs1 with an identity wall
+    row that puts rhs2 in u0; row n - 2 mirrors it. HjbError where a at node 2
+    or n - 3 is not positive, as the elimination divides by it."""
+    n = a.shape[-1]
+    with np.errstate(all="ignore"):
+        rho = a[..., [1, -2]] / a[..., [2, -3]]
+    bad = np.argwhere(~((a[..., [2, -3]] > 0) & np.isfinite(rho)))
+    if bad.size:
+        node = (*bad[0, :-1].tolist(), (2, n - 3)[bad[0, -1]])
+        raise HjbError(f"diffusion a = {a[node]:.3e} at node {node} (line axis last) "
+                       "breaks assumption (B2), uniform ellipticity: the wall "
+                       "elimination divides by it")
     r = a * dt / h ** 2
-    band = np.zeros((7,) + r.shape)
-    band[2, ..., 1:] = -r[..., :-1]      # superdiagonal
-    band[3] = 1.0 + 2.0 * r              # diagonal
-    band[4, ..., :-1] = -r[..., 1:]      # subdiagonal
-    for k, c in enumerate((1.0, -3.0, 3.0, -1.0)):  # u0 - 3u1 + 3u2 - u3 = 0
-        band[3 - k, ..., k] = c
-        band[3 + k, ..., -1 - k] = c
+    band = np.zeros((3,) + r.shape)
+    band[0, ..., 3:-1] = band[2, ..., 1:-3] = -r[..., 2:-2]  # rows 2 .. n - 3: super, sub
+    band[1] = 1.0 + 2.0 * r                                  # diagonal
+    band[1, ..., [0, 1, -2, -1]] = 1.0
+    band[2, ..., 0], band[0, ..., 2] = rho[..., 0], -rho[..., 0]    # row 1
+    band[0, ..., -1], band[2, ..., -3] = rho[..., 1], -rho[..., 1]  # row n - 2
     return band
 
 
 def _implicit_diffusion_solve(lines: LineSystem, a: np.ndarray, rhs: np.ndarray,
                               tol: float, axis: int) -> np.ndarray:
-    """Solve (I - dt a Dxx) u = rhs along one axis, for every grid line at once,
-    with the wall rows of rhs set to zero (the closure).
-
-    Raises HjbError when any line's residual exceeds tol (1 + max |rhs|).
-    """
+    """Solve (I - dt a Dxx) u = rhs along one axis with the cubic wall closure,
+    for every grid line at once: the eliminated system of _diffusion_band,
+    then each wall node by extrapolation. HjbError when any line's residual
+    in the eliminated system exceeds tol (1 + max |rhs|). a goes unswapped
+    when its axis is already last, so a level's second sweep skips the compare."""
     b_rhs = rhs.swapaxes(axis, -1).copy()
-    b_rhs[..., 0] = b_rhs[..., -1] = 0.0
-    out = lines.solve(a.swapaxes(axis, -1), b_rhs)
+    walls, p1, p2, p3 = _pairs(b_rhs.shape[-1])
+    b_rhs[..., walls] = b_rhs[..., p2]
+    out = lines.solve(a if axis == a.ndim - 1 else a.swapaxes(axis, -1), b_rhs)
     worst = np.abs(lines.residual(out, b_rhs)).reshape(b_rhs.shape).max(axis=-1)
     bad = worst > tol * (1.0 + np.abs(b_rhs).max(axis=-1))
     if bad.any():
         raise HjbError(f"linear solve residual {worst[bad].max():.3e} exceeds tolerance")
+    out[..., walls] = 3.0 * (out[..., p1] - out[..., p2]) + out[..., p3]
     return out.swapaxes(axis, -1)
 
 
@@ -134,11 +156,9 @@ def solve_hjb(problem: ProblemSpec, grid: Grid, mu_flow: MeasureFlow,
     dt, h = grid.dt, grid.h
     lines = [LineSystem(_diffusion_band, h[d], dt) for d in range(grid.dim)]
     values = np.empty((grid.nt + 1,) + grid.shape)
-    grads = np.empty_like(values) if grid.dim == 1 else \
-        np.empty((grid.nt + 1,) + grid.shape + (2,))
+    grads = np.empty(values.shape + (() if grid.dim == 1 else (2,)))
 
-    view_T = mu_flow.view(grid.nt)
-    gT = np.asarray(problem.terminal_g(coords, view_T), dtype=float)
+    gT = np.asarray(problem.terminal_g(coords, mu_flow.view(grid.nt)), dtype=float)
     gT = np.broadcast_to(gT, grid.shape).copy()
     if not np.all(np.isfinite(gT)):
         raise HjbError("terminal data g(., mu(T)) is not finite")

@@ -449,6 +449,18 @@ def test_interrupted_summary_write_keeps_the_previous_summary(tmp_path, monkeypa
     assert _snapshot(out) == before
 
 
+def test_runtime_seconds_survives_a_wall_clock_step_back(tmp_path, monkeypatch):
+    # a wall clock set back by a day mid-run cannot make the runtime negative
+    import time
+    from mfgkit import cli
+    stamps = iter([time.time()])
+    monkeypatch.setattr(cli, "time", SimpleNamespace(
+        time=lambda: next(stamps, time.time() - 86400.0), monotonic=time.monotonic))
+    out = tmp_path / "o"
+    assert main(["solve"] + TINY + ["--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "summary.json").read_text())["runtime_seconds"] >= 0
+
+
 class _SlowLevels:
     """Field values that take 0.1 s to read per level."""
 

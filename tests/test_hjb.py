@@ -197,17 +197,44 @@ def test_deterministic_resolve():
     assert np.array_equal(u1.values, u2.values)
 
 
-@pytest.mark.parametrize("axis", [0, 1])
-def test_2d_stacked_sweep_matches_per_line_solve(axis, varying_diffusion):
-    g, diag_a = varying_diffusion
+def _line_case(dim, nx, varying):
+    """(grid, diag_a) at the varying_diffusion fixture's spacing h = 0.3 and
+    step dt = 0.1: its sigma in 2D, a = 1 + 0.3 tanh x in 1D, or a constant
+    a = 1.3. At a much larger dt a / h^2 the (3,3) reference itself loses
+    digits: r = 13 put it 1.9e-13 off a 40-digit solve of the same system."""
+    half = 0.15 * (nx - 1)
+    g = build_grid(dim, -half, half, nx, 1.0, 10)
     x = g.coords()
+    if not varying:
+        return g, tuple(np.full(g.shape, 1.3) for _ in range(dim))
+    if dim == 1:
+        return g, (1.0 + 0.3 * np.tanh(x),)
+    return g, ((1.0 + 0.2 * np.tanh(x[..., 0] + 0.5 * x[..., 1])) ** 2,
+               (1.0 + 0.2 * np.tanh(x[..., 0])) ** 2)
+
+
+# the varying_diffusion fixture's two axis sweeps (ids 0 and 1), then every
+# line length from the shortest the cubic closure admits, in 1D and 2D
+_SWEEP_CASES = [pytest.param(None, None, None, axis, id=str(axis)) for axis in (0, 1)] + [
+    pytest.param(dim, nx, varying, axis,
+                 id=f"{dim}d-nx{nx}-{'varying' if varying else 'constant'}-axis{axis}")
+    for dim in (1, 2) for nx in (5, 6, 7, 8, 11, 61) for varying in (False, True)
+    for axis in range(dim)]
+
+
+@pytest.mark.parametrize("dim,nx,varying,axis", _SWEEP_CASES)
+def test_2d_stacked_sweep_matches_per_line_solve(dim, nx, varying, axis, varying_diffusion):
+    # the eliminated tridiagonal solve with its wall recovery against the
+    # (3,3) band of the cubic closure, line by line
+    g, diag_a = varying_diffusion if dim is None else _line_case(dim, nx, varying)
+    x = g.coords().reshape(g.shape + (g.dim,))
     a, h, dt = diag_a[axis], g.h[axis], g.dt
-    rhs = np.sin(x[..., 0]) * np.cos(0.7 * x[..., 1]) + 0.1 * x[..., 0] ** 2
+    rhs = np.sin(x[..., 0]) * np.cos(0.7 * x[..., -1]) + 0.1 * x[..., 0] ** 2
     out = _implicit_diffusion_solve(LineSystem(_diffusion_band, h, dt), a, rhs, 1e-10,
                                     axis=axis)
     ref = np.empty_like(rhs)
-    for j in range(g.nx):
-        line = (slice(None), j) if axis == 0 else (j, slice(None))
+    for j in np.ndindex(g.shape[:-1]):
+        line = j[:axis] + (slice(None),) + j[axis:]
         r = a[line] * dt / h ** 2
         band = np.zeros((7, g.nx))
         band[2, 1:] = -r[:-1]
@@ -226,7 +253,8 @@ def test_2d_stacked_sweep_matches_per_line_solve(axis, varying_diffusion):
                          ids=["1d-constant", "1d-varying", "2d-constant", "2d-varying"])
 def test_factored_lines_equal_solve_banded(dim, varying, varying_diffusion):
     # the stored factors, reused for a second right-hand side, give the bits
-    # of a fresh solve_banded call on the same stacked (3,3) band
+    # of a fresh solve_banded call on the same stacked eliminated band, with
+    # the wall rows' rhs slots carrying rhs at nodes 2 and n - 3
     g, diag_a = varying_diffusion
     if dim == 1:
         g = build_grid(1, -3.0, 3.0, 41, 1.0, 10)
@@ -239,11 +267,31 @@ def test_factored_lines_equal_solve_banded(dim, varying, varying_diffusion):
         lines = LineSystem(_diffusion_band, h, dt)
         a = a.swapaxes(axis, -1)
         for rhs in (np.sin(x.sum(-1)), np.cos(3.0 * x[..., 0]) + x[..., -1] ** 2):
-            rhs = rhs.swapaxes(axis, -1)
+            rhs = rhs.swapaxes(axis, -1).copy()
+            rhs[..., [0, -1]] = rhs[..., [2, -3]]
             out = lines.solve(a, rhs)
-            band = _diffusion_band(a, h, dt).reshape(7, -1)
-            ref = solve_banded((3, 3), band, rhs.ravel()).reshape(rhs.shape)
+            band = _diffusion_band(a, h, dt).reshape(3, -1)
+            ref = solve_banded((1, 1), band, rhs.ravel()).reshape(rhs.shape)
             assert np.array_equal(out, ref)
+
+
+def test_vanishing_diffusion_next_to_a_wall_raises():
+    # the wall elimination divides by a at nodes 2 and n - 3, so a sigma that
+    # vanishes there breaks (B2) loudly instead of dividing by zero
+    g = build_grid(1, -6.0, 6.0, 61, 1.0, 10)
+    x2 = g.axis(0)[2]
+    p = _problem(diffusion_sigma=lambda t, x, m: np.sqrt(2.0) * np.abs(x - x2))
+    with pytest.raises(HjbError, match=r"node \(2,\) .*assumption \(B2\), uniform ellipticity"):
+        solve_hjb(p, g, _mu(p, g))
+
+
+@pytest.mark.parametrize("nx", [3, 4])
+def test_lines_shorter_than_five_nodes_raise(nx):
+    # each wall closure reaches four nodes, so shorter lines cannot carry it
+    g = build_grid(1, -6.0, 6.0, nx, 1.0, 4)
+    p = _problem()
+    with pytest.raises(HjbError, match=f"at least 5 nodes, got {nx}"):
+        solve_hjb(p, g, _mu(p, g))
 
 
 def test_linear_solve_residual_guard_raises(monkeypatch):

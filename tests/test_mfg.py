@@ -603,13 +603,13 @@ def test_pinned_example5_solve():
     g = build_grid(1, -6.0, 6.0, 61, 1.0, 40)
     u, m, rep = solve_mfg(e.problem, g, e.fixed_point)
     assert _fingerprint(u, m, rep, 35) == {
-        "u": [0.8783027114005915, 0.6916439980972715],
-        "m": [0.3539431302765417, 0.30980825523815086],
-        "row_sums": [227.81889731049745, 267.6491709622976,
+        "u": [0.8783027114005895, 0.6916439980972706],
+        "m": [0.35394313027654173, 0.30980825523815086],
+        "row_sums": [227.81889731049714, 267.6491709622974,
                      1.4453128722117503, 1.744730266332123],
-        "rho": [0.4066076263949769, 0.017722531905037184,
-                0.0012936707750345088, 3.7451145200955793e-06],
-        "pde": [0.11716968121003557, 0.203917853832018]}
+        "rho": [0.4066076263949772, 0.017722531905037833,
+                0.0012936707750336798, 3.745114522189155e-06],
+        "pde": [0.11716968121002669, 0.20391785383201788]}
 
 
 def test_pinned_2d_correlated_solve():
@@ -635,12 +635,12 @@ def test_pinned_2d_correlated_solve():
     g = build_grid(2, -3.0, 3.0, 21, 0.5, 20)
     u, m, rep = solve_mfg(p, g, FixedPointConfig(max_iters=2))
     assert _fingerprint(u, m, rep, (8, 12)) == {
-        "u": [0.30056485525873833, 0.2127281112797053],
-        "m": [0.09469068341015258, 0.08910019267490045],
-        "row_sums": [358.45795314943666, 335.68445540773723,
-                     6.259509997667985, 6.20465333098144],
-        "rho": [0.16433781201643596, 0.002544357138084799],
-        "pde": [0.00038064944584120797, 0.008267334252354097]}
+        "u": [0.30056485525873844, 0.21272811127970528],
+        "m": [0.0946906834101526, 0.08910019267490046],
+        "row_sums": [358.45795314943626, 335.6844554077371,
+                     6.259509997667983, 6.20465333098144],
+        "rho": [0.1643378120164362, 0.002544357138084601],
+        "pde": [0.0003806494458415133, 0.0082673342523535]}
 
 
 def _pinned_catalog_solve(name):
@@ -653,22 +653,22 @@ def test_pinned_lq_riccati_solve():
     # literal values pin the decoupled quadratic-control march (HJB sweeps with
     # zero b0 and f0, the FP under the feedback) and the PDE residual
     assert _pinned_catalog_solve("lq-riccati") == {
-        "u": [0.9308962442354859, 0.7307740204815713],
-        "m": [0.2386697571648594, 0.24112888180799946],
-        "row_sums": [229.13647970109747, 274.81180232621176,
-                     2.2868875989098094, 2.3069618942910846],
-        "rho": [0.4315811026727483, 0.0],
-        "pde": [0.20449489231982554, 0.22168555890513186]}
+        "u": [0.9308962442354842, 0.7307740204815709],
+        "m": [0.2386697571648593, 0.2411288818079994],
+        "row_sums": [229.13647970109724, 274.81180232621165,
+                     2.28688759890981, 2.306961894291085],
+        "rho": [0.4315811026727489, 0.0],
+        "pde": [0.20449489231981577, 0.2216855589051382]}
 
 
 def test_pinned_decoupled_hopfcole_solve():
     assert _pinned_catalog_solve("decoupled-hopfcole") == {
-        "u": [0.9292938565528295, 0.7298293741728251],
-        "m": [0.2386541393243462, 0.24100064884082104],
-        "row_sums": [227.290757327243, 270.01747157154114,
-                     2.2869670092509558, 2.3070681925399423],
-        "rho": [0.43254064796154074, 0.0],
-        "pde": [0.10294276638123812, 0.22168193551136944]}
+        "u": [0.929293856552827, 0.7298293741728242],
+        "m": [0.23865413932434607, 0.24100064884082106],
+        "row_sums": [227.29075732724283, 270.01747157154097,
+                     2.286967009250956, 2.307068192539943],
+        "rho": [0.43254064796154135, 0.0],
+        "pde": [0.10294276638127275, 0.2216819355113714]}
 
 
 def test_pinned_uncontrolled_fp_solve():

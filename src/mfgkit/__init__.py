@@ -32,6 +32,6 @@ from .oracle import (OracleSelfCheckError, heat_flow_density, hopf_cole_value,
                      lq_riccati_value)
 from .particle import ParticleEnsemble, compare_law, law_check, simulate
 from .cost import (CostEstimate, OptimalityReport, evaluate_cost,
-                   expected_initial_value, verify_optimality)
+                   expected_initial_value, verify_optimality, verify_solution)
 
 __version__ = "0.1.0"

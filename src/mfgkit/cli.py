@@ -23,11 +23,10 @@ import numpy as np
 
 # read as module attributes: tests and the benchmark replace get_entry and
 # solve_mfg in their modules
-from . import catalog, core, fp, mfg
-from .cost import expected_initial_value, verify_optimality
-from .hamiltonian import check_assumptions
+from . import catalog, core, mfg
+from .cost import verify_solution
 from .hjb import HjbSolverConfig
-from .particle import _fork_map, _process_count, law_check
+from .particle import _fork_map, _process_count
 
 SCHEMA_VERSION = 1
 CHECKPOINT_MAGIC = b"MFGK"
@@ -115,12 +114,13 @@ _BOOL_WORDS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
 
 def parse_config_file(path: str) -> dict:
     """Flat key=value format; blank lines and # comments ignored."""
-    p = Path(path)
-    if not p.exists():
-        raise ValueError(f"config file {path} does not exist")
+    try:
+        text = Path(path).read_text()
+    except OSError as e:  # missing, a directory, unreadable
+        raise ValueError(f"config file {path}: {e.strerror}") from None
     out = {}
     known = {f.name for f in fields(RunConfig)}
-    for ln, raw in enumerate(p.read_text().splitlines(), 1):
+    for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -277,12 +277,12 @@ def run(config: RunConfig, resume: bool = False) -> int:
                                        max_iters=config.max_iters),
                   HjbSolverConfig(picard_inner_iters=config.picard_inner_iters))
         _process_count()  # MFGKIT_THREADS, if set, is a positive integer
-    except (ValueError, KeyError) as e:
+        out = Path(config.out_dir)
+        out.mkdir(parents=True, exist_ok=True)  # an existing file on the path: OSError
+    except (ValueError, KeyError, OSError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     lock = out / ".lock"
     try:
         lock_fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -334,6 +334,26 @@ def _run_locked(config: RunConfig, entry, grid, solver, out: Path,
         print(f"solver failure: {e}", file=sys.stderr)
         return EXIT_SOLVER
 
+    _write_fields(grid, [(out / "u_field.csv", u.values),
+                         (out / "m_flow.csv", m.densities)])
+    with _replacing(out / "residuals.csv") as fh:
+        fh.write("iteration,rho\n")
+        for i, r in enumerate(report.residual_history, 1):
+            fh.write(f"{i},{r:.17g}\n")
+
+    n_paths = config.n_particles if config.verify else 0
+    with (_replacing(out / "ensemble.npy", "wb") if n_paths and config.dump_ensemble
+          else nullcontext()) as fh:
+        if fh:  # np.save's layout: each level's contiguous x[0] in turn
+            np.lib.format.write_array_header_1_0(fh, {
+                "descr": "<f8", "fortran_order": False,
+                "shape": (grid.nt + 1, n_paths) + (2,) * (grid.dim - 1)})
+        blocks, checks = verify_solution(
+            entry, grid, u, m, report, n_paths=n_paths, seed=config.seed,
+            n_perturbations=config.n_perturbations, duality_tol=config.duality_tol,
+            assumption_samples=config.assumption_samples,
+            observe=(lambda k, x: fh.write(x[0])) if fh else None)
+
     summary = {
         "schema_version": SCHEMA_VERSION,
         "problem": entry.name,
@@ -344,73 +364,11 @@ def _run_locked(config: RunConfig, entry, grid, solver, out: Path,
                    ("theta", "tol", "max_iters", "picard_inner_iters",
                     "n_particles", "n_perturbations", "seed")},
         "threads_override": os.environ.get("MFGKIT_THREADS"),
-        "fixed_point": report.to_dict(),
-        "mass": {"max_pre_renormalization_drift": float(m.mass_drift.max()),
-                 "min_density": float(m.min_density.min())},
+        **blocks,
+        "checks": checks,
+        "all_checks_passed": all(checks.values()),
+        "runtime_seconds": time.monotonic() - t_start,
     }
-
-    _write_fields(grid, [(out / "u_field.csv", u.values),
-                         (out / "m_flow.csv", m.densities)])
-    with _replacing(out / "residuals.csv") as fh:
-        fh.write("iteration,rho\n")
-        for i, r in enumerate(report.residual_history, 1):
-            fh.write(f"{i},{r:.17g}\n")
-
-    checks = {"converged": report.converged,
-              "mass_conservation": float(m.mass_drift.max()) <= core.MASS_TOL,
-              "positivity": float(m.min_density.min()) >= -fp.NEGATIVITY_TOL}
-
-    if entry.oracle is not None:
-        ref = entry.oracle_value(grid)
-        sl = grid.interior()
-        err = float(np.max(np.abs(u.values - ref.values)[:, sl]))
-        gerr = float(np.max(np.abs(u.du - ref.du)[:, sl]))
-        summary["oracle"] = {"kind": entry.oracle,
-                             "hjb_oracle_max_err": err,
-                             "hjb_oracle_gradient_err": gerr,
-                             "tolerance": entry.oracle_tol}
-        checks["hjb_oracle"] = err <= entry.oracle_tol
-
-    if config.verify:
-        with (_replacing(out / "ensemble.npy", "wb") if config.dump_ensemble
-              else nullcontext()) as fh:
-            if fh:  # np.save's layout: each level's contiguous x[0] in turn
-                np.lib.format.write_array_header_1_0(fh, {
-                    "descr": "<f8", "fortran_order": False,
-                    "shape": (grid.nt + 1, config.n_particles) + (2,) * (grid.dim - 1)})
-            dump = (lambda k, x: fh.write(x[0])) if fh else None
-            if entry.controlled:  # one march checks the feedback's law and cost
-                opt = verify_optimality(entry.problem, grid, u, m, config.n_perturbations,
-                                        config.n_particles, config.seed, observe=dump)
-                law = opt.d1_profile, opt.boundary_leak, opt.max_abs_position
-            else:
-                law = law_check(entry.problem, grid, m, None, config.n_particles,
-                                config.seed, observe=dump)
-        profile, leak, max_abs = law
-        summary["particle"] = {
-            "n": config.n_particles, "seed": config.seed,
-            "max_d1": float(profile.max()),
-            "boundary_leak": leak,
-            "max_abs_position": max_abs,
-            "d1_profile_head": [float(v) for v in profile[:: max(1, grid.nt // 10)]],
-        }
-        checks["sde_fp_duality"] = float(profile.max()) <= config.duality_tol
-        if entry.controlled:
-            summary["optimality"] = opt.to_dict()
-            checks["optimality"] = opt.all_passed
-        else:
-            summary["optimality"] = {
-                "note": "control-free instance",
-                "expected_initial_value": expected_initial_value(u, m.densities[0], grid)}
-        assum = check_assumptions(entry.problem, grid,
-                                  n_samples=config.assumption_samples,
-                                  seed=config.seed)
-        summary["assumptions"] = assum.to_dict()
-        checks["assumptions"] = assum.all_passed
-
-    summary["checks"] = checks
-    summary["all_checks_passed"] = all(checks.values())
-    summary["runtime_seconds"] = time.monotonic() - t_start
     with _replacing(out / "summary.json") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")

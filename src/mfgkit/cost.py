@@ -1,4 +1,4 @@
-"""Monte Carlo evaluation of the control cost and statistical optimality checks.
+"""Monte Carlo control cost, statistical optimality checks, and `verify_solution`.
 
 Pathwise costs are added up inside the particle march (`particle._march`).
 Feedback and perturbed policies are costed in one stacked march, under the same
@@ -14,9 +14,12 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Grid, MeasureFlow, ProblemSpec, ValueField, _stream
-from .mfg import feedback_policy
-from .particle import _march, _single
+from .core import MASS_TOL, Grid, MeasureFlow, ProblemSpec, ValueField, _stream
+from .fp import NEGATIVITY_TOL
+from .hamiltonian import check_assumptions
+from .measure import flow_regularity
+from .mfg import FixedPointReport, feedback_policy, pde_residual
+from .particle import _march, _single, law_check
 
 __all__ = [
     "CostEstimate",
@@ -24,6 +27,7 @@ __all__ = [
     "evaluate_cost",
     "expected_initial_value",
     "verify_optimality",
+    "verify_solution",
 ]
 
 # the value identity's allowance for the time and space discretization of the
@@ -96,7 +100,7 @@ class OptimalityReport:
     perturbations: list = field(default_factory=list)
     all_perturbations_passed: bool = False
     # the feedback paths' law check, by the march's `law`, as in
-    # `particle.law_check`; the CLI reports it under `particle`: d1 to the
+    # `particle.law_check`; verify_solution reports it under `particle`: d1 to the
     # flow per time level, boundary leak, sup |X|
     d1_profile: np.ndarray = None
     boundary_leak: float = np.nan
@@ -220,3 +224,67 @@ def verify_optimality(problem: ProblemSpec, grid: Grid, u: ValueField,
             paired_std_error=paired, passed=passed))
     report.all_perturbations_passed = ok
     return report
+
+
+def verify_solution(entry, grid: Grid, u: ValueField, m: MeasureFlow,
+                    report: FixedPointReport, *, n_paths: int, n_perturbations: int,
+                    seed: int, assumption_samples: int, duality_tol: float,
+                    observe=None) -> tuple[dict, dict]:
+    """The verification report of a solved pair (u, m) of a catalog entry:
+    (blocks, checks), the summary.json blocks from `fixed_point` on and each
+    check's pass/fail, in summary.json's order. With n_paths = 0 the solve-level
+    ones only (fixed point, mass, oracle); else one march checks the law and, for
+    a controlled entry, the optimality (`verify_optimality`), showing its points
+    to observe(k, x) if given, and then the assumptions are sampled."""
+    drift, low = float(m.mass_drift.max()), float(m.min_density.min())
+    hjb_res, fp_res = pde_residual(entry.problem, grid, u, m)
+    blocks = {
+        "fixed_point": {**report.to_dict(),
+                        "final_flow_regularity": flow_regularity(m, grid).to_dict(),
+                        "pde_residuals": {"hjb": float(hjb_res), "fp": float(fp_res)}},
+        "mass": {"max_pre_renormalization_drift": drift, "min_density": low},
+    }
+    checks = {"converged": report.converged,
+              "mass_conservation": drift <= MASS_TOL,
+              "positivity": low >= -NEGATIVITY_TOL}
+
+    if entry.oracle is not None:
+        ref = entry.oracle_value(grid)
+        sl = (slice(None),) + (grid.interior(),) * grid.dim  # each axis, every level
+        err = float(np.max(np.abs(u.values - ref.values)[sl]))
+        gerr = float(np.max(np.abs(u.du - ref.du)[sl]))
+        blocks["oracle"] = {"kind": entry.oracle,
+                            "hjb_oracle_max_err": err,
+                            "hjb_oracle_gradient_err": gerr,
+                            "tolerance": entry.oracle_tol}
+        checks["hjb_oracle"] = err <= entry.oracle_tol
+    if not n_paths:
+        return blocks, checks
+
+    if entry.controlled:  # one march checks the feedback's law and cost
+        opt = verify_optimality(entry.problem, grid, u, m, n_perturbations, n_paths,
+                                seed, observe=observe)
+        profile, leak, max_abs = opt.d1_profile, opt.boundary_leak, opt.max_abs_position
+        optimality, optimality_check = opt.to_dict(), {"optimality": opt.all_passed}
+    else:
+        profile, leak, max_abs = law_check(entry.problem, grid, m, None, n_paths, seed,
+                                           observe=observe)
+        optimality = {"note": "control-free instance",
+                      "expected_initial_value": expected_initial_value(
+                          u, m.densities[0], grid)}
+        optimality_check = {}
+    blocks["particle"] = {
+        "n": n_paths, "seed": seed,
+        "max_d1": float(profile.max()),
+        "boundary_leak": leak,
+        "max_abs_position": max_abs,
+        "d1_profile_head": [float(v) for v in profile[:: max(1, grid.nt // 10)]],
+    }
+    blocks["optimality"] = optimality
+    checks["sde_fp_duality"] = float(profile.max()) <= duality_tol
+    checks.update(optimality_check)
+    assum = check_assumptions(entry.problem, grid, n_samples=assumption_samples,
+                              seed=seed)
+    blocks["assumptions"] = assum.to_dict()
+    checks["assumptions"] = assum.all_passed
+    return blocks, checks

@@ -27,7 +27,7 @@ later application gives the same (u, m), so the later steps reuse it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -38,7 +38,7 @@ from .core import (Grid, MeasureFlow, ProblemSpec, StepCoefficients, ValueField,
 from .fp import solve_fp
 from .hamiltonian import PhiEvaluator, minimize_H
 from .hjb import HjbSolverConfig, solve_hjb
-from .measure import FlowRegularityReport, flow_distance, flow_regularity
+from .measure import flow_distance
 
 __all__ = [
     "FixedPointConfig",
@@ -71,19 +71,9 @@ class FixedPointReport:
     residual_history: list = field(default_factory=list)
     iterations_used: int = 0
     converged: bool = False
-    final_flow_regularity: Optional[FlowRegularityReport] = None
-    pde_residuals: tuple = (np.nan, np.nan)
 
     def to_dict(self) -> dict:
-        return {
-            "residual_history": [float(r) for r in self.residual_history],
-            "iterations_used": self.iterations_used,
-            "converged": self.converged,
-            "final_flow_regularity": (self.final_flow_regularity.to_dict()
-                                      if self.final_flow_regularity else None),
-            "pde_residuals": {"hjb": float(self.pde_residuals[0]),
-                              "fp": float(self.pde_residuals[1])},
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -184,8 +174,6 @@ def solve_mfg(problem: ProblemSpec, grid: Grid,
     report.converged = converged
     if u is None:  # resumed with no step left: the map of the stored flow
         u, m = apply_phi(problem, grid, mu, hjb_config)
-    report.final_flow_regularity = flow_regularity(m, grid)
-    report.pde_residuals = pde_residual(problem, grid, u, m)
     return u, m, report
 
 

@@ -15,8 +15,8 @@ from mfgkit.core import build_grid, discretize_initial_density
 from mfgkit.cost import evaluate_cost, expected_initial_value, verify_optimality
 from mfgkit.fp import solve_fp
 from mfgkit.hjb import HjbSolverConfig, solve_hjb
-from mfgkit.measure import d1_atoms, d1_grid, d1_lp, flow_distance
-from mfgkit.mfg import FixedPointConfig, feedback_policy, solve_mfg
+from mfgkit.measure import d1_atoms, d1_grid, d1_lp, flow_distance, flow_regularity
+from mfgkit.mfg import FixedPointConfig, feedback_policy, pde_residual, solve_mfg
 from mfgkit.oracle import heat_flow_density
 from mfgkit.particle import law_check
 
@@ -165,10 +165,10 @@ def test_criterion_08_regularity_membership(solved):
     ok = True
     details = []
     for name in ALL_CATALOG:
-        _, _, _, _, rep = solved.get(name)
-        base = rep.final_flow_regularity
-        _, _, _, _, rep2 = solved.get(name, refine=2)
-        fine = rep2.final_flow_regularity
+        _, grid, _, m, _ = solved.get(name)
+        base = flow_regularity(m, grid)
+        _, grid2, _, m2, _ = solved.get(name, refine=2)
+        fine = flow_regularity(m2, grid2)
         finite = np.isfinite(base.holder_half_seminorm) and \
             np.isfinite(base.max_second_moment)
         rel = abs(fine.holder_half_seminorm - base.holder_half_seminorm) \
@@ -213,9 +213,10 @@ def test_criterion_10_pde_residual_refinement(solved):
     ok = True
     details = []
     for name in ALL_CATALOG:
-        _, _, _, _, rep = solved.get(name)
-        _, _, _, _, rep2 = solved.get(name, refine=2)
-        (h0, f0), (h1, f1) = rep.pde_residuals, rep2.pde_residuals
+        entry, grid, u, m, _ = solved.get(name)
+        _, grid2, u2, m2, _ = solved.get(name, refine=2)
+        (h0, f0), (h1, f1) = (pde_residual(entry.problem, grid, u, m),
+                              pde_residual(entry.problem, grid2, u2, m2))
         hjb_f = h0 / h1 if h1 > 1e-12 else np.inf
         fp_f = f0 / f1 if f1 > 1e-12 else np.inf
         ok &= hjb_f >= 1.5 and fp_f >= 1.5

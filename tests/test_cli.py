@@ -918,3 +918,155 @@ def test_split_march_leaves_artifacts_unchanged(tmp_path, monkeypatch, forks, pr
     assert (s1.pop("threads_override"), s2.pop("threads_override")) == ("1", "3")
     s1.pop("runtime_seconds"), s2.pop("runtime_seconds")
     assert s1 == s2
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("case", ["out-is-a-file", "out-under-a-file",
+                                  "config-is-a-directory"])
+def test_path_errors_are_config_errors_without_writing(tmp_path, capsys, case):
+    # an OSError on the --out or --config path is a configuration error: exit 2
+    # with nothing written, not a traceback
+    (tmp_path / "file").write_text("not a directory\n")
+    (tmp_path / "dir").mkdir()
+    out, config = tmp_path / "out", []
+    if case == "out-is-a-file":
+        out = tmp_path / "file"
+    elif case == "out-under-a-file":
+        out = tmp_path / "file" / "out"
+    else:
+        config = ["--config", str(tmp_path / "dir")]
+    before = _tree(tmp_path)
+    assert main(["solve"] + TINY + config + ["--out", str(out)]) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("problem", ["lq-riccati", "uncontrolled-fp"])
+def test_summary_blocks_are_verify_solutions(tmp_path, problem, command):
+    # every block after threads_override and the checks are the library's
+    # report on the same solve, at the same sizes
+    from mfgkit.cost import verify_solution
+    from mfgkit.mfg import solve_mfg
+    out = tmp_path / "o"
+    main([command, "--problem", problem, "--out", str(out)] + SMALL)
+    summary = json.loads((out / "summary.json").read_text())
+    entry, grid = _build(RunConfig(problem=problem, nx=81, nt=60))
+    u, m, report = solve_mfg(entry.problem, grid)
+    blocks, checks = verify_solution(
+        entry, grid, u, m, report, n_paths=2000 if command == "verify" else 0,
+        n_perturbations=1, seed=0, assumption_samples=32, duality_tol=0.15)
+    keys = list(summary)
+    tail = keys[keys.index("threads_override") + 1:keys.index("checks") + 1]
+    assert list(blocks) + ["checks"] == tail
+    assert json.loads(json.dumps({**blocks, "checks": checks})) == {
+        k: summary[k] for k in tail}
+
+
+def _key_paths(d, prefix=""):
+    """Every key of a summary in order, dotted; a list of objects by its first."""
+    paths = []
+    for k, v in d.items():
+        paths.append(prefix + k)
+        if isinstance(v, dict):
+            paths += _key_paths(v, f"{prefix}{k}.")
+        elif isinstance(v, list) and v and isinstance(v[0], dict):
+            paths += _key_paths(v[0], f"{prefix}{k}[].")
+    return paths
+
+
+_SUMMARY_HEAD = [
+    "schema_version", "problem",
+    "grid", "grid.dim", "grid.nx", "grid.nt", "grid.x_min", "grid.x_max", "grid.horizon",
+    "config", "config.theta", "config.tol", "config.max_iters",
+    "config.picard_inner_iters", "config.n_particles", "config.n_perturbations",
+    "config.seed", "threads_override",
+    "fixed_point", "fixed_point.residual_history", "fixed_point.iterations_used",
+    "fixed_point.converged", "fixed_point.final_flow_regularity",
+    "fixed_point.final_flow_regularity.holder_half_seminorm",
+    "fixed_point.final_flow_regularity.max_second_moment",
+    "fixed_point.final_flow_regularity.implied_C1",
+    "fixed_point.pde_residuals", "fixed_point.pde_residuals.hjb",
+    "fixed_point.pde_residuals.fp",
+    "mass", "mass.max_pre_renormalization_drift", "mass.min_density"]
+_SUMMARY_ORACLE = ["oracle", "oracle.kind", "oracle.hjb_oracle_max_err",
+                   "oracle.hjb_oracle_gradient_err", "oracle.tolerance"]
+_SUMMARY_PARTICLE = ["particle", "particle.n", "particle.seed", "particle.max_d1",
+                     "particle.boundary_leak", "particle.max_abs_position",
+                     "particle.d1_profile_head"]
+_COST = ["mean", "std_error", "n_paths", "seed"]
+_SUMMARY_OPTIMALITY = (
+    ["optimality", "optimality.feedback_cost"]
+    + [f"optimality.feedback_cost.{k}" for k in _COST]
+    + ["optimality.expected_initial_value", "optimality.value_gap",
+       "optimality.value_tolerance", "optimality.value_check_passed",
+       "optimality.perturbations", "optimality.perturbations[].epsilon",
+       "optimality.perturbations[].direction", "optimality.perturbations[].cost"]
+    + [f"optimality.perturbations[].cost.{k}" for k in _COST]
+    + ["optimality.perturbations[].gap", "optimality.perturbations[].paired_std_error",
+       "optimality.perturbations[].passed", "optimality.all_perturbations_passed",
+       "optimality.all_passed"])
+_SUMMARY_ASSUMPTIONS = (
+    ["assumptions", "assumptions.n_samples", "assumptions.seed",
+     "assumptions.all_passed", "assumptions.checks"]
+    + [f"assumptions.checks.B{i}{k}" for i in range(1, 8)
+       for k in ("", ".name", ".checked", ".passed", ".margin", ".detail")])
+_SUMMARY_TAIL = ["all_checks_passed", "runtime_seconds"]
+
+
+@pytest.mark.parametrize("command, problem, layout", [
+    ("verify", "lq-riccati",
+     _SUMMARY_HEAD + _SUMMARY_ORACLE + _SUMMARY_PARTICLE + _SUMMARY_OPTIMALITY
+     + _SUMMARY_ASSUMPTIONS + ["checks", "checks.converged", "checks.mass_conservation",
+                               "checks.positivity", "checks.hjb_oracle",
+                               "checks.sde_fp_duality", "checks.optimality",
+                               "checks.assumptions"] + _SUMMARY_TAIL),
+    ("verify", "uncontrolled-fp",
+     _SUMMARY_HEAD + _SUMMARY_PARTICLE
+     + ["optimality", "optimality.note", "optimality.expected_initial_value"]
+     + _SUMMARY_ASSUMPTIONS + ["checks", "checks.converged", "checks.mass_conservation",
+                               "checks.positivity", "checks.sde_fp_duality",
+                               "checks.assumptions"] + _SUMMARY_TAIL),
+    ("solve", "lq-riccati",
+     _SUMMARY_HEAD + _SUMMARY_ORACLE + ["checks", "checks.converged",
+                                        "checks.mass_conservation", "checks.positivity",
+                                        "checks.hjb_oracle"] + _SUMMARY_TAIL),
+], ids=["verify-lq-riccati", "verify-uncontrolled-fp", "solve-lq-riccati"])
+def test_summary_layout_is_pinned(tmp_path, command, problem, layout):
+    # reordering, renaming or dropping a summary.json key edits this pin and
+    # SCHEMA_VERSION together
+    from mfgkit.cli import SCHEMA_VERSION
+    out = tmp_path / "o"
+    main([command, "--problem", problem, "--out", str(out)] + SMALL)
+    summary = json.loads((out / "summary.json").read_text())
+    assert SCHEMA_VERSION == summary["schema_version"] == 1
+    assert _key_paths(summary) == layout
+
+
+def test_cli_computes_no_gate_and_solve_mfg_no_verification():
+    # every summary check is computed in cost.verify_solution: the CLI names
+    # none of the checks or their tolerances, and solve_mfg only solves
+    import ast
+    import inspect
+    from mfgkit import cli, mfg
+    gates = {"verify_optimality", "law_check", "check_assumptions",
+             "expected_initial_value", "flow_regularity", "pde_residual", "MASS_TOL",
+             "NEGATIVITY_TOL", "oracle_value", "interior"}
+    named = set()
+    for node in ast.walk(ast.parse(inspect.getsource(cli))):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name)
+    assert sorted(named & gates) == []
+    called = {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+              for node in ast.walk(ast.parse(inspect.getsource(mfg.solve_mfg)))
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, (ast.Name, ast.Attribute))}
+    assert called.isdisjoint({"flow_regularity", "pde_residual"})

@@ -329,3 +329,50 @@ def test_stacked_controls_equal_the_per_member_list(dim, n_perturbations, monkey
                        for d in dirs for eps in cost.EPSILONS)
     assert len(seen) == g.nt
     assert clipped > 0 or n_perturbations == 0
+
+
+def test_verify_solution_reports_a_2d_entry():
+    # the CLI's catalog is 1D: a separable 2D problem reaches every block of
+    # the report through the library, its oracle the summed 1D Hopf-Cole values
+    import json
+    from mfgkit.catalog import CatalogEntry, capped_quadratic
+    from mfgkit.core import ValueField
+    from mfgkit.cost import verify_solution
+    from mfgkit.mfg import solve_mfg
+    from mfgkit.oracle import hopf_cole_value
+    G1, G2 = capped_quadratic(8.0), capped_quadratic(5.0)
+    p = ProblemSpec(
+        dim=2, horizon=0.5,
+        drift_b0=lambda t, x, m: np.zeros_like(x),
+        drift_b1=lambda t, x, a: a,
+        diffusion_sigma=lambda t, x, m: np.sqrt(2.0) * np.eye(2),
+        running_f0=lambda t, x, m: np.zeros(x.shape[:-1]),
+        running_f1=lambda t, x, a: 0.5 * (a ** 2).sum(axis=-1),
+        terminal_g=lambda x, m: G1(x[..., 0]) + G2(x[..., 1]),
+        initial_density=lambda x: np.exp(-(x ** 2).sum(-1) / 0.5) / (0.5 * np.pi),
+        closed_form_phi=lambda t, x, p_: -p_,
+        gamma1=1.0, gamma2=1.0, lipschitz=15.0)
+
+    def oracle(g):
+        g1 = build_grid(1, g.x_min[0], g.x_max[0], g.nx, g.horizon, g.nt)
+        r1, r2 = hopf_cole_value(G1, g1), hopf_cole_value(G2, g1)
+        shape = (g.nt + 1,) + g.shape
+        du = np.stack([np.broadcast_to(r1.du[:, :, None], shape),
+                       np.broadcast_to(r2.du[:, None, :], shape)], axis=-1)
+        return ValueField(r1.values[:, :, None] + r2.values[:, None, :], du, g)
+
+    g = build_grid(2, -6.0, 6.0, 25, 0.5, 16)
+    entry = CatalogEntry(name="separable-2d", description="", problem=p, grid=g,
+                         oracle="hopf-cole", oracle_value=oracle, oracle_tol=3e-2)
+    u, m, report = solve_mfg(p, g, entry.fixed_point)
+    blocks, checks = verify_solution(entry, g, u, m, report, n_paths=300,
+                                     n_perturbations=1, seed=3, assumption_samples=16,
+                                     duality_tol=0.5)
+    assert list(blocks) == ["fixed_point", "mass", "oracle", "particle", "optimality",
+                            "assumptions"]
+    assert list(checks) == ["converged", "mass_conservation", "positivity", "hjb_oracle",
+                            "sde_fp_duality", "optimality", "assumptions"]
+    assert all(type(v) is bool for v in checks.values())
+    assert all(checks.values())
+    assert json.loads(json.dumps([blocks, checks])) == [blocks, checks]
+    assert len(blocks["optimality"]["perturbations"]) == 2

@@ -585,7 +585,7 @@ def test_pde_residual_2d_matches_written_out_sums():
     assert pde_residual(p, g, u, m, margin=margin) == (hjb_worst, fp_worst)
 
 
-def _fingerprint(u, m, rep, node):
+def _fingerprint(problem, u, m, rep, node):
     mid, half = u.grid.nt // 2, u.grid.nx // 2
     return {"u": [float(u.values[0][node]), float(u.values[mid][node])],
             "m": [float(m.densities[mid][node]), float(m.densities[-1][node])],
@@ -593,7 +593,7 @@ def _fingerprint(u, m, rep, node):
                          float(m.densities[mid][:half].sum()),
                          float(m.densities[-1][:half].sum())],
             "rho": [float(r) for r in rep.residual_history],
-            "pde": [float(r) for r in rep.pde_residuals]}
+            "pde": [float(r) for r in pde_residual(problem, u.grid, u, m)]}
 
 
 def test_pinned_example5_solve():
@@ -602,7 +602,7 @@ def test_pinned_example5_solve():
     e = get_entry("example5-weak")
     g = build_grid(1, -6.0, 6.0, 61, 1.0, 40)
     u, m, rep = solve_mfg(e.problem, g, e.fixed_point)
-    assert _fingerprint(u, m, rep, 35) == {
+    assert _fingerprint(e.problem, u, m, rep, 35) == {
         "u": [0.8783027114005895, 0.6916439980972706],
         "m": [0.35394313027654173, 0.30980825523815086],
         "row_sums": [227.81889731049714, 267.6491709622974,
@@ -634,7 +634,7 @@ def test_pinned_2d_correlated_solve():
         closed_form_phi=lambda t, x, q: -q, gamma1=0.5, gamma2=3.0)
     g = build_grid(2, -3.0, 3.0, 21, 0.5, 20)
     u, m, rep = solve_mfg(p, g, FixedPointConfig(max_iters=2))
-    assert _fingerprint(u, m, rep, (8, 12)) == {
+    assert _fingerprint(p, u, m, rep, (8, 12)) == {
         "u": [0.30056485525873844, 0.21272811127970528],
         "m": [0.0946906834101526, 0.08910019267490046],
         "row_sums": [358.45795314943626, 335.6844554077371,
@@ -646,7 +646,7 @@ def test_pinned_2d_correlated_solve():
 def _pinned_catalog_solve(name):
     e = get_entry(name)
     g = build_grid(1, e.grid.x_min[0], e.grid.x_max[0], 61, e.grid.horizon, 40)
-    return _fingerprint(*solve_mfg(e.problem, g, e.fixed_point), 35)
+    return _fingerprint(e.problem, *solve_mfg(e.problem, g, e.fixed_point), 35)
 
 
 def test_pinned_lq_riccati_solve():

@@ -67,15 +67,15 @@ class RunConfig:
             raise ValueError("no problem selected")
         if not self.out_dir:
             raise ValueError("no output directory given")
-        if self.nx and self.nx < 5:  # the two HJB wall closures need five nodes
+        if self.nx and self.nx < 5:  # the HJB's cubic wall closure needs five nodes
             raise ValueError(f"nx must be >= 5, got {self.nx}")
         if self.nt and self.nt < 1:
             raise ValueError(f"nt must be >= 1, got {self.nt}")
         if (self.n_particles < 1 or self.n_perturbations < 0
                 or self.assumption_samples < 1):
             raise ValueError("verification sizes must be positive")
-        if not self.duality_tol > 0:  # NaN too
-            raise ValueError(f"duality_tol must be positive, got {self.duality_tol}")
+        if not 0 < self.duality_tol < np.inf:  # NaN too
+            raise ValueError(f"duality_tol must be finite and positive, got {self.duality_tol}")
         if not 0 <= self.seed < 2 ** 64:  # the seed keys uint64 Philox streams
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 

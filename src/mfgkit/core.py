@@ -465,12 +465,13 @@ _GBMV = get_blas_funcs("gbmv", dtype=np.float64)
 
 
 class LineSystem:
-    """The implicit-diffusion systems of every grid line along one axis as one
+    """The implicit systems of every grid line along one axis as one
     block-diagonal tridiagonal system, assembled and LU-factored once per
-    distinct diffusion array.
+    distinct set of coefficient arrays.
 
-    band(a, *args) assembles the lines' matrices from the diffusion array a
-    (line axis last) in diagonal-ordered form, shape (3,) + a.shape: the
+    band(*arrays, *args) assembles the lines' matrices from the coefficient
+    arrays (line axis last: the diffusion a for the HJB, a and the drift b for
+    the FP) in diagonal-ordered form, shape (3,) + their shape: the
     superdiagonal, the diagonal and the subdiagonal. Its entries reaching past
     a line's ends must be zero, so no two lines couple. LAPACK's gtsv is gttrf
     followed by gttrs, so a solve gives the bits of one gtsv call on the band.
@@ -478,14 +479,17 @@ class LineSystem:
 
     def __init__(self, band: Callable, *args):
         self._assemble, self._args = band, args
-        self.a = None         # the diffusion array band and factors come from
+        self.a = None         # the tuple of arrays band and factors come from
         self.band = None      # (3, lines * nodes), Fortran order for gbmv
         self._factors = None
 
-    def solve(self, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve every line's system at diffusion a for rhs of a's shape,
-        refactoring only when a is neither self.a nor bitwise equal to it."""
-        if a is not self.a and (self.a is None or not np.array_equal(a, self.a)):
+    def solve(self, a, rhs: np.ndarray) -> np.ndarray:
+        """Solve every line's system at the arrays a, one array or a tuple of
+        them, for rhs of their shape, refactoring only when one of them is
+        neither the stored array nor bitwise equal to it."""
+        a = a if isinstance(a, tuple) else (a,)
+        if self.a is None or not all(x is y or np.array_equal(x, y)
+                                     for x, y in zip(a, self.a)):
             self._factor(a)
         self.a = a
         x, info = _GTTRS(*self._factors, rhs.reshape(-1))
@@ -496,8 +500,8 @@ class LineSystem:
         """A x - rhs, flat, for the stored band in one BLAS gbmv call."""
         return _GBMV(x.size, x.size, 1, 1, 1.0, self.band, x.ravel(), beta=-1.0, y=rhs.ravel())
 
-    def _factor(self, a: np.ndarray) -> None:
-        band = self._assemble(a, *self._args).reshape(3, -1)
+    def _factor(self, a: tuple) -> None:
+        band = self._assemble(*a, *self._args).reshape(3, -1)
         *factors, info = _GTTRF(band[2, :-1], band[1], band[0, 1:])
         _check_info(info)
         self.a, self.band, self._factors = a, np.asfortranarray(band), factors

@@ -1,10 +1,12 @@
-"""Conservative forward solver for the Fokker-Planck equation in flux form.
+"""Conservative forward solver for the Fokker-Planck equation.
 
-Per-face fluxes combine explicit advection with implicit diffusion; zero-flux
-boundaries make the quadrature mass telescope to round-off. The advective flux
-is exponentially fitted (Scharfetter-Gummel weights, second order at small mesh
-Peclet, upwind in the limit): conservative and positivity-safe under the
-advective CFL dt <= h / max|b|. Each step is renormalized to unit mass.
+Each step solves (I - dt L)^T m^{k+1} = m^k one axis after the other, L the
+level's generator of the controlled dynamics with exponentially fitted
+(Scharfetter-Gummel) rates: second order at small mesh Peclet number, upwind
+in the limit. Its transpose is an M-matrix whose columns sum to one, so mass
+is conserved to round-off and the density stays nonnegative at any time step;
+in 2D only the explicit mixed term can break positivity. Each step is
+renormalized to unit mass.
 """
 
 from __future__ import annotations
@@ -28,58 +30,35 @@ class FpError(RuntimeError):
 
 def _bernoulli_weight(z: np.ndarray, big: np.ndarray) -> np.ndarray:
     """B(z) = z / (e^z - 1), the exponential-fitting weight; B(0) = 1. big
-    marks |z| >= 1e-8; elsewhere B(z) = 1 - z / 2."""
-    zs = np.minimum(np.maximum(z, -700.0), 700.0)
+    marks |z| >= 1e-8; elsewhere B(z) = 1 - z / 2. Above z = 700, where e^z
+    nears overflow, B is below 1e-300 and reads B(700); below zero it needs
+    no cap, so B(-z) - B(z) = z holds at every mesh Peclet number."""
+    zs = np.minimum(z, 700.0)
     return np.divide(zs, np.expm1(zs), out=1.0 - 0.5 * z, where=big)
 
 
-def _advective_face_flux(m: np.ndarray, v: np.ndarray, a_face: np.ndarray,
-                         h: float) -> np.ndarray:
-    """Explicit fitted advective flux at interior faces for densities m along
-    the last axis.
-
-    v is the effective face drift (drift minus the derivative of the diffusion
-    coefficient). Returns flux of shape m.shape with the last axis shortened by
-    one.
-    """
-    z = v * h / a_face
+def _transposed_band(a: np.ndarray, b: np.ndarray, h: float, dt: float) -> np.ndarray:
+    """The band of (I - dt L)^T on every grid line (line axis last), for the
+    node-fitted generator (L u)_i = (a_i / h^2) [B(-z_i) (u_{i+1} - u_i) +
+    B(z_i) (u_{i-1} - u_i)], z_i = b_i h / a_i, with reflecting walls. Column
+    i holds node i's rates alone, (-down_i, 1 + up_i + down_i, -up_i): it sums
+    to one and its off-diagonals are <= 0, so the solve conserves mass and
+    keeps a nonnegative density nonnegative at any dt."""
+    r = dt * a / h ** 2
+    z = b * h / a
     big = np.abs(z) >= 1e-8
-    bm = _bernoulli_weight(-z, big)
-    bp = _bernoulli_weight(z, big)
-    # exponential fitting split: total SG flux minus the implicit central part
-    return (a_face / h) * ((bm - 1.0) * m[..., :-1] - (bp - 1.0) * m[..., 1:])
-
-
-def _diffusion_band(a: np.ndarray, h: float, dt: float) -> np.ndarray:
-    """The tridiagonal band of the implicit zero-flux diffusion on every grid
-    line (line axis last): the diffusive flux through each face weighs the
-    densities on both its sides by the face value of a."""
-    face = 0.5 * (a[..., 1:] + a[..., :-1])
-    r = dt / h ** 2
-    band = np.zeros((3,) + a.shape)
-    band[0, ..., 1:] = -r * face         # superdiagonal
-    band[1] = 1.0                        # diagonal
-    band[1, ..., :-1] += r * face
-    band[1, ..., 1:] += r * face
-    band[2, ..., :-1] = -r * face        # subdiagonal
-    return band
+    up, down = r * _bernoulli_weight(-z, big), r * _bernoulli_weight(z, big)
+    up[..., -1] = down[..., 0] = 0.0  # no rate through a wall
+    return np.stack((-down, 1.0 + up + down, -up))
 
 
 def _axis_step(lines: LineSystem, m: np.ndarray, b: np.ndarray, a: np.ndarray,
                h: float, dt: float, axis: int,
                cross_rhs: Optional[np.ndarray] = None) -> np.ndarray:
-    """One conservative sub-step along one axis, for every grid line at once."""
+    """One implicit sub-step along one axis, for every grid line at once."""
     m, b, a = (v.swapaxes(axis, -1) for v in (m, b, a))
-    a_face = 0.5 * (a[..., 1:] + a[..., :-1])
-    # the fitted flux transports against a d(m)/dx, so the drift absorbs a_x
-    v_face = 0.5 * (b[..., 1:] + b[..., :-1]) - (a[..., 1:] - a[..., :-1]) / h
-    flux = dt / h * _advective_face_flux(m, v_face, a_face, h)
-    rhs = m.copy()
-    rhs[..., :-1] -= flux
-    rhs[..., 1:] += flux
-    if cross_rhs is not None:
-        rhs += dt * cross_rhs.swapaxes(axis, -1)
-    return lines.solve(a, rhs).swapaxes(axis, -1)
+    rhs = m if cross_rhs is None else m + dt * cross_rhs.swapaxes(axis, -1)
+    return lines.solve((a, b), rhs).swapaxes(axis, -1)
 
 
 def solve_fp(problem: ProblemSpec, grid: Grid,
@@ -98,7 +77,7 @@ def solve_fp(problem: ProblemSpec, grid: Grid,
     densities[0], _ = discretize_initial_density(problem, grid)
     coords = grid.coords()
     dt = grid.dt
-    lines = [LineSystem(_diffusion_band, grid.h[d], dt) for d in range(grid.dim)]
+    lines = [LineSystem(_transposed_band, grid.h[d], dt) for d in range(grid.dim)]
     mass_drift = np.zeros(grid.nt + 1)
     min_density = np.zeros(grid.nt + 1)
     min_density[0] = densities[0].min()
@@ -125,12 +104,9 @@ def solve_fp(problem: ProblemSpec, grid: Grid,
             bad = np.argwhere(~np.isfinite(m_next))[0].tolist()
             raise FpError(f"non-finite density at time index {k + 1}, node {tuple(bad)}")
         if lowest < -NEGATIVITY_TOL:
-            cause = ("the advective step is unstable (check the CFL bound)"
-                     if coef.a12 is None else
-                     "the explicit mixed-term flux of the off-diagonal diffusion "
-                     "a12 is not positivity-safe on this grid and time step")
-            raise FpError(f"density fell to {lowest:.3e} at time index {k + 1}; "
-                          + cause)
+            raise FpError(f"density fell to {lowest:.3e} at time index {k + 1}; the "
+                          "explicit mixed-term flux of the off-diagonal diffusion "
+                          "a12 is not positivity-safe on this grid and time step")
         if drift > MASS_DRIFT_TOL:
             raise FpError(f"pre-renormalization mass drift {drift:.3e} at "
                           f"time index {k + 1}")

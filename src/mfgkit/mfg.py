@@ -60,8 +60,8 @@ class FixedPointConfig:
     def __post_init__(self):
         if not (0.0 < self.theta <= 1.0):
             raise ValueError("damping theta must lie in (0, 1]")
-        if not self.tol > 0:  # NaN too
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < np.inf:  # NaN too
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 

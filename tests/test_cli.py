@@ -110,6 +110,30 @@ def test_out_of_range_verification_value_is_config_error_without_artifacts(
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag", ["--tol", "--duality-tol"])
+def test_infinite_tolerance_is_config_error_without_artifacts(tmp_path, capsys, flag):
+    # an infinite tolerance would switch its gate off: the fixed point would
+    # stop after one map at any residual, the duality check pass at any d1
+    out = tmp_path / "o"
+    assert main(["verify", "--problem", "uncontrolled-fp", "--out", str(out)]
+                + SMALL + [flag, "inf"]) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_coarse_lq_riccati_solve_keeps_the_density_positive(tmp_path):
+    # 41 x 20 puts dt |b| / h above 1: the FP's implicit transposed generator
+    # stays positive and conserves mass there, and only the HJB's O(dt) error
+    # fails its oracle check
+    out = tmp_path / "o"
+    code = main(["solve", "--problem", "lq-riccati", "--nx", "41", "--nt", "20",
+                 "--out", str(out)])
+    checks = json.loads((out / "summary.json").read_text())["checks"]
+    assert code == EXIT_VERIFY
+    assert checks == {"converged": True, "mass_conservation": True,
+                      "positivity": True, "hjb_oracle": False}
+
+
 def test_removed_flag_is_rejected_without_artifacts(tmp_path):
     out = tmp_path / "o"
     with pytest.raises(SystemExit) as exc:

@@ -2,12 +2,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
 from mfgkit.core import LineSystem, MeasureFlow, MeasureView, ProblemSpec, build_grid, \
     discretize_initial_density
 from mfgkit.catalog import gaussian_density, heat_check_problem
-from mfgkit.fp import FpError, _axis_step, _diffusion_band, solve_fp
+from mfgkit.fp import FpError, _axis_step, _transposed_band, solve_fp
 from mfgkit.hjb import solve_hjb, HjbSolverConfig
 from mfgkit.measure import d1_grid
 from mfgkit.oracle import heat_flow_density
@@ -29,8 +30,7 @@ def _problem(**kw):
     return ProblemSpec(**base)
 
 
-@pytest.mark.parametrize("scheme", ["exponential"])
-def test_heat_kernel_agreement(scheme):
+def test_heat_kernel_agreement():
     problem, grid = heat_check_problem()
     flow = solve_fp(problem, grid, None, None)
     ref = heat_flow_density(0.0, 0.25, np.sqrt(2.0), grid)
@@ -49,8 +49,7 @@ def test_constant_drift_first_moment():
     assert mean_T == pytest.approx(0.9, abs=1e-3)
 
 
-@pytest.mark.parametrize("scheme", ["exponential"])
-def test_mass_conserved_to_round_off(scheme):
+def test_mass_conserved_to_round_off():
     p = _problem(drift_b0=lambda t, x, m: np.sin(x))
     g = build_grid(1, -6.0, 6.0, 161, 1.0, 200)
     flow = solve_fp(p, g, None, None)
@@ -65,13 +64,15 @@ def test_positivity_without_clipping_under_cfl():
     assert flow.min_density.min() >= 0.0
 
 
-def test_negativity_aborts():
-    # violent drift far beyond the CFL bound destabilizes the explicit advection
+def test_violent_drift_stays_positive_and_conserves_mass():
+    # a drift far beyond dt |b| / h = 1 (here 167): the implicit transposed
+    # generator keeps every level nonnegative, unclipped, and its mass
     p = _problem(drift_b0=lambda t, x, m: 200.0 * np.sign(np.sin(5 * x)),
                  initial_density=gaussian_density(0.0, 0.04))
     g = build_grid(1, -6.0, 6.0, 121, 1.0, 40)
-    with pytest.raises(FpError):
-        solve_fp(p, g, None, None)
+    flow = solve_fp(p, g, None, None)
+    assert flow.min_density.min() >= 0.0
+    assert flow.mass_drift.max() <= 1e-14
 
 
 def test_frozen_vs_self_coupled_paths():
@@ -206,41 +207,65 @@ def test_2d_cross_term_conserves_mass_and_positivity():
     assert flow.min_density.min() >= -1e-9  # cross term is explicit
 
 
-@pytest.mark.parametrize("axis", [0, 1], ids=["exponential-0", "exponential-1"])
+def _line_band(a, b, h, dt):
+    """(I - dt L)^T of one line, written out: node i jumps up at the rate
+    (a_i / h^2) B(-z_i) and down at (a_i / h^2) B(z_i), z_i = b_i h / a_i,
+    with no jump through a wall; column i holds node i's rates."""
+    z = b * h / a
+    with np.errstate(invalid="ignore"):
+        up, down = (dt * a / h ** 2 * np.where(s == 0, 1.0, s / np.expm1(s))
+                    for s in (-z, z))
+    up[-1] = down[0] = 0.0
+    ab = np.zeros((3, a.size))
+    ab[0, 1:] = -down[1:]         # row i - 1 of column i
+    ab[1] = 1.0 + up + down
+    ab[2, :-1] = -up[:-1]         # row i + 1 of column i
+    return ab
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(n=st.integers(5, 40), h=st.floats(1e-3, 1.0), dt=st.floats(1e-4, 10.0),
+       seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(0.0, 300.0))
+def test_transposed_band_is_a_column_stochastic_m_matrix(n, h, dt, seed, scale):
+    # any positive a, any drift b, any h and dt: each column sums to one, the
+    # off-diagonals are <= 0, the net rate up - down of an inner node is
+    # dt b / h at every mesh Peclet number, and the line solve of a
+    # nonnegative rhs is nonnegative in floating point
+    rng = np.random.default_rng(seed)
+    a = 10.0 ** rng.uniform(-3.0, 1.0, n)
+    b = scale * rng.standard_normal(n)
+    band = _transposed_band(a, b, h, dt)
+    eps = np.finfo(float).eps
+    assert band[0, 0] == band[2, -1] == 0.0
+    assert np.all(band[0] <= 0.0) and np.all(band[2] <= 0.0)
+    assert np.all(np.abs(band.sum(axis=0) - 1.0) <= 4 * eps * band[1])
+    up, down = -band[2, 1:-1], -band[0, 1:-1]
+    assert np.all(np.abs(up - down - dt * b[1:-1] / h) <= 8 * eps * (up + down))
+    rhs = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.7)
+    m = LineSystem(_transposed_band, h, dt).solve((a, b), rhs)
+    assert np.all(m >= 0.0)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
 def test_2d_stacked_sweep_matches_per_line_solve(axis, varying_diffusion):
-    # zero drift: the fitted flux diffuses with the face value a_face and
-    # carries the drift -a_x as an explicit fitted flux along each line
+    # a drift that varies along and across the lines: the stacked sweep
+    # equals a solve_banded call on each line's written-out band
     g, diag_a = varying_diffusion
     x = g.coords()
     a, h, dt = diag_a[axis], g.h[axis], g.dt
+    b = 3.0 * np.sin(2.0 * x[..., axis] - x[..., 1 - axis])
     m = np.exp(-((x - 0.3) ** 2).sum(-1))
-    out = _axis_step(LineSystem(_diffusion_band, h, dt), m, np.zeros_like(m), a,
-                     h, dt, axis)
+    out = _axis_step(LineSystem(_transposed_band, h, dt), m, b, a, h, dt, axis)
     ref = np.empty_like(m)
-    r = dt / h ** 2
     for j in range(g.nx):
         line = (slice(None), j) if axis == 0 else (j, slice(None))
-        al, rhs = a[line], m[line].copy()
-        ab = np.zeros((3, g.nx))
-        a_face = 0.5 * (al[1:] + al[:-1])
-        z = -(al[1:] - al[:-1]) / a_face  # face Peclet number of the drift -a_x
-        with np.errstate(invalid="ignore"):
-            bm, bp = (np.where(s == 0, 1.0, s / np.expm1(s)) for s in (-z, z))
-        flux = a_face / h * ((bm - 1.0) * rhs[:-1] - (bp - 1.0) * rhs[1:])
-        rhs[:-1] -= dt / h * flux
-        rhs[1:] += dt / h * flux
-        ab[0, 1:] = ab[2, :-1] = -r * a_face
-        ab[1] = 1.0
-        ab[1, :-1] += r * a_face
-        ab[1, 1:] += r * a_face
-        ref[line] = solve_banded((1, 1), ab, rhs)
+        ref[line] = solve_banded((1, 1), _line_band(a[line], b[line], h, dt), m[line])
     np.testing.assert_allclose(out, ref, rtol=1e-13, atol=1e-15)
 
 
-@pytest.mark.parametrize("scheme", ["exponential"])
 @pytest.mark.parametrize("dim,varying", [(1, False), (1, True), (2, False), (2, True)],
                          ids=["1d-constant", "1d-varying", "2d-constant", "2d-varying"])
-def test_factored_lines_equal_solve_banded(dim, varying, scheme, varying_diffusion):
+def test_factored_lines_equal_solve_banded(dim, varying, varying_diffusion):
     # the stored factors, reused for a second right-hand side, give the bits
     # of a fresh solve_banded call on the same stacked tridiagonal band
     g, diag_a = varying_diffusion
@@ -252,12 +277,13 @@ def test_factored_lines_equal_solve_banded(dim, varying, scheme, varying_diffusi
     x = g.coords().reshape(g.shape + (dim,))
     for axis, a in enumerate(diag_a):
         h, dt = g.h[axis], g.dt
-        lines = LineSystem(_diffusion_band, h, dt)
+        lines = LineSystem(_transposed_band, h, dt)
         a = a.swapaxes(axis, -1)
+        b = (2.0 * np.cos(x.sum(-1)) if varying else np.full(g.shape, -0.7)).swapaxes(axis, -1)
         for rhs in (np.exp(-(x ** 2).sum(-1)), 1.0 + np.cos(3.0 * x[..., 0]) ** 2):
             rhs = rhs.swapaxes(axis, -1)
-            out = lines.solve(a, rhs)
-            band = _diffusion_band(a, h, dt).reshape(3, -1)
+            out = lines.solve((a, b), rhs)
+            band = _transposed_band(a, b, h, dt).reshape(3, -1)
             ref = solve_banded((1, 1), band, rhs.ravel()).reshape(rhs.shape)
             assert np.array_equal(out, ref)
 
@@ -353,8 +379,8 @@ def _correlated_2d(sigma12):
 def test_mixed_flux_negativity_names_the_mixed_term():
     # 21^2 x 20 on [-3, 3]^2: the explicit mixed-term flux of the correlated
     # diffusion drives tail densities below -NEGATIVITY_TOL; without the
-    # correlation the same march stays positive, so the advective CFL bound
-    # is not the cause
+    # correlation the same march stays positive, so the implicit axis solves
+    # are not the cause
     g = build_grid(2, -3.0, 3.0, 21, 0.25, 20)
     with pytest.raises(FpError, match="mixed-term flux") as err:
         solve_fp(_correlated_2d(0.3), g, None, None)

@@ -419,9 +419,8 @@ def _assert_valid_flows(states, m0, grid):
 
 def test_strong_coupling_takes_at_most_half_the_plain_map_solves():
     # example5 at kappa = 10, the coupling 100 times the catalog's, on a
-    # reduced grid (nt = 150 keeps its FP march positive): the plain full
-    # steps contract slowly (29 map solves), the secant steps reach tol in at
-    # most half as many (9), every flow a valid one
+    # reduced grid: the plain full steps contract slowly (29 map solves), the
+    # secant steps reach tol in at most half as many (9), every flow a valid one
     from mfgkit.catalog import _example5_weak
     e = _example5_weak(10.0)
     g = _small_grid(e, nx=61, nt=150)
@@ -435,6 +434,20 @@ def test_strong_coupling_takes_at_most_half_the_plain_map_solves():
     assert 2 * rep.iterations_used <= n_plain
     assert all(len(st.last_pair) == 2 for st in states)
     _assert_valid_flows(states, m0, g)
+
+
+@pytest.mark.filterwarnings("ignore::mfgkit.hjb.CFLAdvisory")  # the HJB's, on 81 x 60
+@pytest.mark.parametrize("nx,nt", [(81, 60), (61, 100), (81, 100)])
+def test_strong_coupling_runs_on_coarse_time_steps(nx, nt):
+    # example5 at kappa = 10 on the coarse time steps where an explicit
+    # advective FP step went negative at time index 1: the implicit transposed
+    # generator keeps the march nonnegative, and the solve converges
+    from mfgkit.catalog import _example5_weak
+    e = _example5_weak(10.0)
+    g = _small_grid(e, nx=nx, nt=nt)
+    _, m, rep = solve_mfg(e.problem, g, e.fixed_point)
+    assert rep.converged
+    assert m.min_density.min() >= 0.0
 
 
 def test_an_overshooting_secant_step_is_clipped_and_renormalized(monkeypatch):
@@ -597,25 +610,26 @@ def _fingerprint(problem, u, m, rep, node):
 
 
 def test_pinned_example5_solve():
-    # literal values pin the 1D HJB and exponential-flux FP steps, the Picard
-    # step rule with its secant steps and the PDE residual, bit for bit
+    # literal values pin the 1D HJB step and the FP's transposed-generator
+    # step, the Picard step rule with its secant steps and the PDE residual,
+    # bit for bit
     e = get_entry("example5-weak")
     g = build_grid(1, -6.0, 6.0, 61, 1.0, 40)
     u, m, rep = solve_mfg(e.problem, g, e.fixed_point)
     assert _fingerprint(e.problem, u, m, rep, 35) == {
-        "u": [0.8783027114005895, 0.6916439980972706],
-        "m": [0.35394313027654173, 0.30980825523815086],
-        "row_sums": [227.81889731049714, 267.6491709622974,
-                     1.4453128722117503, 1.744730266332123],
-        "rho": [0.4066076263949772, 0.017722531905037833,
-                0.0012936707750336798, 3.745114522189155e-06],
-        "pde": [0.11716968121002669, 0.20391785383201788]}
+        "u": [0.878322190787472, 0.6916535739403934],
+        "m": [0.3551297151336592, 0.3099011159734857],
+        "row_sums": [227.82135893352824, 267.65034308277984,
+                     1.4430539220633243, 1.7417898708529278],
+        "rho": [0.40524404678852965, 0.017337557442337333,
+                0.0012485861058502017, 3.6298615855954625e-06],
+        "pde": [0.11719111620892608, 0.16923634761977263]}
 
 
 def test_pinned_2d_correlated_solve():
     # correlated, x-dependent sigma with a mean-coupled drift and cost:
     # literal values pin the mixed term of the HJB step and of the residual,
-    # and the fitted FP flux with its face-averaged diffusion band
+    # and the FP's transposed fitted generator with its explicit mixed term
     from mfgkit.core import ProblemSpec
 
     def sigma(t, x, m):
@@ -635,12 +649,12 @@ def test_pinned_2d_correlated_solve():
     g = build_grid(2, -3.0, 3.0, 21, 0.5, 20)
     u, m, rep = solve_mfg(p, g, FixedPointConfig(max_iters=2))
     assert _fingerprint(p, u, m, rep, (8, 12)) == {
-        "u": [0.30056485525873844, 0.21272811127970528],
-        "m": [0.0946906834101526, 0.08910019267490046],
-        "row_sums": [358.45795314943626, 335.6844554077371,
-                     6.259509997667983, 6.20465333098144],
-        "rho": [0.1643378120164362, 0.002544357138084601],
-        "pde": [0.0003806494458415133, 0.0082673342523535]}
+        "u": [0.3005629511179408, 0.21272706180417286],
+        "m": [0.09458508084535248, 0.08895571956862994],
+        "row_sums": [358.45691112532734, 335.6836927723234,
+                     6.2550770303739025, 6.198034906357037],
+        "rho": [0.16466830943144414, 0.0025328360871033385],
+        "pde": [0.00038175264225843997, 0.004402551096543236]}
 
 
 def _pinned_catalog_solve(name):
@@ -654,31 +668,31 @@ def test_pinned_lq_riccati_solve():
     # zero b0 and f0, the FP under the feedback) and the PDE residual
     assert _pinned_catalog_solve("lq-riccati") == {
         "u": [0.9308962442354842, 0.7307740204815709],
-        "m": [0.2386697571648593, 0.2411288818079994],
+        "m": [0.23972839320251438, 0.24151543251796212],
         "row_sums": [229.13647970109724, 274.81180232621165,
-                     2.28688759890981, 2.306961894291085],
-        "rho": [0.4315811026727489, 0.0],
-        "pde": [0.20449489231981577, 0.2216855589051382]}
+                     2.287019867149072, 2.306880578564907],
+        "rho": [0.4296990898991802, 0.0],
+        "pde": [0.20449489231981577, 0.19179870851079367]}
 
 
 def test_pinned_decoupled_hopfcole_solve():
     assert _pinned_catalog_solve("decoupled-hopfcole") == {
         "u": [0.929293856552827, 0.7298293741728242],
-        "m": [0.23865413932434607, 0.24100064884082106],
+        "m": [0.23971099782826927, 0.24138854295005288],
         "row_sums": [227.29075732724283, 270.01747157154097,
-                     2.286967009250956, 2.307068192539943],
-        "rho": [0.43254064796154135, 0.0],
-        "pde": [0.10294276638127275, 0.2216819355113714]}
+                     2.2870995024169543, 2.3069875638846926],
+        "rho": [0.4306315746786374, 0.0],
+        "pde": [0.10294276638127275, 0.1918630435202997]}
 
 
 def test_pinned_uncontrolled_fp_solve():
     # control-free: u stays zero and the literals pin the FP march alone
     assert _pinned_catalog_solve("uncontrolled-fp") == {
         "u": [0.0, 0.0],
-        "m": [0.2259523318684746, 0.2190347037577828],
-        "row_sums": [0.0, 0.0, 1.2314494560551699, 1.3538577650490802],
-        "rho": [0.6202777435728078, 1.5809127727912004e-09],
-        "pde": [0.0, 0.217438427746401]}
+        "m": [0.2267959402355989, 0.21951697498765013],
+        "row_sums": [0.0, 0.0, 1.232171191155059, 1.3541846225928142],
+        "rho": [0.6183888113219312, 1.055277800942972e-09],
+        "pde": [0.0, 0.18285236324663368]}
 
 
 def _per_level_residual(problem, grid, u, m, margin):

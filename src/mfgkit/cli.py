@@ -42,7 +42,7 @@ EXIT_VERIFY = 4
 class RunConfig:
     problem: str = ""
     out_dir: str = ""
-    # grid overrides (catalog defaults when non-positive / nan)
+    # grid overrides (catalog defaults when 0 / NaN)
     nx: int = 0
     nt: int = 0
     x_min: float = float("nan")

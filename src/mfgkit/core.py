@@ -226,8 +226,9 @@ def build_grid(dim: int, x_min, x_max, nx: int, horizon: float, nt: int) -> Grid
 
 
 # nodes x levels that a level-batched loop (`mfg.pde_residual`, the
-# histogram d1 of `measure`) holds in one array: long runs of levels share
-# each numpy call, and each run's temporaries stay cache-sized
+# histogram d1 of `measure`, the frozen-flow FP march's factoring in `fp`)
+# holds in one array: long runs of levels share each numpy or LAPACK call,
+# and each run's temporaries stay cache-sized
 LEVEL_BATCH = 2 ** 14
 
 
@@ -475,36 +476,53 @@ class LineSystem:
     superdiagonal, the diagonal and the subdiagonal. Its entries reaching past
     a line's ends must be zero, so no two lines couple. LAPACK's gtsv is gttrf
     followed by gttrs, so a solve gives the bits of one gtsv call on the band.
+
+    The arrays may hold a run of levels stacked on a leading axis: the run's
+    bands are assembled and factored in one call, and a solve reads the slice
+    of the factors of level `level`. At a line end, where the subdiagonal is
+    zero, the elimination neither interchanges rows nor changes the next
+    line's first row, so each slice, its pivot indices shifted back by the
+    slice's offset, holds the bits of that level's factors alone.
     """
 
     def __init__(self, band: Callable, *args):
         self._assemble, self._args = band, args
         self.a = None         # the tuple of arrays band and factors come from
-        self.band = None      # (3, lines * nodes), Fortran order for gbmv
+        self.band = None      # (3, lines * nodes), in Fortran order once gbmv reads it
         self._factors = None
+        self.level = 0        # the level of a stacked run that solve reads
 
     def solve(self, a, rhs: np.ndarray) -> np.ndarray:
-        """Solve every line's system at the arrays a, one array or a tuple of
-        them, for rhs of their shape, refactoring only when one of them is
-        neither the stored array nor bitwise equal to it."""
+        """Solve the lines of one level at the arrays a, one array or a tuple
+        of them, for rhs of one level's shape, refactoring only when one of
+        them is neither the stored array nor bitwise equal to it."""
         a = a if isinstance(a, tuple) else (a,)
         if self.a is None or not all(x is y or np.array_equal(x, y)
                                      for x, y in zip(a, self.a)):
             self._factor(a)
         self.a = a
-        x, info = _GTTRS(*self._factors, rhs.reshape(-1))
+        factors = self._factors
+        if factors[1].size != rhs.size:  # a run's factors: the level's slice
+            lo, hi = self.level * rhs.size, (self.level + 1) * rhs.size
+            dl, d, du, du2, ipiv = factors
+            factors = dl[lo:hi - 1], d[lo:hi], du[lo:hi - 1], du2[lo:hi - 2], ipiv[lo:hi] - lo
+        x, info = _GTTRS(*factors, rhs.reshape(-1))
         _check_info(info)
         return x.reshape(rhs.shape)
 
     def residual(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """A x - rhs, flat, for the stored band in one BLAS gbmv call."""
+        """A x - rhs, flat, for the stored band of a single level in one BLAS
+        gbmv call."""
+        if not self.band.flags.f_contiguous:  # once per factoring, and only if asked
+            self.band = np.asfortranarray(self.band)
         return _GBMV(x.size, x.size, 1, 1, 1.0, self.band, x.ravel(), beta=-1.0, y=rhs.ravel())
 
     def _factor(self, a: tuple) -> None:
+        self.a = self.band = self._factors = None  # freed first; a failure stores nothing
         band = self._assemble(*a, *self._args).reshape(3, -1)
         *factors, info = _GTTRF(band[2, :-1], band[1], band[0, 1:])
         _check_info(info)
-        self.a, self.band, self._factors = a, np.asfortranarray(band), factors
+        self.a, self.band, self._factors = a, band, factors
 
 
 def _check_info(info: int) -> None:

@@ -14,9 +14,11 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import LinAlgError
 
 from .core import (Grid, LineSystem, MeasureFlow, MeasureView, ProblemSpec,
-                   StepCoefficients, _first_diff, discretize_initial_density)
+                   StepCoefficients, _first_diff, _level_runs,
+                   discretize_initial_density)
 
 __all__ = ["FpError", "solve_fp"]
 
@@ -54,10 +56,16 @@ def _transposed_band(a: np.ndarray, b: np.ndarray, h: float, dt: float) -> np.nd
 
 def _axis_step(lines: LineSystem, m: np.ndarray, b: np.ndarray, a: np.ndarray,
                h: float, dt: float, axis: int,
-               cross_rhs: Optional[np.ndarray] = None) -> np.ndarray:
-    """One implicit sub-step along one axis, for every grid line at once."""
-    m, b, a = (v.swapaxes(axis, -1) for v in (m, b, a))
+               cross_rhs: Optional[np.ndarray] = None, level: int = 0) -> np.ndarray:
+    """One implicit sub-step along one axis, for every grid line at once. b and
+    a hold one level's coefficients or a run's, stacked on a leading axis, of
+    which level `level` steps; they go unswapped when the axis is already
+    last, so the run's later levels skip the compare in `LineSystem.solve`."""
+    m = m.swapaxes(axis, -1)
+    if axis != m.ndim - 1:
+        b, a = (v.swapaxes(axis - m.ndim, -1) for v in (b, a))
     rhs = m if cross_rhs is None else m + dt * cross_rhs.swapaxes(axis, -1)
+    lines.level = level
     return lines.solve((a, b), rhs).swapaxes(axis, -1)
 
 
@@ -72,6 +80,11 @@ def solve_fp(problem: ProblemSpec, grid: Grid,
     density (explicit lag).
     policy: None (uncontrolled) or an array of per-node controls indexed by
     time level.
+
+    Under a frozen flow the march takes runs of levels (`core._level_runs`):
+    it evaluates a run's coefficients, factors each axis's generators of the
+    whole run in one call, then steps the run's levels in order. The
+    self-coupled form reads each level's density, so its runs hold one level.
     """
     densities = np.empty((grid.nt + 1,) + grid.shape)
     densities[0], _ = discretize_initial_density(problem, grid)
@@ -81,42 +94,63 @@ def solve_fp(problem: ProblemSpec, grid: Grid,
     mass_drift = np.zeros(grid.nt + 1)
     min_density = np.zeros(grid.nt + 1)
     min_density[0] = densities[0].min()
-
-    for k in range(grid.nt):
-        m_k = densities[k]
-        view = MeasureView(m_k, grid) if mu_flow is None else mu_flow.view(k)
-        coef = StepCoefficients(problem, grid.time(k), coords, view)
-        b = coef.drift(None if policy is None else policy[k])
-        # the explicit mixed term enters the first axis sub-step only
-        cross = None if coef.a12 is None else _cross_divergence(m_k, coef.a12, grid)
-        m_next = m_k
-        for d in range(grid.dim):
-            m_next = _axis_step(lines[d], m_next, b[d], coef.diag_a[d],
-                                grid.h[d], dt, d, cross)
-            cross = None
-
-        mass = m_next.sum() * grid.cell_volume
-        drift = abs(mass - 1.0)
-        lowest = float(m_next.min())
-        mass_drift[k + 1] = drift
-        min_density[k + 1] = lowest
-        if not np.isfinite(m_next).all():
-            bad = np.argwhere(~np.isfinite(m_next))[0].tolist()
-            raise FpError(f"non-finite density at time index {k + 1}, node {tuple(bad)}")
-        if lowest < -NEGATIVITY_TOL:
-            raise FpError(f"density fell to {lowest:.3e} at time index {k + 1}; the "
-                          "explicit mixed-term flux of the off-diagonal diffusion "
-                          "a12 is not positivity-safe on this grid and time step")
-        if drift > MASS_DRIFT_TOL:
-            raise FpError(f"pre-renormalization mass drift {drift:.3e} at "
-                          f"time index {k + 1}")
-        if lowest < 0:
-            m_next = np.maximum(m_next, 0.0)
-            mass = m_next.sum() * grid.cell_volume
-        np.divide(m_next, mass, out=densities[k + 1])
+    # pending runs, next last; a run whose factoring fails is marched again
+    # one level at a time, where a NaN band of one level cannot cross a line
+    # end into the next level's pivots, so it fails as that level alone would
+    pending = [slice(k, k + 1) for k in range(grid.nt)] if mu_flow is None else \
+        _level_runs(0, grid.nt, grid)
+    pending.reverse()
+    while pending:
+        run = pending.pop()
+        levels = range(run.start, run.stop)
+        coefs = [StepCoefficients(problem, grid.time(k), coords,
+                                  MeasureView(densities[k], grid) if mu_flow is None
+                                  else mu_flow.view(k)) for k in levels]
+        drifts = [c.drift(None if policy is None else policy[k])
+                  for k, c in zip(levels, coefs)]
+        # per axis, the diffusion and the drift of the run's levels, stacked
+        stacked = [(np.stack([c.diag_a[d] for c in coefs]), np.stack([b[d] for b in drifts]))
+                   for d in range(grid.dim)]
+        try:
+            for j, (k, coef) in enumerate(zip(levels, coefs)):
+                # the explicit mixed term enters the first axis sub-step only
+                m_next = densities[k]
+                cross = None if coef.a12 is None else _cross_divergence(m_next, coef.a12, grid)
+                for d, (a, b) in enumerate(stacked):
+                    m_next = _axis_step(lines[d], m_next, b, a, grid.h[d], dt, d, cross, j)
+                    cross = None
+                mass_drift[k + 1], min_density[k + 1] = _renormalize(
+                    m_next, grid.cell_volume, k + 1, densities[k + 1])
+        except LinAlgError:
+            if len(levels) == 1:
+                raise
+            pending.extend(slice(k, k + 1) for k in reversed(levels))
 
     return MeasureFlow(densities, grid, mass_drift=mass_drift,
                        min_density=min_density)
+
+
+def _renormalize(m: np.ndarray, cell_volume: float, k: int, out: np.ndarray) -> tuple:
+    """Check the solved level k, clip its round-off negatives and write it
+    into out at unit mass; FpError on a non-finite or negative density or a
+    mass drift. Returns the pre-renormalization mass drift and minimum."""
+    mass = m.sum() * cell_volume
+    drift = abs(mass - 1.0)
+    lowest = float(m.min())
+    if not np.isfinite(m).all():
+        bad = np.argwhere(~np.isfinite(m))[0].tolist()
+        raise FpError(f"non-finite density at time index {k}, node {tuple(bad)}")
+    if lowest < -NEGATIVITY_TOL:
+        raise FpError(f"density fell to {lowest:.3e} at time index {k}; the "
+                      "explicit mixed-term flux of the off-diagonal diffusion "
+                      "a12 is not positivity-safe on this grid and time step")
+    if drift > MASS_DRIFT_TOL:
+        raise FpError(f"pre-renormalization mass drift {drift:.3e} at time index {k}")
+    if lowest < 0:
+        m = np.maximum(m, 0.0)
+        mass = m.sum() * cell_volume
+    np.divide(m, mass, out=out)
+    return drift, lowest
 
 
 def _cross_divergence(m: np.ndarray, a12: np.ndarray, grid: Grid) -> np.ndarray:

@@ -62,9 +62,12 @@ def _advection(u: np.ndarray, a: np.ndarray, h: float, axis: int):
     Upwinding follows the sign of b as it enters u_t + <Du, b> + ... = 0 marched
     backward: b > 0 couples to the forward neighbor (monotone explicit update).
     The weight on the upwind difference grows from 0 at mesh Peclet number
-    |b| h / a <= 2 to 1 as it tends to infinity. advect writes the interior
-    nodes of out, whose walls stay zero (the implicit diffusion solve discards
-    the wall rows and its closure sets the wall nodes), and returns max |b|.
+    |b| h / a <= 2 to 1 as it tends to infinity; where no interior node's
+    number exceeds 2, advect writes b times the central difference without
+    forming the weights: the blend's bits but for the sign of a zero. advect
+    writes the interior nodes of out, whose walls stay zero (the implicit
+    diffusion solve discards the wall rows and its closure sets the wall
+    nodes), and returns max |b|.
     """
     u = u.swapaxes(axis, -1)
     diff = (u[..., 1:] - u[..., :-1]) / h  # node i's forward, node i+1's backward
@@ -75,10 +78,13 @@ def _advection(u: np.ndarray, a: np.ndarray, h: float, axis: int):
         b = b.swapaxes(axis, -1)
         mag = np.abs(b)
         pe = np.maximum(mag[..., 1:-1] * h / a, 1e-300)
-        w = np.maximum(1.0 - 2.0 / pe, 0.0)  # and w <= 1, as 2 / pe > 0
-        b = b[..., 1:-1]
-        np.multiply(b, (1.0 - w) * cen + w * np.where(b > 0, diff[..., 1:], diff[..., :-1]),
-                    out=out.swapaxes(axis, -1)[..., 1:-1])
+        b, out = b[..., 1:-1], out.swapaxes(axis, -1)[..., 1:-1]
+        if pe.max() <= 2.0:  # every weight is exactly 0 (a NaN pe fails the test)
+            np.multiply(b, cen, out=out)
+        else:
+            w = np.maximum(1.0 - 2.0 / pe, 0.0)  # and w <= 1, as 2 / pe > 0
+            np.multiply(b, (1.0 - w) * cen + w * np.where(b > 0, diff[..., 1:], diff[..., :-1]),
+                        out=out)
         return float(mag.max())
     return advect
 

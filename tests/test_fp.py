@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
-from mfgkit.core import LineSystem, MeasureFlow, MeasureView, ProblemSpec, build_grid, \
-    discretize_initial_density
+from mfgkit.core import LineSystem, MeasureFlow, MeasureView, ProblemSpec, StepCoefficients, \
+    build_grid, discretize_initial_density
 from mfgkit.catalog import gaussian_density, heat_check_problem
 from mfgkit.fp import FpError, _axis_step, _transposed_band, solve_fp
 from mfgkit.hjb import solve_hjb, HjbSolverConfig
@@ -357,6 +357,112 @@ def test_frozen_flow_runs_one_sweep(monkeypatch):
     assert built == [g.time(k) for k in range(g.nt)]
     # frozen at the self-coupled run's own flow, the march repeats its views
     assert np.array_equal(frozen.densities, mu.densities)
+
+
+def _strong_drift_case(dim):
+    """A frozen flow and a policy under a drift toward the flow's mean that
+    grows in t, with sigma varying in x: every level's generators differ,
+    and the mesh Peclet number |b| h / a reaches about 9 on both grids."""
+    if dim == 1:
+        g = build_grid(1, -3.0, 3.0, 121, 1.0, 151)
+        p = _problem(drift_b0=lambda t, x, m: 60.0 * (1.0 + t) * np.tanh(2.0 * (m.mean - x)),
+                     drift_b1=lambda t, x, a: a,
+                     diffusion_sigma=lambda t, x, m: np.sqrt(2.0) * (1.0 + 0.2 * np.tanh(x)),
+                     initial_density=gaussian_density(0.5, 0.5))
+    else:
+        g = build_grid(2, -3.0, 3.0, 41, 0.5, 20)
+
+        def sigma(t, x, m):
+            sig = np.zeros(x.shape[:-1] + (2, 2))
+            sig[..., 0, 0] = np.sqrt(2.0) * (1.0 + 0.2 * np.tanh(x[..., 0] + 0.5 * x[..., 1]))
+            sig[..., 1, 1] = np.sqrt(2.0) * (1.0 + 0.2 * np.tanh(x[..., 0]))
+            return sig
+        p = _problem(dim=2, diffusion_sigma=sigma, drift_b1=lambda t, x, a: a,
+                     drift_b0=lambda t, x, m: 40.0 * (1.0 + t) * np.tanh(2.0 * (m.mean - x)),
+                     running_f0=lambda t, x, m: np.zeros(x.shape[:-1]),
+                     running_f1=lambda t, x, a: np.zeros(x.shape[:-1]),
+                     terminal_g=lambda x, m: np.zeros(x.shape[:-1]),
+                     initial_density=lambda x: np.exp(-((x - 0.5) ** 2).sum(-1)))
+    mu = solve_fp(p, g, None, None)
+    rng = np.random.default_rng(7)
+    policy = rng.normal(size=(g.nt + 1,) + g.shape + ((2,) if dim == 2 else ()))
+    return p, g, mu, policy
+
+
+def _per_level_fp(p, g, mu, policy):
+    """The frozen-flow march written out level by level: each level's lines
+    as one solve_banded call per axis, which gives the bits of one gtsv call,
+    then the renormalization. Returns (densities, mass_drift, min_density)."""
+    m = discretize_initial_density(p, g)[0]
+    densities, drift, low = [m], [0.0], [m.min()]
+    for k in range(g.nt):
+        coef = StepCoefficients(p, g.time(k), g.coords(), mu.view(k))
+        b = coef.drift(policy[k])
+        for d in range(g.dim):
+            a_d, b_d, m = (v.swapaxes(d, -1) for v in (coef.diag_a[d], b[d], m))
+            band = _transposed_band(a_d, b_d, g.h[d], g.dt).reshape(3, -1)
+            m = solve_banded((1, 1), band, m.ravel()).reshape(m.shape).swapaxes(d, -1)
+        mass = m.sum() * g.cell_volume
+        drift.append(abs(mass - 1.0))
+        low.append(float(m.min()))
+        if low[-1] < 0:
+            m = np.maximum(m, 0.0)
+            mass = m.sum() * g.cell_volume
+        m = m / mass
+        densities.append(m)
+    return np.stack(densities), np.array(drift), np.array(low)
+
+
+@pytest.mark.parametrize("levels_per_run", [None, 3, 1])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_fp_on_runs_of_levels_equals_the_per_level_march(dim, levels_per_run, monkeypatch):
+    # runs of 3 levels leave a shorter last run (151 and 20 levels), as does
+    # the module's budget (135 and 9 levels per run); runs of 1 are the
+    # per-level march. Each axis's generators are factored once per run:
+    # every level's differ, so no run reuses the last one's factors. The
+    # band is column diagonally dominant, so gttrf interchanges no rows even
+    # at mesh Peclet number 9; gttrs still reads every pivot index as the
+    # row to swap with, so a level's slice needs them shifted back.
+    import mfgkit.core as core
+    p, g, mu, policy = _strong_drift_case(dim)
+    if levels_per_run is not None:
+        monkeypatch.setattr(core, "LEVEL_BATCH", levels_per_run * g.n_nodes)
+    runs = core._level_runs(0, g.nt, g)
+    assert g.nt % (runs[0].stop - runs[0].start) != 0 or levels_per_run == 1
+    peclet = 0.0
+    for k in range(g.nt):
+        coef = StepCoefficients(p, g.time(k), g.coords(), mu.view(k))
+        for d, b in enumerate(coef.drift(policy[k])):
+            peclet = max(peclet, float(np.max(np.abs(b) * g.h[d] / coef.diag_a[d])))
+    assert peclet > 8.0
+    factored = Counter()
+    factor = LineSystem._factor
+
+    def counted(self, a):
+        factored[id(self)] += 1
+        factor(self, a)
+
+    monkeypatch.setattr(LineSystem, "_factor", counted)
+    flow = solve_fp(p, g, mu, policy)
+    assert sorted(factored.values()) == [len(runs)] * dim
+    densities, drift, low = _per_level_fp(p, g, mu, policy)
+    assert np.array_equal(flow.densities, densities)
+    assert np.array_equal(flow.mass_drift, drift)
+    assert np.array_equal(flow.min_density, low)
+
+
+def test_a_run_with_a_nan_level_fails_at_that_level():
+    # a NaN drift at one level of a frozen-flow run: stacked with the run's
+    # other levels, its NaN pivot would cross the line end into the next
+    # level's factors as a zero pivot; the run is marched again level by
+    # level, so the march fails at that level as it does alone
+    k = 3
+    g = build_grid(1, -6.0, 6.0, 61, 1.0, 10)
+    p = _problem(drift_b0=lambda t, x, m: np.full_like(x, np.nan if t == g.time(k) else 0.0))
+    mu = MeasureFlow.constant_in_time(discretize_initial_density(p, g)[0], g)
+    with pytest.raises(FpError) as err:
+        solve_fp(p, g, mu, None)
+    assert str(err.value) == f"non-finite density at time index {k + 1}, node (0,)"
 
 
 def _correlated_2d(sigma12):

@@ -5,7 +5,7 @@ from scipy.linalg import solve_banded
 from mfgkit.core import (LineSystem, MeasureFlow, ProblemSpec, build_grid,
                          discretize_initial_density)
 from mfgkit.catalog import capped_quadratic, gaussian_density, get_entry
-from mfgkit.hjb import (CFLAdvisory, HjbError, _diffusion_band,
+from mfgkit.hjb import (CFLAdvisory, HjbError, _advection, _diffusion_band,
                         _implicit_diffusion_solve, solve_hjb)
 from mfgkit.oracle import hopf_cole_value, lq_riccati_value
 
@@ -361,6 +361,85 @@ def test_cfl_advisory_reports_the_max_over_every_sweep(dim, monkeypatch):
     assert advisory.cfl == ref > 1.0
     assert str(advisory) == (f"explicit drift step reached dt|b|/h = {ref:.2f} > 1; "
                              "results may be inaccurate (diffusion remains implicit)")
+
+
+def _blend(u, a, b, h, axis):
+    """The Peclet blend of _advection written out on the interior nodes, with
+    its upwind weights w, line axis moved last."""
+    u, a, b = (v.swapaxes(axis, -1) for v in (u, a, b))
+    diff = (u[..., 1:] - u[..., :-1]) / h
+    cen = (u[..., 2:] - u[..., :-2]) / (2 * h)
+    pe = np.maximum(np.abs(b[..., 1:-1]) * h / np.maximum(a[..., 1:-1], 1e-300), 1e-300)
+    w = np.maximum(1.0 - 2.0 / pe, 0.0)
+    b = b[..., 1:-1]
+    return b * ((1.0 - w) * cen + w * np.where(b > 0, diff[..., 1:], diff[..., :-1])), w, b * cen
+
+
+def _advect(u, a, b, h, axis):
+    out = np.zeros(u.shape)
+    b_max = _advection(u, a, h, axis)(b, out)
+    out = out.swapaxes(axis, -1)
+    assert np.all(out[..., [0, -1]] == 0.0)
+    return out[..., 1:-1], b_max
+
+
+_SHAPES = [((40,), 0), ((9, 12), 0), ((9, 12), 1)]
+
+
+@pytest.mark.parametrize("shape,axis", _SHAPES)
+def test_advection_below_peclet_two_is_the_blend_bit_for_bit(shape, axis):
+    # every mesh Peclet number |b| h / a <= 2, among them exactly 2 and a
+    # drift of +0 and -0: every weight is 0, and advect's central term
+    # alone has the blend's bits
+    rng = np.random.default_rng(11)
+    h = 0.25
+    u = rng.normal(size=shape)
+    a = 1.0 + rng.uniform(size=shape)
+    b = 0.999 * rng.uniform(-1.0, 1.0, shape) * 2.0 * a / h
+    line = b.swapaxes(axis, -1)  # a view: writes land in b
+    line[..., 1] = 8.0 * a.swapaxes(axis, -1)[..., 1]    # pe exactly 2
+    line[..., 2] = -8.0 * a.swapaxes(axis, -1)[..., 2]
+    line[..., 3], line[..., 4] = 0.0, -0.0
+    ref, w, _ = _blend(u, a, b, h, axis)
+    assert np.all(w == 0.0) and np.max(np.abs(b) * h / a) == 2.0
+    out, b_max = _advect(u, a, b, h, axis)
+    assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+    assert b_max == np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("peclet", [2.5, 40.0])
+@pytest.mark.parametrize("shape,axis", _SHAPES)
+def test_advection_above_peclet_two_keeps_the_upwind_weights(shape, axis, peclet):
+    # one node per line above mesh Peclet number 2 (w = 0.2 at 2.5, 0.95 at
+    # 40), the largest number there: that node gets the blend, not b times
+    # the central difference, and every node has the blend's bits
+    rng = np.random.default_rng(12)
+    h = 0.25
+    u = rng.normal(size=shape)
+    a = np.ones(shape)
+    b = rng.uniform(-1.0, 1.0, shape)
+    b.swapaxes(axis, -1)[..., 2] = -4.0 * peclet
+    ref, w, central = _blend(u, a, b, h, axis)
+    assert np.allclose(w[..., 1], 1.0 - 2.0 / peclet) and np.all(np.delete(w, 1, -1) == 0.0)
+    out, _ = _advect(u, a, b, h, axis)
+    assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+    assert np.all(out[..., 1] != central[..., 1])
+
+
+def test_cfl_advisory_with_every_peclet_number_below_two():
+    # u = 0 (g = 0, f = a^2 / 2), so b = b0 = 5 tanh(x) (1 + t) at every
+    # sweep: |b| h / a < 2 everywhere, so no sweep forms the blend weights,
+    # yet dt |b| / h reaches 4.75; the advisory still reports the max
+    p = _problem(drift_b0=lambda t, x, m: 5.0 * np.tanh(x) * (1.0 + t))
+    g = build_grid(1, -6.0, 6.0, 61, 1.0, 10)
+    x = g.coords()
+    b_max = max(float(np.max(np.abs(p.drift_b0(g.time(k), x, None)))) for k in range(g.nt))
+    assert b_max * g.h[0] < 2.0
+    with pytest.warns(CFLAdvisory) as rec:
+        u = solve_hjb(p, g, _mu(p, g))
+    assert np.all(u.values == 0.0)
+    advisory, = [w.message for w in rec if w.category is CFLAdvisory]
+    assert advisory.cfl == b_max * g.dt / g.h[0] > 4.7
 
 
 @pytest.mark.parametrize("axis", [0, 1])

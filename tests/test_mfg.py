@@ -784,10 +784,10 @@ def test_pde_residual_on_runs_of_levels_equals_the_per_level_loop(
 
 def test_level_batched_loops_keep_their_arrays_to_the_budget():
     # lq-riccati's catalog grid (241 x 1000): pde_residual holds the feedback
-    # policy of every level plus a bounded number of run-sized arrays, and
-    # the law profile only run-sized arrays. An all-levels pde_residual would
-    # hold about 18 arrays of 241 x 1001 doubles (35 MB), an all-levels law
-    # profile about 4 (8 MB)
+    # policy of every level plus a bounded number of run-sized arrays, the
+    # law profile only run-sized arrays, and solve_fp its densities plus
+    # run-sized arrays. An all-levels pde_residual would hold about 18 arrays
+    # of 241 x 1001 doubles (35 MB), an all-levels law profile about 4 (8 MB)
     import tracemalloc
     from mfgkit.core import LEVEL_BATCH
     from mfgkit.measure import _histogram_d1
@@ -808,7 +808,14 @@ def test_level_batched_loops_keep_their_arrays_to_the_budget():
         tracemalloc.reset_peak()
         _histogram_d1(counts, 500, flow.densities, g)
         law_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        solve_fp(e.problem, g, flow, None)
+        fp_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert pde_peak < policy_bytes + 24 * run_bytes
     assert law_peak < 8 * run_bytes
+    # the FP march holds its densities (the size of the policy) plus about
+    # 16 run-sized arrays; factoring every level at once would hold about 15
+    # arrays of 241 x 1000 doubles (29 MB) more
+    assert fp_peak < policy_bytes + 24 * run_bytes

@@ -22,7 +22,7 @@ from .core import (ControlSpace, Grid, MeasureFlow, MeasureView, ProblemSpec,
 from .fp import FpError, solve_fp
 from .hamiltonian import (AssumptionReport, PhiEvaluator, check_assumptions,
                           evaluate_H, minimize_H)
-from .hjb import CFLAdvisory, HjbError, HjbSolverConfig, solve_hjb
+from .hjb import CFLAdvisory, HjbError, solve_hjb
 from .measure import (FlowRegularityReport, d1_atoms, d1_grid, d1_lp,
                       flow_distance, flow_regularity, histogram_density,
                       second_moment)

@@ -25,7 +25,6 @@ import numpy as np
 # solve_mfg in their modules
 from . import catalog, core, mfg
 from .cost import verify_solution
-from .hjb import HjbSolverConfig
 from .particle import _fork_map, _process_count
 
 SCHEMA_VERSION = 1
@@ -52,7 +51,6 @@ class RunConfig:
     theta: float = 0.5
     tol: float = 1e-4
     max_iters: int = 50
-    picard_inner_iters: int = 2
     # verification block
     verify: bool = True
     n_particles: int = 100_000
@@ -272,10 +270,9 @@ def run(config: RunConfig, resume: bool = False) -> int:
     try:
         config.validate()
         entry, grid = _build(config)
-        # the solver configs range-check theta, tol and the iteration counts
-        solver = (mfg.FixedPointConfig(theta=config.theta, tol=config.tol,
-                                       max_iters=config.max_iters),
-                  HjbSolverConfig(picard_inner_iters=config.picard_inner_iters))
+        # the solver config range-checks theta, tol and the iteration count
+        solver = mfg.FixedPointConfig(theta=config.theta, tol=config.tol,
+                                      max_iters=config.max_iters)
         _process_count()  # MFGKIT_THREADS, if set, is a positive integer
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)  # an existing file on the path: OSError
@@ -327,7 +324,7 @@ def _run_locked(config: RunConfig, entry, grid, solver, out: Path,
     t_start = time.monotonic()
     try:
         u, m, report = mfg.solve_mfg(
-            entry.problem, grid, *solver,
+            entry.problem, grid, solver,
             initial_state=state0,
             on_iteration=lambda st: write_checkpoint(ckpt, grid, st))
     except Exception as e:  # solver-level failure: report and exit 3
@@ -361,8 +358,8 @@ def _run_locked(config: RunConfig, entry, grid, solver, out: Path,
                  "x_min": list(grid.x_min), "x_max": list(grid.x_max),
                  "horizon": grid.horizon},
         "config": {f: getattr(config, f) for f in
-                   ("theta", "tol", "max_iters", "picard_inner_iters",
-                    "n_particles", "n_perturbations", "seed")},
+                   ("theta", "tol", "max_iters", "n_particles", "n_perturbations",
+                    "seed")},
         "threads_override": os.environ.get("MFGKIT_THREADS"),
         **blocks,
         "checks": checks,

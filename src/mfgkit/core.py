@@ -386,10 +386,16 @@ def diffusion_coefficients(problem: ProblemSpec, t: float, x: np.ndarray, view):
     None in 1D.
     """
     sig = np.asarray(problem.diffusion_sigma(t, x, view), dtype=float)
-    if problem.dim == 1:
-        return (_broadcast(0.5 * sig ** 2, x.shape),), None
+    return _diffusion_tensor(problem.dim, sig, x.shape)
+
+
+def _diffusion_tensor(dim: int, sig: np.ndarray, shape: tuple):
+    """diffusion_coefficients' (diag, a12) from sigma's values sig at points
+    of the given shape."""
+    if dim == 1:
+        return (_broadcast(0.5 * sig ** 2, shape),), None
     a = 0.5 * np.einsum("...ik,...jk->...ij", sig, sig)
-    a = _broadcast(a, x.shape[:-1] + (2, 2))
+    a = _broadcast(a, shape[:-1] + (2, 2))
     return (a[..., 0, 0], a[..., 1, 1]), a[..., 0, 1]
 
 
@@ -397,17 +403,28 @@ class StepCoefficients:
     """One time level's coefficients at the measure view, evaluated once: b0,
     the per-axis diagonal diag_a of a = sigma sigma^T / 2, and a12, None in
     1D or where it is identically zero; f0 on the first cost call, as the FP
-    never reads it. drift and cost add b1 and f1."""
+    never reads it. drift and cost add b1 and f1.
 
-    __slots__ = ("problem", "t", "x", "view", "shape", "b0", "f0", "diag_a", "a12")
+    last, the previous level's coefficients, lends its diag_a and a12 where
+    sigma returns last's bits: the same arrays, so a line system keyed on
+    them skips comparing an unchanged diffusion."""
 
-    def __init__(self, problem: ProblemSpec, t: float, x: np.ndarray, view):
+    __slots__ = ("problem", "t", "x", "view", "shape", "b0", "f0", "sigma",
+                 "diag_a", "a12")
+
+    def __init__(self, problem: ProblemSpec, t: float, x: np.ndarray, view,
+                 last: Optional["StepCoefficients"] = None):
         self.problem, self.t, self.x, self.view = problem, t, x, view
         self.shape = x.shape if problem.dim == 1 else x.shape[:-1]
         self.b0 = problem.drift_b0(t, x, view)
         self.f0 = None
-        self.diag_a, a12 = diffusion_coefficients(problem, t, x, view)
-        self.a12 = a12 if a12 is not None and (a12 != 0).any() else None
+        sig = self.sigma = np.asarray(problem.diffusion_sigma(t, x, view), dtype=float)
+        if (last is not None and sig.shape == last.sigma.shape
+                and (sig.view(np.int64) == last.sigma.view(np.int64)).all()):
+            self.diag_a, self.a12 = last.diag_a, last.a12
+        else:
+            self.diag_a, a12 = _diffusion_tensor(problem.dim, sig, x.shape)
+            self.a12 = a12 if a12 is not None and (a12 != 0).any() else None
 
     def drift(self, alpha=None) -> list:
         """Per-axis drift b0 + b1(alpha), or b0 when alpha is None."""

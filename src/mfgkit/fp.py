@@ -59,11 +59,9 @@ def _axis_step(lines: LineSystem, m: np.ndarray, b: np.ndarray, a: np.ndarray,
                cross_rhs: Optional[np.ndarray] = None, level: int = 0) -> np.ndarray:
     """One implicit sub-step along one axis, for every grid line at once. b and
     a hold one level's coefficients or a run's, stacked on a leading axis, of
-    which level `level` steps; they go unswapped when the axis is already
-    last, so the run's later levels skip the compare in `LineSystem.solve`."""
+    which level `level` steps, with the line axis last; passing the same
+    arrays at each level of a run lets `LineSystem.solve` skip the compare."""
     m = m.swapaxes(axis, -1)
-    if axis != m.ndim - 1:
-        b, a = (v.swapaxes(axis - m.ndim, -1) for v in (b, a))
     rhs = m if cross_rhs is None else m + dt * cross_rhs.swapaxes(axis, -1)
     lines.level = level
     return lines.solve((a, b), rhs).swapaxes(axis, -1)
@@ -108,8 +106,10 @@ def solve_fp(problem: ProblemSpec, grid: Grid,
                                   else mu_flow.view(k)) for k in levels]
         drifts = [c.drift(None if policy is None else policy[k])
                   for k, c in zip(levels, coefs)]
-        # per axis, the diffusion and the drift of the run's levels, stacked
-        stacked = [(np.stack([c.diag_a[d] for c in coefs]), np.stack([b[d] for b in drifts]))
+        # per axis, the diffusion and the drift of the run's levels, stacked,
+        # as line-last views made once per run
+        stacked = [(np.stack([c.diag_a[d] for c in coefs]).swapaxes(d + 1, -1),
+                    np.stack([b[d] for b in drifts]).swapaxes(d + 1, -1))
                    for d in range(grid.dim)]
         try:
             for j, (k, coef) in enumerate(zip(levels, coefs)):

@@ -37,7 +37,7 @@ from .core import (Grid, MeasureFlow, ProblemSpec, StepCoefficients, ValueField,
                    discretize_initial_density)
 from .fp import solve_fp
 from .hamiltonian import PhiEvaluator, minimize_H
-from .hjb import HjbSolverConfig, solve_hjb
+from .hjb import solve_hjb
 from .measure import flow_distance
 
 __all__ = [
@@ -103,11 +103,10 @@ def feedback_policy(problem: ProblemSpec, grid: Grid, u: ValueField) -> np.ndarr
     return out
 
 
-def apply_phi(problem: ProblemSpec, grid: Grid, mu: MeasureFlow,
-              hjb_config: HjbSolverConfig = HjbSolverConfig()):
+def apply_phi(problem: ProblemSpec, grid: Grid, mu: MeasureFlow):
     """One application of the map: solve the backward equation under mu, extract
     the feedback policy, push m0 forward under it. Returns (u, m)."""
-    u = solve_hjb(problem, grid, mu, hjb_config)
+    u = solve_hjb(problem, grid, mu)
     policy = feedback_policy(problem, grid, u)
     m = solve_fp(problem, grid, mu, policy)
     return u, m
@@ -115,7 +114,6 @@ def apply_phi(problem: ProblemSpec, grid: Grid, mu: MeasureFlow,
 
 def solve_mfg(problem: ProblemSpec, grid: Grid,
               config: FixedPointConfig = FixedPointConfig(),
-              hjb_config: HjbSolverConfig = HjbSolverConfig(),
               initial_state: Optional[IterationState] = None,
               on_iteration=None):
     """Picard iteration on the measure flow: one-secant Anderson steps while
@@ -148,7 +146,7 @@ def solve_mfg(problem: ProblemSpec, grid: Grid,
     it = start
     for it in range(start + 1, config.max_iters + 1):
         if not constant:
-            u, m = apply_phi(problem, grid, mu, hjb_config)
+            u, m = apply_phi(problem, grid, mu)
             constant = not mu.read
         r = flow_distance(mu, m, grid)
         history = report.residual_history
@@ -173,7 +171,7 @@ def solve_mfg(problem: ProblemSpec, grid: Grid,
     report.iterations_used = it
     report.converged = converged
     if u is None:  # resumed with no step left: the map of the stored flow
-        u, m = apply_phi(problem, grid, mu, hjb_config)
+        u, m = apply_phi(problem, grid, mu)
     return u, m, report
 
 

@@ -13,7 +13,6 @@ import pytest
 from mfgkit.catalog import get_entry
 from mfgkit.core import (MeasureFlow, build_grid, diffusion_coefficients,
                          discretize_initial_density)
-from mfgkit.hjb import HjbSolverConfig
 from mfgkit.mfg import FixedPointConfig, IterationState, solve_mfg
 
 
@@ -38,8 +37,7 @@ class SolveCache:
                 start = IterationState(
                     0, MeasureFlow.constant_in_time(m0, grid).densities,
                     [np.inf, np.inf])
-            u, m, report = solve_mfg(entry.problem, grid, fx,
-                                     HjbSolverConfig(), initial_state=start)
+            u, m, report = solve_mfg(entry.problem, grid, fx, initial_state=start)
             self._cache[key] = (entry, grid, u, m, report)
         return self._cache[key]
 

@@ -14,7 +14,7 @@ from mfgkit.catalog import get_entry, heat_check_problem
 from mfgkit.core import build_grid, discretize_initial_density
 from mfgkit.cost import evaluate_cost, expected_initial_value, verify_optimality
 from mfgkit.fp import solve_fp
-from mfgkit.hjb import HjbSolverConfig, solve_hjb
+from mfgkit.hjb import solve_hjb
 from mfgkit.measure import d1_atoms, d1_grid, d1_lp, flow_distance, flow_regularity
 from mfgkit.mfg import FixedPointConfig, feedback_policy, pde_residual, solve_mfg
 from mfgkit.oracle import heat_flow_density
@@ -33,15 +33,13 @@ def test_criterion_01_hjb_hopf_cole_equivalence(solved):
     entry, grid, u, _, _ = solved.get("decoupled-hopfcole")
     assert (grid.nx, grid.nt, grid.x_min[0], grid.x_max[0]) == (241, 400, -6.0, 6.0)
     t0 = time.perf_counter()
-    u_timed = solve_hjb(entry.problem, grid,
-                        _frozen_flow(entry.problem, grid), HjbSolverConfig())
+    u_timed = solve_hjb(entry.problem, grid, _frozen_flow(entry.problem, grid))
     runtime = time.perf_counter() - t0
     ref = entry.oracle_value(grid)
     err = float(np.max(np.abs(u.values - ref.values)[:, 10:-10]))
 
     fine = grid.refine(2)
-    u_fine = solve_hjb(entry.problem, fine, _frozen_flow(entry.problem, fine),
-                       HjbSolverConfig())
+    u_fine = solve_hjb(entry.problem, fine, _frozen_flow(entry.problem, fine))
     ref_fine = entry.oracle_value(fine)
     err_fine = float(np.max(np.abs(u_fine.values - ref_fine.values)[:, 10:-10]))
     factor = err / err_fine

@@ -9,7 +9,7 @@ from mfgkit.core import LineSystem, MeasureFlow, MeasureView, ProblemSpec, StepC
     build_grid, discretize_initial_density
 from mfgkit.catalog import gaussian_density, heat_check_problem
 from mfgkit.fp import FpError, _axis_step, _transposed_band, solve_fp
-from mfgkit.hjb import solve_hjb, HjbSolverConfig
+from mfgkit.hjb import solve_hjb
 from mfgkit.measure import d1_grid
 from mfgkit.oracle import heat_flow_density
 
@@ -105,7 +105,7 @@ def test_duality_with_backward_equation():
                       terminal_g=lambda x, m: G(x))
     m0, _ = discretize_initial_density(p_back, g)
     mu = MeasureFlow.constant_in_time(m0, g)
-    u = solve_hjb(p_back, g, mu, HjbSolverConfig(picard_inner_iters=1))
+    u = solve_hjb(p_back, g, mu)
     flow = solve_fp(p_back, g, mu, None)
     h = g.h[0]
     lhs = np.sum(u.values[0] * flow.densities[0]) * h \
@@ -255,7 +255,8 @@ def test_2d_stacked_sweep_matches_per_line_solve(axis, varying_diffusion):
     a, h, dt = diag_a[axis], g.h[axis], g.dt
     b = 3.0 * np.sin(2.0 * x[..., axis] - x[..., 1 - axis])
     m = np.exp(-((x - 0.3) ** 2).sum(-1))
-    out = _axis_step(LineSystem(_transposed_band, h, dt), m, b, a, h, dt, axis)
+    out = _axis_step(LineSystem(_transposed_band, h, dt), m, b.swapaxes(axis, -1),
+                     a.swapaxes(axis, -1), h, dt, axis)
     ref = np.empty_like(m)
     for j in range(g.nx):
         line = (slice(None), j) if axis == 0 else (j, slice(None))
@@ -307,22 +308,28 @@ def _sigma_problem(dim, t_dependent):
 def test_solvers_factor_once_per_axis_per_diffusion(solver, dim, t_dependent, monkeypatch):
     # each call builds one line system per axis; it refactors only when the
     # level's diffusion array changes, so once per call for a constant sigma
-    # and at every level (both HJB inner sweeps share one) for sigma(t)
-    factored = Counter()
-    factor = LineSystem._factor
+    # and at every level for sigma(t). The HJB compares no diffusion array
+    # for a constant sigma: each level whose sigma returns the last level's
+    # bits lends it the same arrays (`StepCoefficients`)
+    factored, compared = Counter(), []
+    factor, equal = LineSystem._factor, np.array_equal
 
     def counted(self, a):
         factored[id(self)] += 1
         factor(self, a)
 
     monkeypatch.setattr(LineSystem, "_factor", counted)
+    monkeypatch.setattr(np, "array_equal", lambda x, y: compared.append(1) or equal(x, y))
     p = _sigma_problem(dim, t_dependent)
     g = build_grid(dim, -3.0, 3.0, 21 if dim == 1 else 11, 1.0, 10)
     if solver == "hjb":
         solve_hjb(p, g, MeasureFlow.constant_in_time(discretize_initial_density(p, g)[0], g))
     else:
         solve_fp(p, g, None, None)
+    monkeypatch.setattr(np, "array_equal", equal)
     assert sorted(factored.values()) == [g.nt if t_dependent else 1] * dim
+    if solver == "hjb":
+        assert len(compared) == ((g.nt - 1) * dim if t_dependent else 0)
 
 
 def test_renormalization_flag_and_drift_reporting():
@@ -422,7 +429,9 @@ def test_fp_on_runs_of_levels_equals_the_per_level_march(dim, levels_per_run, mo
     # every level's differ, so no run reuses the last one's factors. The
     # band is column diagonally dominant, so gttrf interchanges no rows even
     # at mesh Peclet number 9; gttrs still reads every pivot index as the
-    # row to swap with, so a level's slice needs them shifted back.
+    # row to swap with, so a level's slice needs them shifted back. Each
+    # axis compares coefficient arrays only at a run's first level, with the
+    # last run's: the later levels get the run's line-last views themselves.
     import mfgkit.core as core
     p, g, mu, policy = _strong_drift_case(dim)
     if levels_per_run is not None:
@@ -443,8 +452,12 @@ def test_fp_on_runs_of_levels_equals_the_per_level_march(dim, levels_per_run, mo
         factor(self, a)
 
     monkeypatch.setattr(LineSystem, "_factor", counted)
+    compared, equal = [], np.array_equal
+    monkeypatch.setattr(np, "array_equal", lambda x, y: compared.append(1) or equal(x, y))
     flow = solve_fp(p, g, mu, policy)
+    monkeypatch.setattr(np, "array_equal", equal)
     assert sorted(factored.values()) == [len(runs)] * dim
+    assert len(compared) <= 2 * dim * (len(runs) - 1)
     densities, drift, low = _per_level_fp(p, g, mu, policy)
     assert np.array_equal(flow.densities, densities)
     assert np.array_equal(flow.mass_drift, drift)

@@ -230,8 +230,8 @@ def test_2d_stacked_sweep_matches_per_line_solve(dim, nx, varying, axis, varying
     x = g.coords().reshape(g.shape + (g.dim,))
     a, h, dt = diag_a[axis], g.h[axis], g.dt
     rhs = np.sin(x[..., 0]) * np.cos(0.7 * x[..., -1]) + 0.1 * x[..., 0] ** 2
-    out = _implicit_diffusion_solve(LineSystem(_diffusion_band, h, dt), a, rhs, 1e-10,
-                                    axis=axis)
+    out = _implicit_diffusion_solve(LineSystem(_diffusion_band, h, dt), a.swapaxes(axis, -1),
+                                    rhs, 1e-10, axis=axis)
     ref = np.empty_like(rhs)
     for j in np.ndindex(g.shape[:-1]):
         line = j[:axis] + (slice(None),) + j[axis:]
@@ -328,8 +328,8 @@ _GRID_2D = build_grid(2, (-3.0, -2.0), (3.0, 2.0), 21, 1.0, 10)
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_cfl_advisory_reports_the_max_over_every_sweep(dim, monkeypatch):
-    # dt |b_d| / h_d written out over every axis and every sweep of every
-    # step, b = b0 + alpha varying in x, t and each sweep's lagged control
+    # dt |b_d| / h_d written out over every axis and every sweep, one per
+    # level, b = b0 + alpha varying in x, t and each level's lagged control
     from mfgkit import hjb
     sweeps, minimize = [], hjb.minimize_H
 
@@ -356,11 +356,36 @@ def test_cfl_advisory_reports_the_max_over_every_sweep(dim, monkeypatch):
         b = b.reshape(g.shape + (dim,))
         for d in range(dim):
             ref = max(ref, float(np.max(np.abs(b[..., d]))) * g.dt / g.h[d])
-    assert len(sweeps) == 2 * g.nt
+    assert len(sweeps) == g.nt
     advisory, = [w.message for w in rec if w.category is CFLAdvisory]
     assert advisory.cfl == ref > 1.0
     assert str(advisory) == (f"explicit drift step reached dt|b|/h = {ref:.2f} > 1; "
                              "results may be inaccurate (diffusion remains implicit)")
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_one_sweep_per_level_lags_the_control_one_level(dim, monkeypatch):
+    # minimize_H runs once per level, grid.nt times in all, at level k's time
+    # and at the stored gradient Du^{k+1} of the level before in the march
+    from mfgkit import hjb
+    calls, minimize = [], hjb.minimize_H
+
+    def recorded(problem, evaluator, t, x, p):
+        calls.append((t, p.copy()))
+        return minimize(problem, evaluator, t, x, p)
+
+    monkeypatch.setattr(hjb, "minimize_H", recorded)
+    if dim == 1:
+        p = _problem(terminal_g=lambda x, m: capped_quadratic(4.0)(x))
+        g = build_grid(1, -6.0, 6.0, 61, 1.0, 20)
+    else:
+        p = _problem_2d()
+        g = _GRID_2D
+    u = solve_hjb(p, g, _mu(p, g))
+    assert len(calls) == g.nt
+    for k, (t, grad) in zip(range(g.nt - 1, -1, -1), calls):
+        assert t == g.time(k)
+        assert np.array_equal(grad, u.du[k + 1])
 
 
 def _blend(u, a, b, h, axis):
@@ -377,7 +402,7 @@ def _blend(u, a, b, h, axis):
 
 def _advect(u, a, b, h, axis):
     out = np.zeros(u.shape)
-    b_max = _advection(u, a, h, axis)(b, out)
+    b_max = _advection(u, a, b, h, axis, out)
     out = out.swapaxes(axis, -1)
     assert np.all(out[..., [0, -1]] == 0.0)
     return out[..., 1:-1], b_max

@@ -219,19 +219,17 @@ def test_solver_signatures_and_config_fields():
     # deliberate edit here
     import inspect
     from dataclasses import fields
-    from mfgkit.hjb import HjbSolverConfig
 
     def params(fn):
         return list(inspect.signature(fn).parameters)
     assert params(solve_fp) == ["problem", "grid", "mu_flow", "policy"]
-    assert params(solve_hjb) == ["problem", "grid", "mu_flow", "config"]
-    assert params(apply_phi) == ["problem", "grid", "mu", "hjb_config"]
+    assert params(solve_hjb) == ["problem", "grid", "mu_flow"]
+    assert params(apply_phi) == ["problem", "grid", "mu"]
     assert params(feedback_policy) == ["problem", "grid", "u"]
     assert params(pde_residual) == ["problem", "grid", "u", "m", "margin"]
-    assert params(solve_mfg) == ["problem", "grid", "config", "hjb_config",
-                                 "initial_state", "on_iteration"]
+    assert params(solve_mfg) == ["problem", "grid", "config", "initial_state",
+                                 "on_iteration"]
     assert [f.name for f in fields(FixedPointConfig)] == ["theta", "tol", "max_iters"]
-    assert [f.name for f in fields(HjbSolverConfig)] == ["picard_inner_iters"]
 
 
 def test_iteration_deterministic():
@@ -617,13 +615,13 @@ def test_pinned_example5_solve():
     g = build_grid(1, -6.0, 6.0, 61, 1.0, 40)
     u, m, rep = solve_mfg(e.problem, g, e.fixed_point)
     assert _fingerprint(e.problem, u, m, rep, 35) == {
-        "u": [0.878322190787472, 0.6916535739403934],
-        "m": [0.3551297151336592, 0.3099011159734857],
-        "row_sums": [227.82135893352824, 267.65034308277984,
-                     1.4430539220633243, 1.7417898708529278],
-        "rho": [0.40524404678852965, 0.017337557442337333,
-                0.0012485861058502017, 3.6298615855954625e-06],
-        "pde": [0.11719111620892608, 0.16923634761977263]}
+        "u": [0.87820530896549, 0.6915610769164302],
+        "m": [0.3551313763370585, 0.3099048499178178],
+        "row_sums": [227.79580800749451, 267.62766943453244,
+                     1.443037457782945, 1.7417631526260908],
+        "rho": [0.40525124449075095, 0.017336951073175216,
+                0.0012487489846807684, 3.6287451573761134e-06],
+        "pde": [0.11944502865938134, 0.1692386823465552]}
 
 
 def test_pinned_2d_correlated_solve():
@@ -649,12 +647,12 @@ def test_pinned_2d_correlated_solve():
     g = build_grid(2, -3.0, 3.0, 21, 0.5, 20)
     u, m, rep = solve_mfg(p, g, FixedPointConfig(max_iters=2))
     assert _fingerprint(p, u, m, rep, (8, 12)) == {
-        "u": [0.3005629511179408, 0.21272706180417286],
-        "m": [0.09458508084535248, 0.08895571956862994],
-        "row_sums": [358.45691112532734, 335.6836927723234,
-                     6.2550770303739025, 6.198034906357037],
-        "rho": [0.16466830943144414, 0.0025328360871033385],
-        "pde": [0.00038175264225843997, 0.004402551096543236]}
+        "u": [0.3005591732682247, 0.21272463818588855],
+        "m": [0.09458507258265147, 0.08895571254478075],
+        "row_sums": [358.4545990289172, 335.68238183500154,
+                     6.255077861693497, 6.198035797771105],
+        "rho": [0.16466837572226958, 0.0025328265143018747],
+        "pde": [0.0003859374951419303, 0.004402537371571369]}
 
 
 def _pinned_catalog_solve(name):
@@ -664,25 +662,25 @@ def _pinned_catalog_solve(name):
 
 
 def test_pinned_lq_riccati_solve():
-    # literal values pin the decoupled quadratic-control march (HJB sweeps with
-    # zero b0 and f0, the FP under the feedback) and the PDE residual
+    # literal values pin the decoupled quadratic-control march (one HJB sweep
+    # per level with zero b0 and f0, the FP under the feedback) and the PDE residual
     assert _pinned_catalog_solve("lq-riccati") == {
-        "u": [0.9308962442354842, 0.7307740204815709],
-        "m": [0.23972839320251438, 0.24151543251796212],
-        "row_sums": [229.13647970109724, 274.81180232621165,
-                     2.287019867149072, 2.306880578564907],
-        "rho": [0.4296990898991802, 0.0],
-        "pde": [0.20449489231981577, 0.19179870851079367]}
+        "u": [0.9307740465732578, 0.7306882184420735],
+        "m": [0.23972905791429078, 0.24151491306049877],
+        "row_sums": [229.10122156086945, 274.7731118857564,
+                     2.2870249621308916, 2.3068865993258734],
+        "rho": [0.42972665722812065, 0.0],
+        "pde": [0.2093828124999888, 0.19180328327307095]}
 
 
 def test_pinned_decoupled_hopfcole_solve():
     assert _pinned_catalog_solve("decoupled-hopfcole") == {
-        "u": [0.929293856552827, 0.7298293741728242],
-        "m": [0.23971099782826927, 0.24138854295005288],
-        "row_sums": [227.29075732724283, 270.01747157154097,
-                     2.2870995024169543, 2.3069875638846926],
-        "rho": [0.4306315746786374, 0.0],
-        "pde": [0.10294276638127275, 0.1918630435202997]}
+        "u": [0.9291750191220207, 0.7297446772657276],
+        "m": [0.23971174863106867, 0.24138825198135655],
+        "row_sums": [227.26355451000873, 269.99526408536195,
+                     2.2871044127020568, 2.306993396098406],
+        "rho": [0.43065734423062074, 0.0],
+        "pde": [0.10505318937637664, 0.19186747569551194]}
 
 
 def test_pinned_uncontrolled_fp_solve():
